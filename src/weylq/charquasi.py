@@ -22,6 +22,7 @@ from weylq.rootsys import RootSubset, RootSystem, normalize_subset
 
 Vector = Tuple[int, ...]
 
+# Refuses large arrangements (E6 full has 36 vectors) up front, before counting hangs.
 MAX_PERIOD_VECTORS = 24
 
 
@@ -149,27 +150,19 @@ def smith_invariants(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-_largest_factor_memo: Dict[Tuple[int, Tuple[Vector, ...]], int] = {}
-
-
-def _largest_invariant_factor(rank: int, vectors: Tuple[Vector, ...]) -> int:
-    """Largest invariant factor of Z^rank modulo the span of the vectors."""
-    key = (rank, vectors)
-    cached = _largest_factor_memo.get(key)
-    if cached is not None:
-        return cached
-    factors = smith_invariants(vectors) if vectors else ()
-    value = factors[-1] if factors else 1
-    _largest_factor_memo[key] = value
-    return value
-
-
 def lcm_period(spec: ArrangementSpec) -> int:
-    """Least common multiple, over every sublist of the distinct coefficient
-    vectors, of the largest invariant factor of the sublist's quotient.
+    """Least common multiple, over every sublist J of the distinct
+    coefficient vectors, of the exponent (largest invariant factor) of the
+    torsion of Z^rank / <J>: the lcm period of Kamiya, Takemura and Terao.
 
-    Offsets and multiplicities are ignored; the vector count is capped
-    because the sublist enumeration is exponential.
+    Only linearly independent sublists are visited: a dependent J contains
+    a maximal independent J' with the same saturation S, so S/<J> is a
+    quotient of S/<J'> and its exponent divides that of J'.  Sublists grow
+    in index order, up to rank rows, while their Smith normal form keeps a
+    factor per row; each visited sublist costs one Smith normal form.
+
+    The search does not need the vector cap; the cap refuses arrangements
+    such as the 36 roots of E6 before their counting would hang.
     """
     vectors = tuple(vec for vec, _ in spec.items)
     if len(vectors) > MAX_PERIOD_VECTORS:
@@ -178,10 +171,16 @@ def lcm_period(spec: ArrangementSpec) -> int:
             f"{MAX_PERIOD_VECTORS}"
         )
     period = 1
-    n = len(vectors)
-    for mask in range(1 << n):
-        chosen = tuple(vectors[i] for i in range(n) if mask >> i & 1)
-        period = math.lcm(period, _largest_invariant_factor(spec.rank, chosen))
+    stack = [((), 0)]
+    while stack:
+        rows, start = stack.pop()
+        for i in range(start, len(vectors)):
+            grown = rows + (vectors[i],)
+            factors = smith_invariants(grown)
+            if len(factors) == len(grown):
+                period = math.lcm(period, factors[-1])
+                if len(grown) < spec.rank:
+                    stack.append((grown, i + 1))
     return period
 
 

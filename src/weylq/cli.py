@@ -98,10 +98,9 @@ def qp_from_json(doc: dict) -> QuasiPolynomial:
         slots[k - 1] = RationalPolynomial(
             [Fraction(s) for s in entry["coeffs_ascending"]]
         )
-    filled = [p if p is not None else None for p in slots]
-    if any(p is None for p in filled):
+    if any(p is None for p in slots):
         raise ValidationError("constituent list does not cover every residue")
-    return QuasiPolynomial(period, tuple(filled))  # type: ignore[arg-type]
+    return QuasiPolynomial(period, tuple(slots))  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,42 @@ def test_lcm_period_values(g2):
     a3 = build_root_system("A", 3)
     for subset in [(0,), (0, 3), (1, 2, 4), tuple(range(6))]:
         assert lcm_period(from_root_subset(a3, subset)) == 1
+    f4 = build_root_system("F", 4)
+    assert lcm_period(from_root_subset(f4, range(24))) == 12
+
+
+def definition_lcm_period(spec):
+    """The lcm period by its definition: every one of the 2^n sublists."""
+    vectors = [vec for vec, _ in spec.items]
+    period = 1
+    for mask in range(1 << len(vectors)):
+        chosen = [v for i, v in enumerate(vectors) if mask >> i & 1]
+        factors = smith_invariants(chosen) if chosen else ()
+        period = math.lcm(period, factors[-1] if factors else 1)
+    return period
+
+
+@st.composite
+def random_specs(draw):
+    rank = draw(st.integers(min_value=1, max_value=3))
+    entry = st.integers(min_value=-4, max_value=4)
+    vectors = draw(
+        st.lists(
+            st.lists(entry, min_size=rank, max_size=rank).filter(any),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    # scaled copies make non-primitive and dependent vectors common
+    scales = draw(st.lists(st.integers(min_value=2, max_value=3), max_size=3))
+    vectors += [[k * c for c in vec] for k, vec in zip(scales, vectors)]
+    return make_spec(rank, ((vec, (0,)) for vec in vectors[:8]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=random_specs())
+def test_lcm_period_matches_definition(spec):
+    assert lcm_period(spec) == definition_lcm_period(spec)
 
 
 def test_lcm_period_vector_cap():

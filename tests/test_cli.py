@@ -26,8 +26,14 @@ def run_main(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_proc(*argv, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
+    )
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from weylq.errors import InconsistencyError, ValidationError
 from weylq.quasipoly import RationalPolynomial
@@ -20,11 +20,13 @@ from weylq.rootsys import (
     RootSubset,
     RootSystem,
     WeylElement,
+    check_weyl_cap,
     classify_length,
     enumerate_weyl,
+    extended_base_indices,
     normalize_subset,
-    root_index,
-    root_norm2,
+    signed_root_index,
+    signed_roots,
     weyl_act,
 )
 
@@ -53,37 +55,54 @@ class DescentProfile:
 
 def extended_base(rs: RootSystem) -> Tuple[Tuple[Vector, int], ...]:
     """Pairs (root, mark) for positions 0..rank of the extended base."""
-    out = [(tuple(-c for c in rs.highest_root), 1)]
-    for i in range(rs.rank):
-        simple = tuple(1 if k == i else 0 for k in range(rs.rank))
-        out.append((simple, rs.marks[i]))
+    roots = signed_roots(rs)
+    base = map(roots.__getitem__, extended_base_indices(rs))
+    return tuple(zip(base, (1,) + rs.marks))
+
+
+def _base_images(rs: RootSystem, w: WeylElement) -> Tuple[int, ...]:
+    """Signed-root indices of the extended-base images of one element:
+    the table entry of an enumerated element, else computed by weyl_act."""
+    if w.base_images is not None:
+        return w.base_images
+    lookup = signed_root_index(rs)
+    out = []
+    for root, _ in extended_base(rs):
+        image = weyl_act(rs, w, root)
+        if image not in lookup:
+            raise InconsistencyError(f"image {image} is not a root")
+        out.append(lookup[image])
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=4)
+def _inside(rs: RootSystem, subset: Tuple[int, ...]) -> FrozenSet[int]:
+    """The validated subset as a set, shared by a run of classifications."""
+    return frozenset(normalize_subset(rs, subset))
 
 
 def descent_profile(rs: RootSystem, subset: Iterable[int], w: WeylElement) -> DescentProfile:
     """Classify the extended-base images of one element."""
-    psi = set(normalize_subset(rs, subset))
-    lookup = root_index(rs)
+    psi = _inside(rs, tuple(subset))
+    n = len(rs.positive_roots)
     descent = descent_bar = ascent = ascent_bar = 0
-    for root, mark in extended_base(rs):
-        image = weyl_act(rs, w, root)
-        if image in lookup:
-            if lookup[image] in psi:
+    # signed index i < n is the positive root i, else the negative of i - n
+    for image, mark in zip(_base_images(rs, w), (1,) + rs.marks):
+        if image < n:
+            if image in psi:
                 ascent_bar += mark
             else:
                 ascent += mark
+        elif image - n in psi:
+            descent_bar += mark
         else:
-            neg = tuple(-c for c in image)
-            if neg not in lookup:
-                raise InconsistencyError(f"image {image} is not a root")
-            if lookup[neg] in psi:
-                descent_bar += mark
-            else:
-                descent += mark
+            descent += mark
     return DescentProfile(descent, descent_bar, ascent, ascent_bar)
 
 
-@functools.lru_cache(maxsize=None)
+# A few subsets at a time: e and m of one query, or one ideal of a sweep
+# with its deformation checks.  Each entry holds |W| profiles.
+@functools.lru_cache(maxsize=4)
 def _profiles(rs: RootSystem, psi: RootSubset) -> Tuple[DescentProfile, ...]:
     return tuple(
         descent_profile(rs, psi, w) for w in enumerate_weyl(rs)
@@ -93,7 +112,11 @@ def _profiles(rs: RootSystem, psi: RootSubset) -> Tuple[DescentProfile, ...]:
 def profiles_over_weyl(
     rs: RootSystem, subset: Iterable[int]
 ) -> Tuple[DescentProfile, ...]:
-    """Profiles of every group element, aligned with enumerate_weyl order."""
+    """Profiles of every group element, aligned with enumerate_weyl order.
+
+    The Weyl cap is checked on every call, cache hits included.
+    """
+    check_weyl_cap(rs)
     return _profiles(rs, normalize_subset(rs, subset))
 
 
@@ -118,8 +141,7 @@ def eulerian_poly(rs: RootSystem, subset: Iterable[int]) -> RationalPolynomial:
     """Generating polynomial of h minus the descent statistic, scaled down
     by the index of connection; always has integer coefficients."""
     h = rs.coxeter_number
-    psi = normalize_subset(rs, subset)
-    return _fiber_polynomial(rs, (h - p.descent for p in _profiles(rs, psi)))
+    return _fiber_polynomial(rs, (h - p.descent for p in profiles_over_weyl(rs, subset)))
 
 
 def generalized_eulerian(rs: RootSystem) -> RationalPolynomial:
@@ -131,8 +153,7 @@ def m_poly(rs: RootSystem, subset: Iterable[int]) -> RationalPolynomial:
     """Generating polynomial of h plus the inside-ascent statistic, scaled
     down by the index of connection."""
     h = rs.coxeter_number
-    psi = normalize_subset(rs, subset)
-    return _fiber_polynomial(rs, (h + p.ascent_bar for p in _profiles(rs, psi)))
+    return _fiber_polynomial(rs, (h + p.ascent_bar for p in profiles_over_weyl(rs, subset)))
 
 
 def _length_class_size(rs: RootSystem, cls: str) -> int:
@@ -185,18 +206,16 @@ def omega_partition(
     n = len(rs.positive_roots)
     if not isinstance(delta_index, int) or isinstance(delta_index, bool) or not 0 <= delta_index < n:
         raise ValidationError(f"root index {delta_index!r} out of range 0..{n - 1}")
-    delta = rs.positive_roots[delta_index]
-    target = tuple(-c for c in delta)
-    cls = classify_length(rs, delta)
-    base = extended_base(rs)
+    cls = classify_length(rs, rs.positive_roots[delta_index])
+    target = len(rs.positive_roots) + delta_index
     fibers: Dict[int, list] = {
         i: []
-        for i, (root, _) in enumerate(base)
+        for i, (root, _) in enumerate(extended_base(rs))
         if classify_length(rs, root) == cls
     }
     for w in enumerate_weyl(rs):
-        for i, (root, _) in enumerate(base):
-            if weyl_act(rs, w, root) == target:
+        for i, image in enumerate(w.base_images):
+            if image == target:
                 if i not in fibers:
                     raise InconsistencyError(
                         "length classes are not preserved by the action"

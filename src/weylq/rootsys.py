@@ -10,7 +10,6 @@ into that list are 0-based.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -89,6 +88,12 @@ class RootSystem:
     def highest_root(self) -> Vector:
         return self.positive_roots[self.highest_root_index]
 
+    def __hash__(self) -> int:
+        # Equal systems share family and rank, so this agrees with the
+        # generated equality and spares every cache keyed on a system from
+        # hashing the Fraction Gram matrix.
+        return hash((self.family, self.rank))
+
     def __repr__(self) -> str:
         return f"RootSystem({self.family}{self.rank})"
 
@@ -99,11 +104,15 @@ class WeylElement:
 
     The word is one shortest generator word (1-based indices) discovered by
     the breadth-first closure; it is carried for display and testing only and
-    does not take part in equality.
+    does not take part in equality.  base_images holds the signed-root
+    indices (see signed_roots) of the images of the extended base (see
+    extended_base_indices); enumerate_weyl sets it, other constructors
+    leave it None.
     """
 
     matrix: Matrix
     word: Tuple[int, ...] = field(compare=False)
+    base_images: Tuple[int, ...] | None = field(default=None, compare=False)
 
     def __repr__(self) -> str:
         if not self.word:
@@ -301,6 +310,31 @@ def classify_length(rs: RootSystem, v: Vector) -> str:
 
 
 @functools.lru_cache(maxsize=None)
+def signed_roots(rs: RootSystem) -> Tuple[Vector, ...]:
+    """All 2N roots: the positive roots in canonical order, then their
+    negatives in the same order, so root i and root i + N are opposite."""
+    return rs.positive_roots + tuple(
+        tuple(-c for c in v) for v in rs.positive_roots
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def signed_root_index(rs: RootSystem) -> Dict[Vector, int]:
+    """Map each root of either sign to its index in signed_roots."""
+    return {v: i for i, v in enumerate(signed_roots(rs))}
+
+
+@functools.lru_cache(maxsize=None)
+def extended_base_indices(rs: RootSystem) -> Tuple[int, ...]:
+    """Signed-root indices of the extended base: the negative of the
+    highest root, then the simple roots in coordinate order."""
+    lookup = root_index(rs)
+    n = len(rs.positive_roots)
+    simples = (tuple(1 if k == i else 0 for k in range(rs.rank)) for i in range(rs.rank))
+    return (n + rs.highest_root_index,) + tuple(lookup[v] for v in simples)
+
+
+@functools.lru_cache(maxsize=None)
 def simple_reflection_matrices(rs: RootSystem) -> Tuple[Matrix, ...]:
     """Matrices of the simple reflections acting on coordinate columns."""
     mats = []
@@ -320,6 +354,22 @@ def simple_reflection_matrices(rs: RootSystem) -> Tuple[Matrix, ...]:
     return tuple(mats)
 
 
+def _reflection_permutations(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
+    """Each simple reflection as a permutation of the signed-root indices:
+    entry i of the j-th tuple is the index of s_j applied to root i."""
+    roots = signed_roots(rs)
+    lookup = signed_root_index(rs)
+    perms = []
+    for j in range(rs.rank):
+        column = [rs.cartan[i][j] for i in range(rs.rank)]
+        perm = []
+        for v in roots:
+            pairing = sum(c * x for c, x in zip(column, v))
+            perm.append(lookup[v[:j] + (v[j] - pairing,) + v[j + 1:]])
+        perms.append(tuple(perm))
+    return tuple(perms)
+
+
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     return tuple(
@@ -334,23 +384,44 @@ def _identity(n: int) -> Matrix:
 
 @functools.lru_cache(maxsize=None)
 def _weyl_elements(rs: RootSystem) -> Tuple[WeylElement, ...]:
-    gens = simple_reflection_matrices(rs)
-    ident = _identity(rs.rank)
-    seen = {ident: ()}
-    order: List[WeylElement] = [WeylElement(ident, ())]
-    frontier = [(ident, ())]
+    """Breadth-first closure of the identity under right multiplication by
+    the simple reflections, on permutations of the signed roots.
+
+    The product of an element (permutation p) with s_j is the permutation
+    p[P_j[i]].  Images of the extended base determine an element, so they
+    are the key that detects repeats, computed before the whole product;
+    only the current level keeps whole permutations.  Each level is scanned
+    in word order and its new elements are appended in (parent, generator)
+    order, so the next level is in word order too: every element carries
+    its lexicographically least reduced word, and a level lists its
+    elements in the order of those words.
+    """
+    roots = signed_roots(rs)
+    gens = _reflection_permutations(rs)
+    base = extended_base_indices(rs)
+    base_gens = [tuple(perm[b] for b in base) for perm in gens]
+    rows: Dict[Vector, Vector] = {}
+
+    def element(images: Tuple[int, ...], word: Tuple[int, ...]) -> WeylElement:
+        # columns are the images of the simple roots; equal rows are shared
+        row_list = list(zip(*map(roots.__getitem__, images[1:])))
+        matrix = tuple(map(rows.setdefault, row_list, row_list))
+        return WeylElement(matrix, word, images)
+
+    seen = {base}
+    order: List[WeylElement] = [element(base, ())]
+    frontier = [(tuple(range(len(roots))), ())]
     while frontier:
         nxt = []
-        for mat, word in frontier:
-            for j in range(rs.rank):
-                prod = _mat_mul(mat, gens[j])
-                if prod not in seen:
+        for perm, word in frontier:
+            image_of = perm.__getitem__
+            for j, gen in enumerate(gens):
+                images = tuple(map(image_of, base_gens[j]))
+                if images not in seen:
+                    seen.add(images)
                     new_word = word + (j + 1,)
-                    seen[prod] = new_word
-                    elem = WeylElement(prod, new_word)
-                    order.append(elem)
-                    nxt.append((prod, new_word))
-        nxt.sort(key=lambda t: t[1])
+                    order.append(element(images, new_word))
+                    nxt.append((tuple(map(image_of, gen)), new_word))
         frontier = nxt
     if len(order) != rs.weyl_order:
         raise InconsistencyError(
@@ -372,11 +443,9 @@ def resolve_weyl_cap(cap: int | None = None) -> int:
         raise ValidationError(f"WEYLQ_WEYL_CAP must be an integer, got {raw!r}")
 
 
-def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> Tuple[WeylElement, ...]:
-    """All Weyl group elements, identity first, in breadth-first word order.
-
-    Refuses upfront when the known group order exceeds the cap.
-    """
+def check_weyl_cap(rs: RootSystem, cap: int | None = None) -> None:
+    """Refuse with ResourceCapError when the known group order exceeds the
+    effective cap (see resolve_weyl_cap)."""
     limit = resolve_weyl_cap(cap)
     if limit < 1:
         raise ValidationError("cap must be a positive integer")
@@ -385,6 +454,17 @@ def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> Tuple[WeylElement,
             f"Weyl group of {rs.family}{rs.rank} has order {rs.weyl_order}, "
             f"which exceeds the cap {limit}"
         )
+
+
+def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> Tuple[WeylElement, ...]:
+    """All Weyl group elements, identity first, in breadth-first word order.
+
+    Elements come by length, and within a length in lexicographic order of
+    their words; each carries its lexicographically least reduced word and
+    its extended-base images.  Refuses upfront, on every call, when the
+    known group order exceeds the cap.
+    """
+    check_weyl_cap(rs, cap)
     return _weyl_elements(rs)
 
 

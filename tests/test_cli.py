@@ -288,6 +288,18 @@ def test_exit_code_resource_cap_from_env():
     assert proc.returncode == 3
 
 
+def test_resource_cap_after_cached_query(capsys):
+    """In one process, a cap given after the same query ran uncapped still
+    refuses; the cached profiles do not get round it."""
+    argv = ["eulerian", "--type", "D", "--rank", "4", "--subset", "empty"]
+    code, _, _ = run_main(capsys, *argv)
+    assert code == 0
+    code, out, err = run_main(capsys, *argv, "--weyl-cap", "10")
+    assert code == 3
+    assert out == ""
+    assert "exceeds the cap" in err
+
+
 def test_weyl_cap_flag_overrides_env():
     proc = run_proc(
         "eulerian", "--type", "D", "--rank", "4", "--subset", "empty",

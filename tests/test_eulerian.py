@@ -1,8 +1,13 @@
 """Mark-weighted descent statistics and the subset Eulerian polynomials."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weylq import eulerian
+from weylq.errors import InconsistencyError, ResourceCapError
 from weylq.eulerian import (
+    DescentProfile,
     descent_profile,
     eulerian_delta_complement,
     eulerian_poly,
@@ -18,6 +23,7 @@ from weylq.rootsys import (
     classify_length,
     enumerate_ideals,
     enumerate_weyl,
+    root_index,
     subset_complement,
     weyl_act,
     weyl_from_word,
@@ -213,3 +219,85 @@ def test_omega_partition_counts(family, rank):
         collected = {w for ws in fibers.values() for w in ws}
         assert collected == positive_descent
         assert len(positive_descent) == len(expected_positions) * fiber_size
+
+
+def _reference_profile(rs, subset, w):
+    """Classify each extended-base image by applying the matrix."""
+    psi = set(subset)
+    lookup = root_index(rs)
+    counts = {"descent": 0, "descent_bar": 0, "ascent": 0, "ascent_bar": 0}
+    for root, mark in extended_base(rs):
+        image = weyl_act(rs, w, root)
+        if image in lookup:
+            counts["ascent_bar" if lookup[image] in psi else "ascent"] += mark
+        else:
+            neg = lookup[tuple(-c for c in image)]
+            counts["descent_bar" if neg in psi else "descent"] += mark
+    return DescentProfile(**counts)
+
+
+@st.composite
+def _element_and_subset(draw):
+    family, rank = draw(st.sampled_from([("G", 2), ("B", 3), ("F", 4)]))
+    rs = build_root_system(family, rank)
+    if draw(st.booleans()):
+        # a word product carries no table entry, so the fallback runs
+        word = draw(st.lists(st.integers(min_value=1, max_value=rank), max_size=24))
+        w = weyl_from_word(rs, word)
+    else:
+        elements = enumerate_weyl(rs)
+        w = elements[draw(st.integers(min_value=0, max_value=len(elements) - 1))]
+    n = len(rs.positive_roots)
+    subset = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n))
+    return rs, w, subset
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_element_and_subset())
+def test_descent_profile_matches_matrix_action(case):
+    rs, w, subset = case
+    assert descent_profile(rs, subset, w) == _reference_profile(rs, subset, w)
+
+
+def test_word_and_table_profiles_agree():
+    """An element built from its word classifies like its table entry."""
+    rs = build_root_system("B", 3)
+    psi = (0, 2, 4, 5)
+    for w in enumerate_weyl(rs):
+        bare = weyl_from_word(rs, w.word)
+        assert bare.base_images is None and bare == w
+        assert descent_profile(rs, psi, bare) == descent_profile(rs, psi, w)
+
+
+def test_descent_profile_rejects_foreign_matrix(g2):
+    """The fallback still refuses a matrix that does not permute the roots."""
+    from weylq.rootsys import WeylElement
+
+    stretch = WeylElement(((2, 0), (0, 1)), ())
+    with pytest.raises(InconsistencyError, match="not a root"):
+        descent_profile(g2, (), stretch)
+
+
+def test_cap_holds_on_cached_profiles(monkeypatch):
+    """A cap set after a subset's profiles are cached still refuses."""
+    rs = build_root_system("B", 3)
+    psi = (0, 1, 2)
+    eulerian_poly(rs, psi)
+    monkeypatch.setenv("WEYLQ_WEYL_CAP", "10")
+    for call in (eulerian_poly, m_poly, profiles_over_weyl):
+        with pytest.raises(ResourceCapError):
+            call(rs, psi)
+    with pytest.raises(ResourceCapError):
+        omega_partition(rs, 0)
+
+
+def test_e_then_m_share_the_profiles():
+    rs = build_root_system("C", 3)
+    psi = (0, 1, 3)
+    eulerian_poly(rs, psi)
+    before = eulerian._profiles.cache_info()
+    m_poly(rs, psi)
+    after = eulerian._profiles.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.misses == before.misses
+    assert after.maxsize is not None

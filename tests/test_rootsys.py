@@ -1,5 +1,7 @@
 """Root system construction, Weyl group enumeration and subset helpers."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,9 @@ from weylq.rootsys import (
     normalize_subset,
     poset_leq,
     resolve_weyl_cap,
+    root_index,
+    signed_roots,
+    simple_reflection_matrices,
     subset_complement,
     subset_from_roots,
     weyl_act,
@@ -158,6 +163,78 @@ def test_weyl_enumeration(family, rank):
     assert elems[0].word == ()
     lengths = [len(w.word) for w in elems]
     assert lengths == sorted(lengths)
+
+
+def _reference_weyl(rs):
+    """The matrix-product closure: breadth-first from the identity, each
+    level sorted by word, each product checked against every matrix seen."""
+
+    def mat_mul(a, b):
+        n = len(a)
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+
+    gens = simple_reflection_matrices(rs)
+    ident = tuple(tuple(1 if i == j else 0 for j in range(rs.rank)) for i in range(rs.rank))
+    seen = {ident}
+    order = [(ident, ())]
+    frontier = [(ident, ())]
+    while frontier:
+        nxt = []
+        for mat, word in frontier:
+            for j in range(rs.rank):
+                prod = mat_mul(mat, gens[j])
+                if prod not in seen:
+                    seen.add(prod)
+                    order.append((prod, word + (j + 1,)))
+                    nxt.append((prod, word + (j + 1,)))
+        nxt.sort(key=lambda t: t[1])
+        frontier = nxt
+    return order
+
+
+@pytest.mark.parametrize("family, rank", SMALL + [("B", 4), ("F", 4), ("A", 5)])
+def test_enumeration_matches_matrix_closure(family, rank):
+    """Same matrices, same words, same order as the matrix-product closure."""
+    rs = build_root_system(family, rank)
+    got = [(w.matrix, w.word) for w in enumerate_weyl(rs)]
+    assert got == _reference_weyl(rs)
+
+
+@pytest.mark.parametrize("family, rank", SMALL + [("F", 4)])
+def test_base_images_match_action(family, rank):
+    """Each element's table entry lists the images of -theta and the
+    simple roots as signed-root indices."""
+    rs = build_root_system(family, rank)
+    roots = signed_roots(rs)
+    base = [tuple(-c for c in rs.highest_root)] + [
+        tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)
+    ]
+    for w in enumerate_weyl(rs):
+        assert [roots[i] for i in w.base_images] == [weyl_act(rs, w, v) for v in base]
+
+
+def test_signed_roots_order(g2):
+    roots = signed_roots(g2)
+    n = len(g2.positive_roots)
+    assert roots[:n] == g2.positive_roots
+    assert all(roots[n + i] == tuple(-c for c in v) for i, v in enumerate(roots[:n]))
+
+
+def test_root_system_hash_is_cheap_and_consistent():
+    rs = build_root_system("F", 4)
+    twin = dataclasses.replace(rs)
+    assert twin is not rs and twin == rs
+    assert hash(twin) == hash(rs) == hash(("F", 4))
+    assert {rs: 1}[twin] == 1
+    assert rs != build_root_system("B", 4)
+    lookup = root_index(rs)
+    hits = root_index.cache_info().hits
+    assert root_index(rs) is lookup
+    assert root_index(twin) is lookup
+    assert root_index.cache_info().hits == hits + 2
 
 
 def test_weyl_permutes_roots(g2):

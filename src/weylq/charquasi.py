@@ -201,7 +201,7 @@ def default_min_q(spec: ArrangementSpec) -> int:
     return (below + above + 3) * (ht + 1) + 1
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def char_quasi(
     spec: ArrangementSpec,
     period_override: int | None = None,

@@ -62,10 +62,6 @@ def poly_to_json(p: RationalPolynomial) -> dict:
     }
 
 
-def poly_from_json(doc: dict) -> RationalPolynomial:
-    return RationalPolynomial([Fraction(s) for s in doc["coeffs_ascending"]])
-
-
 def qp_to_json(qp: QuasiPolynomial) -> dict:
     """Schema: period, degree, constituents with residues 1..period in order."""
     return {

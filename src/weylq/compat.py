@@ -47,7 +47,9 @@ def shift_formula_qp(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
     return apply_shift(shift, ehrhart_closed_qp(rs))
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded: the only repeat question is deform or verify asking again
+# about the subset whose compatibility its formula requires.
+@functools.lru_cache(maxsize=4)
 def _decide(rs: RootSystem, psi: RootSubset) -> CompatResult:
     chi = char_quasi(from_root_subset(rs, psi))
     formula = shift_formula_qp(rs, psi)

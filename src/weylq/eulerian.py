@@ -25,9 +25,7 @@ from weylq.rootsys import (
     enumerate_weyl,
     extended_base_indices,
     normalize_subset,
-    signed_root_index,
     signed_roots,
-    weyl_act,
 )
 
 Vector = Tuple[int, ...]
@@ -60,21 +58,6 @@ def extended_base(rs: RootSystem) -> Tuple[Tuple[Vector, int], ...]:
     return tuple(zip(base, (1,) + rs.marks))
 
 
-def _base_images(rs: RootSystem, w: WeylElement) -> Tuple[int, ...]:
-    """Signed-root indices of the extended-base images of one element:
-    the table entry of an enumerated element, else computed by weyl_act."""
-    if w.base_images is not None:
-        return w.base_images
-    lookup = signed_root_index(rs)
-    out = []
-    for root, _ in extended_base(rs):
-        image = weyl_act(rs, w, root)
-        if image not in lookup:
-            raise InconsistencyError(f"image {image} is not a root")
-        out.append(lookup[image])
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=4)
 def _inside(rs: RootSystem, subset: Tuple[int, ...]) -> FrozenSet[int]:
     """The validated subset as a set, shared by a run of classifications."""
@@ -87,7 +70,7 @@ def descent_profile(rs: RootSystem, subset: Iterable[int], w: WeylElement) -> De
     n = len(rs.positive_roots)
     descent = descent_bar = ascent = ascent_bar = 0
     # signed index i < n is the positive root i, else the negative of i - n
-    for image, mark in zip(_base_images(rs, w), (1,) + rs.marks):
+    for image, mark in zip(w.base_images, (1,) + rs.marks):
         if image < n:
             if image in psi:
                 ascent_bar += mark

@@ -100,19 +100,18 @@ class RootSystem:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element as an integer matrix on simple-root coordinates.
+    """A Weyl group element, given by where it sends the extended base.
 
-    The word is one shortest generator word (1-based indices) discovered by
-    the breadth-first closure; it is carried for display and testing only and
-    does not take part in equality.  base_images holds the signed-root
-    indices (see signed_roots) of the images of the extended base (see
-    extended_base_indices); enumerate_weyl sets it, other constructors
-    leave it None.
+    base_images holds the signed-root indices (see signed_roots) of the
+    images of the extended base (see extended_base_indices); they determine
+    the element, so equality compares them alone.  The word is a generator
+    word (1-based indices) whose product is the element; enumerate_weyl
+    gives the lexicographically least reduced one.  It is carried for
+    display and testing only.
     """
 
-    matrix: Matrix
+    base_images: Tuple[int, ...]
     word: Tuple[int, ...] = field(compare=False)
-    base_images: Tuple[int, ...] | None = field(default=None, compare=False)
 
     def __repr__(self) -> str:
         if not self.word:
@@ -298,15 +297,13 @@ def root_norm2(rs: RootSystem, v: Vector) -> Fraction:
 def classify_length(rs: RootSystem, v: Vector) -> str:
     """Classify a root (given by coordinates, either sign) as long or short.
 
-    In a simply laced system every root counts as long.
+    The highest root is long, and in a simply laced system every root has
+    its norm, so one comparison decides.
     """
     vv = tuple(v)
     if vv not in root_index(rs) and tuple(-c for c in vv) not in root_index(rs):
         raise ValidationError(f"{vv} is not a root of {rs.family}{rs.rank}")
-    norms = {root_norm2(rs, r) for r in rs.positive_roots}
-    if len(norms) == 1:
-        return "long"
-    return "long" if root_norm2(rs, vv) == max(norms) else "short"
+    return "long" if root_norm2(rs, vv) == root_norm2(rs, rs.highest_root) else "short"
 
 
 @functools.lru_cache(maxsize=None)
@@ -335,25 +332,6 @@ def extended_base_indices(rs: RootSystem) -> Tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def simple_reflection_matrices(rs: RootSystem) -> Tuple[Matrix, ...]:
-    """Matrices of the simple reflections acting on coordinate columns."""
-    mats = []
-    for j in range(rs.rank):
-        rows = []
-        for k in range(rs.rank):
-            if k != j:
-                rows.append(tuple(1 if i == k else 0 for i in range(rs.rank)))
-            else:
-                rows.append(
-                    tuple(
-                        (1 if i == j else 0) - rs.cartan[i][j]
-                        for i in range(rs.rank)
-                    )
-                )
-        mats.append(tuple(rows))
-    return tuple(mats)
-
-
 def _reflection_permutations(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     """Each simple reflection as a permutation of the signed-root indices:
     entry i of the j-th tuple is the index of s_j applied to root i."""
@@ -370,18 +348,6 @@ def _reflection_permutations(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     return tuple(perms)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 @functools.lru_cache(maxsize=None)
 def _weyl_elements(rs: RootSystem) -> Tuple[WeylElement, ...]:
     """Breadth-first closure of the identity under right multiplication by
@@ -396,21 +362,12 @@ def _weyl_elements(rs: RootSystem) -> Tuple[WeylElement, ...]:
     its lexicographically least reduced word, and a level lists its
     elements in the order of those words.
     """
-    roots = signed_roots(rs)
     gens = _reflection_permutations(rs)
     base = extended_base_indices(rs)
     base_gens = [tuple(perm[b] for b in base) for perm in gens]
-    rows: Dict[Vector, Vector] = {}
-
-    def element(images: Tuple[int, ...], word: Tuple[int, ...]) -> WeylElement:
-        # columns are the images of the simple roots; equal rows are shared
-        row_list = list(zip(*map(roots.__getitem__, images[1:])))
-        matrix = tuple(map(rows.setdefault, row_list, row_list))
-        return WeylElement(matrix, word, images)
-
     seen = {base}
-    order: List[WeylElement] = [element(base, ())]
-    frontier = [(tuple(range(len(roots))), ())]
+    order: List[WeylElement] = [WeylElement(base, ())]
+    frontier = [(tuple(range(2 * len(rs.positive_roots))), ())]
     while frontier:
         nxt = []
         for perm, word in frontier:
@@ -420,7 +377,7 @@ def _weyl_elements(rs: RootSystem) -> Tuple[WeylElement, ...]:
                 if images not in seen:
                     seen.add(images)
                     new_word = word + (j + 1,)
-                    order.append(element(images, new_word))
+                    order.append(WeylElement(images, new_word))
                     nxt.append((tuple(map(image_of, gen)), new_word))
         frontier = nxt
     if len(order) != rs.weyl_order:
@@ -470,22 +427,27 @@ def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> Tuple[WeylElement,
 
 def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Product of simple reflections; word entries are 1-based."""
-    gens = simple_reflection_matrices(rs)
-    mat = _identity(rs.rank)
     w = tuple(word)
     for j in w:
         if not 1 <= j <= rs.rank:
             raise ValidationError(f"generator index {j} out of range 1..{rs.rank}")
-        mat = _mat_mul(mat, gens[j - 1])
-    return WeylElement(mat, w)
+    gens = _reflection_permutations(rs)
+    images = extended_base_indices(rs)
+    # the last letter acts first
+    for j in reversed(w):
+        images = tuple(map(gens[j - 1].__getitem__, images))
+    return WeylElement(images, w)
 
 
 def weyl_act(rs: RootSystem, w: WeylElement, v: Vector) -> Vector:
-    """Apply a Weyl element to a vector of simple-root coordinates."""
+    """Apply a Weyl element to a vector of simple-root coordinates: the
+    sum of the simple roots' images weighted by the coordinates."""
     if len(v) != rs.rank:
         raise ValidationError("vector length does not match the rank")
+    roots = signed_roots(rs)
+    columns = [roots[i] for i in w.base_images[1:]]
     return tuple(
-        sum(w.matrix[i][k] * v[k] for k in range(rs.rank)) for i in range(rs.rank)
+        sum(c * column[i] for c, column in zip(v, columns)) for i in range(rs.rank)
     )
 
 

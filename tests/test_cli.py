@@ -44,6 +44,25 @@ def run_proc(*argv, env_extra=None):
     )
 
 
+def test_benchmark_trace_bindings_resolve():
+    """The benchmark's tracer finds every layer function in the modules it
+    expects, so dropping a traced import fails here and not only in a
+    traced benchmark run."""
+    code = (
+        "import sys; sys.path[:0] = ['src', 'perfbench']\n"
+        "import weylq.cli, weylq.kernels\n"
+        "from tracing import Tracer\n"
+        "Tracer().install()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        cwd=os.path.dirname(SRC_DIR),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_info_text(capsys):
     code, out, err = run_main(capsys, "info", "--type", "G", "--rank", "2")
     assert code == 0

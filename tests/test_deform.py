@@ -8,6 +8,7 @@ counterexample test pins the failing polynomials themselves.
 
 import pytest
 
+from weylq import compat
 from weylq.charquasi import char_quasi, from_root_subset
 from weylq.deform import cqp_type1_formula, cqp_type2_formula, type1_spec, type2_spec, verify_deform
 from weylq.ehrhart import ehrhart_closed_qp
@@ -216,6 +217,20 @@ def test_formula_requires_compatible_subset(g2):
         cqp_type1_formula(g2, (1, 2, 5), "symmetric", a=0, b=0)
     with pytest.raises(ValidationError, match="not compatible"):
         cqp_type2_formula(g2, (2,), "i", a=0, b=0, c=0, d=0)
+
+
+def test_formulas_share_one_bounded_decision():
+    """Two intervals on one subset decide its compatibility once; the
+    decision and char_quasi caches are bounded."""
+    assert compat._decide.cache_info().maxsize is not None
+    assert char_quasi.cache_info().maxsize is not None
+    d4 = build_root_system("D", 4)
+    full = range(len(d4.positive_roots))
+    compat._decide.cache_clear()
+    cqp_type1_formula(d4, full, "symmetric", a=1, b=2)
+    cqp_type1_formula(d4, full, "symmetric", a=2, b=1)
+    info = compat._decide.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_formula_parameter_validation(g2):

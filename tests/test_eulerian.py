@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylq import eulerian
-from weylq.errors import InconsistencyError, ResourceCapError
+from weylq.errors import ResourceCapError
 from weylq.eulerian import (
     DescentProfile,
     descent_profile,
@@ -25,9 +25,10 @@ from weylq.rootsys import (
     enumerate_weyl,
     root_index,
     subset_complement,
-    weyl_act,
     weyl_from_word,
 )
+
+from test_rootsys import mat_act, word_matrix
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +176,7 @@ def test_omega_partition_g2_long(g2):
     base = extended_base(g2)
     for position, ws in fibers.items():
         for w in ws:
-            assert weyl_act(g2, w, base[position][0]) == minus_delta
+            assert mat_act(word_matrix(g2, w.word), base[position][0]) == minus_delta
 
 
 def test_omega_partition_g2_short(g2):
@@ -222,12 +223,13 @@ def test_omega_partition_counts(family, rank):
 
 
 def _reference_profile(rs, subset, w):
-    """Classify each extended-base image by applying the matrix."""
+    """Classify each extended-base image under the matrix of the word."""
     psi = set(subset)
     lookup = root_index(rs)
+    mat = word_matrix(rs, w.word)
     counts = {"descent": 0, "descent_bar": 0, "ascent": 0, "ascent_bar": 0}
     for root, mark in extended_base(rs):
-        image = weyl_act(rs, w, root)
+        image = mat_act(mat, root)
         if image in lookup:
             counts["ascent_bar" if lookup[image] in psi else "ascent"] += mark
         else:
@@ -241,7 +243,7 @@ def _element_and_subset(draw):
     family, rank = draw(st.sampled_from([("G", 2), ("B", 3), ("F", 4)]))
     rs = build_root_system(family, rank)
     if draw(st.booleans()):
-        # a word product carries no table entry, so the fallback runs
+        # any word, reduced or not
         word = draw(st.lists(st.integers(min_value=1, max_value=rank), max_size=24))
         w = weyl_from_word(rs, word)
     else:
@@ -265,17 +267,8 @@ def test_word_and_table_profiles_agree():
     psi = (0, 2, 4, 5)
     for w in enumerate_weyl(rs):
         bare = weyl_from_word(rs, w.word)
-        assert bare.base_images is None and bare == w
+        assert bare.base_images == w.base_images and bare == w
         assert descent_profile(rs, psi, bare) == descent_profile(rs, psi, w)
-
-
-def test_descent_profile_rejects_foreign_matrix(g2):
-    """The fallback still refuses a matrix that does not permute the roots."""
-    from weylq.rootsys import WeylElement
-
-    stretch = WeylElement(((2, 0), (0, 1)), ())
-    with pytest.raises(InconsistencyError, match="not a root"):
-        descent_profile(g2, (), stretch)
 
 
 def test_cap_holds_on_cached_profiles(monkeypatch):

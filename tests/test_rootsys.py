@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylq import rootsys
 from weylq.errors import ResourceCapError, ValidationError
 from weylq.rootsys import (
     DEFAULT_WEYL_CAP,
@@ -13,6 +14,7 @@ from weylq.rootsys import (
     classify_length,
     enumerate_ideals,
     enumerate_weyl,
+    extended_base_indices,
     height,
     is_ideal,
     lower_closure,
@@ -21,7 +23,6 @@ from weylq.rootsys import (
     resolve_weyl_cap,
     root_index,
     signed_roots,
-    simple_reflection_matrices,
     subset_complement,
     subset_from_roots,
     weyl_act,
@@ -152,32 +153,72 @@ def test_g2_length_classes(g2):
     assert shorts == {(1, 0), (1, 1), (2, 1)}
 
 
+def test_classify_length_norms_once(monkeypatch):
+    """One classification computes two norms, not one per positive root."""
+    rs = build_root_system("F", 4)
+    calls = []
+    norm2 = rootsys.root_norm2
+
+    def counted(system, v):
+        calls.append(v)
+        return norm2(system, v)
+
+    monkeypatch.setattr(rootsys, "root_norm2", counted)
+    for v in rs.positive_roots:
+        calls.clear()
+        classify_length(rs, tuple(-c for c in v))
+        assert len(calls) <= 2
+
+
 @pytest.mark.parametrize("family, rank", SMALL)
 def test_weyl_enumeration(family, rank):
     rs = build_root_system(family, rank)
     elems = enumerate_weyl(rs)
     assert len(elems) == rs.weyl_order
-    assert len({w.matrix for w in elems}) == rs.weyl_order
-    identity = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-    assert elems[0].matrix == identity
+    assert len({w.base_images for w in elems}) == rs.weyl_order
+    assert elems[0].base_images == extended_base_indices(rs)
     assert elems[0].word == ()
     lengths = [len(w.word) for w in elems]
     assert lengths == sorted(lengths)
 
 
+def simple_reflection_matrices(rs):
+    """Matrices of the simple reflections acting on coordinate columns:
+    s_j moves coordinate j by minus the pairing with the j-th coroot."""
+    mats = []
+    for j in range(rs.rank):
+        rows = [tuple(1 if i == k else 0 for i in range(rs.rank)) for k in range(rs.rank)]
+        rows[j] = tuple((1 if i == j else 0) - rs.cartan[i][j] for i in range(rs.rank))
+        mats.append(tuple(rows))
+    return tuple(mats)
+
+
+def mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def word_matrix(rs, word):
+    """The product of the reflection matrices of a 1-based word."""
+    gens = simple_reflection_matrices(rs)
+    mat = tuple(tuple(1 if i == j else 0 for j in range(rs.rank)) for i in range(rs.rank))
+    for j in word:
+        mat = mat_mul(mat, gens[j - 1])
+    return mat
+
+
+def mat_act(mat, v):
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in mat)
+
+
 def _reference_weyl(rs):
     """The matrix-product closure: breadth-first from the identity, each
     level sorted by word, each product checked against every matrix seen."""
-
-    def mat_mul(a, b):
-        n = len(a)
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-
     gens = simple_reflection_matrices(rs)
-    ident = tuple(tuple(1 if i == j else 0 for j in range(rs.rank)) for i in range(rs.rank))
+    ident = word_matrix(rs, ())
     seen = {ident}
     order = [(ident, ())]
     frontier = [(ident, ())]
@@ -197,23 +238,29 @@ def _reference_weyl(rs):
 
 @pytest.mark.parametrize("family, rank", SMALL + [("B", 4), ("F", 4), ("A", 5)])
 def test_enumeration_matches_matrix_closure(family, rank):
-    """Same matrices, same words, same order as the matrix-product closure."""
+    """Same matrices, same words, same order as the matrix-product closure;
+    an element's matrix has the images of the simple roots as columns."""
     rs = build_root_system(family, rank)
-    got = [(w.matrix, w.word) for w in enumerate_weyl(rs)]
+    roots = signed_roots(rs)
+    got = [
+        (tuple(zip(*(roots[i] for i in w.base_images[1:]))), w.word)
+        for w in enumerate_weyl(rs)
+    ]
     assert got == _reference_weyl(rs)
 
 
 @pytest.mark.parametrize("family, rank", SMALL + [("F", 4)])
 def test_base_images_match_action(family, rank):
     """Each element's table entry lists the images of -theta and the
-    simple roots as signed-root indices."""
+    simple roots as signed-root indices, as its word's matrix maps them."""
     rs = build_root_system(family, rank)
     roots = signed_roots(rs)
     base = [tuple(-c for c in rs.highest_root)] + [
         tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)
     ]
     for w in enumerate_weyl(rs):
-        assert [roots[i] for i in w.base_images] == [weyl_act(rs, w, v) for v in base]
+        mat = word_matrix(rs, w.word)
+        assert [roots[i] for i in w.base_images] == [mat_act(mat, v) for v in base]
 
 
 def test_signed_roots_order(g2):
@@ -391,6 +438,17 @@ def test_word_images_stay_in_root_set(word):
     for v in rs.positive_roots:
         image = weyl_act(rs, w, v)
         assert image in roots or tuple(-c for c in image) in roots
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_word_action_matches_matrix_product(data):
+    """weyl_act of a word's element agrees with the word's matrix."""
+    family, rank = data.draw(st.sampled_from([("G", 2), ("B", 3), ("D", 4), ("F", 4)]))
+    rs = build_root_system(family, rank)
+    word = data.draw(st.lists(st.integers(min_value=1, max_value=rank), max_size=16))
+    v = data.draw(st.tuples(*[st.integers(min_value=-5, max_value=5)] * rank))
+    assert weyl_act(rs, weyl_from_word(rs, word), v) == mat_act(word_matrix(rs, word), v)
 
 
 @settings(max_examples=40, deadline=None)

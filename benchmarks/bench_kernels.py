@@ -19,6 +19,7 @@ import time
 
 from weylq import kernels
 from weylq.charquasi import from_root_subset
+from weylq.deform import type1_spec
 from weylq.rootsys import build_root_system
 
 
@@ -34,6 +35,7 @@ def workloads():
         ("A3 full, plain", 101, from_root_subset(a3, full(a3))),
         ("B3 full, offsets {0,1}", 60, from_root_subset(b3, full(b3), offsets=(0, 1))),
         ("D4 full, plain", 36, from_root_subset(d4, full(d4))),
+        ("D4 full, offsets -1..2", 49, type1_spec(d4, full(d4), -1, 2)),
     ]
 
 

@@ -1,8 +1,13 @@
 """Kernel selection: the compiled extension when built, else pure Python.
 
-Both backends expose the same complement_count signature and are kept in
-strict agreement by the test suite; the benchmark script compares their
-speed on realistic workloads.
+Both backends expose the same complement_count signature and give the same
+counts, which the test suite checks, but they split the coordinates
+differently.  The pure kernel tabulates a block of trailing coordinates
+(the last one below rank 4, the last rank // 2 from rank 4 on) as Python
+big-int masks and loops over the remaining outer prefixes; the compiled
+one tabulates only the last coordinate, in machine words, and loops over
+q^(rank-1) prefixes.  benchmarks/bench_kernels.py compares their speed on
+realistic workloads.
 """
 
 from __future__ import annotations

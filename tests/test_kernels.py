@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylq import kernels
+from weylq import _kernels_py, kernels
+from weylq.deform import type1_spec
+from weylq.rootsys import build_root_system
 
 
 def brute_complement(q, rank, items):
@@ -27,10 +29,15 @@ def brute_complement(q, rank, items):
 vectors = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3)
 
 
+# largest modulus drawn per rank, so that brute force stays cheap while
+# ranks 4 and 5 reach a block of several tabulated coordinates
+MAX_Q = {1: 8, 2: 8, 3: 8, 4: 6, 5: 5}
+
+
 @st.composite
 def instances(draw):
-    rank = draw(st.integers(min_value=1, max_value=3))
-    q = draw(st.integers(min_value=1, max_value=8))
+    rank = draw(st.integers(min_value=1, max_value=5))
+    q = draw(st.integers(min_value=1, max_value=MAX_Q[rank]))
     n_items = draw(st.integers(min_value=0, max_value=4))
     items = []
     for _ in range(n_items):
@@ -98,9 +105,59 @@ def test_active_backend_dispatch():
         # negative coefficients reduce the same way
         (3, 2, (((-1, 0), (0, -1, 3)),), 3),
         (7, 3, (((-2, -3, -1), (-6,)),), 294),
+        # and inside a block of several tabulated coordinates
+        (5, 4, (((1, 1, -2, 3), (-1, -4)), ((0, 2, 1, -1), (-3,))), 300),
+        (4, 5, (((1, 0, -1, 2, -3), (-2,)), ((1, 1, 1, 1, 1), (-1, 0))), 384),
     ],
 )
 def test_negative_entries_reduce_to_floored_residues(q, rank, items, expected):
     assert brute_complement(q, rank, items) == expected
+    for name, module in kernels.available_backends().items():
+        assert module.complement_count(q, rank, items) == expected, name
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 6])
+@pytest.mark.parametrize(
+    "coeffs", [(3,), (0,), (1, -2), (0, 0), (2, 0, -1), (4, 3, 6)]
+)
+def test_class_masks_enumerate_block(q, coeffs):
+    """Bit sum_j z[j] * q^(k-1-j) of masks[s] is set exactly when the block
+    point z has sum(c * z) == s mod q."""
+    k = len(coeffs)
+    expected = [0] * q
+    for index, z in enumerate(product(range(q), repeat=k)):
+        expected[sum(c * x for c, x in zip(coeffs, z)) % q] |= 1 << index
+    assert _kernels_py._class_masks(q, coeffs) == expected
+
+
+def test_block_size_by_rank():
+    assert [_kernels_py._block_size(r) for r in range(1, 9)] == [1, 1, 1, 2, 2, 3, 3, 4]
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 7])
+def test_d4_deformation_matches_brute_force(q):
+    """The shape that dominates deform verification: every positive root of
+    D4 with offsets -1..2, so each item forbids four residues."""
+    d4 = build_root_system("D", 4)
+    spec = type1_spec(d4, range(len(d4.positive_roots)), -1, 2)
+    expected = brute_complement(q, spec.rank, spec.items)
+    for name, module in kernels.available_backends().items():
+        assert module.complement_count(q, spec.rank, spec.items) == expected, name
+
+
+@pytest.mark.parametrize(
+    "q, rank, items",
+    [
+        # inner block coefficients all vanish mod q: an item forbids the
+        # whole block on a bad outer residue and nothing elsewhere
+        (3, 4, (((1, 2, 3, -3), (1,)),)),
+        (3, 4, (((1, 2, 3, -3), (1,)), ((0, 1, 1, 1), (0, 2)))),
+        (4, 5, (((1, -1, 0, 4, 8), (0, 3)), ((2, 1, 1, 0, 1), (1,)))),
+        # and an item with no outer coefficient at all
+        (5, 4, (((0, 0, 1, 2), (3,)),)),
+    ],
+)
+def test_block_or_prefix_coefficients_vanish(q, rank, items):
+    expected = brute_complement(q, rank, items)
     for name, module in kernels.available_backends().items():
         assert module.complement_count(q, rank, items) == expected, name

@@ -8,6 +8,8 @@ quasipoly
     Exact polynomials, quasi-polynomials, shift operators and series.
 ehrhart
     Lattice-point counts for the dilated fundamental alcove.
+kernels
+    The point-counting kernel for complements of congruence arrangements.
 charquasi
     Characteristic quasi-polynomials of congruence arrangements.
 eulerian

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,6 +31,7 @@ from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
 from weylq.eulerian import eulerian_poly, m_poly
 from weylq.quasipoly import QuasiPolynomial, RationalPolynomial
 from weylq.rootsys import (
+    DEFAULT_WEYL_CAP,
     RootSubset,
     RootSystem,
     build_root_system,
@@ -264,9 +264,9 @@ def _cmd_char_quasi(args, rs: RootSystem):
 def _cmd_eulerian(args, rs: RootSystem):
     psi = parse_subset(rs, args.subset)
     if args.variant == "e":
-        poly = eulerian_poly(rs, psi)
+        poly = eulerian_poly(rs, psi, args.weyl_cap)
     elif args.variant == "m":
-        poly = m_poly(rs, psi)
+        poly = m_poly(rs, psi, args.weyl_cap)
     else:
         raise ValidationError(f"unknown variant {args.variant!r}; use e or m")
     lines = [poly.format("t")]
@@ -289,7 +289,7 @@ def _cmd_compat(args, rs: RootSystem):
         lines = []
         all_ok = True
         for psi in enumerate_ideals(rs):
-            res = is_compatible(rs, psi)
+            res = is_compatible(rs, psi, args.weyl_cap)
             all_ok = all_ok and res.compatible
             rows.append(
                 {
@@ -309,7 +309,7 @@ def _cmd_compat(args, rs: RootSystem):
         result = {"ideals": rows, "count": len(rows), "all_compatible": all_ok}
         return lines, result, {"subset": args.subset}
     psi = parse_subset(rs, args.subset)
-    res = is_compatible(rs, psi)
+    res = is_compatible(rs, psi, args.weyl_cap)
     if res.compatible:
         lines = ["compatible"]
     else:
@@ -362,19 +362,19 @@ def _deform_parameters(args, rs: RootSystem):
     return psi, variant, intervals
 
 
-def _deform_formula(rs: RootSystem, psi, variant, intervals) -> QuasiPolynomial:
+def _deform_formula(rs: RootSystem, psi, variant, intervals, cap: int) -> QuasiPolynomial:
     if variant == "symmetric":
         (lo, hi) = intervals[0]
-        return cqp_type1_formula(rs, psi, "symmetric", a=-lo, b=hi)
+        return cqp_type1_formula(rs, psi, "symmetric", a=-lo, b=hi, cap=cap)
     if variant == "positive":
         (lo, hi) = intervals[0]
-        return cqp_type1_formula(rs, psi, "positive", b=hi)
+        return cqp_type1_formula(rs, psi, "positive", b=hi, cap=cap)
     (lo1, hi1), (lo2, hi2) = intervals
     if variant == "i":
-        return cqp_type2_formula(rs, psi, "i", a=-lo1, b=hi1, c=-lo2, d=hi2)
+        return cqp_type2_formula(rs, psi, "i", a=-lo1, b=hi1, c=-lo2, d=hi2, cap=cap)
     if variant == "ii":
-        return cqp_type2_formula(rs, psi, "ii", a=-lo1, b=hi1, d=hi2)
-    return cqp_type2_formula(rs, psi, "iii", b=hi1, d=hi2)
+        return cqp_type2_formula(rs, psi, "ii", a=-lo1, b=hi1, d=hi2, cap=cap)
+    return cqp_type2_formula(rs, psi, "iii", b=hi1, d=hi2, cap=cap)
 
 
 def _deform_spec(rs: RootSystem, psi, variant, intervals):
@@ -385,7 +385,7 @@ def _deform_spec(rs: RootSystem, psi, variant, intervals):
 
 def _cmd_deform(args, rs: RootSystem):
     psi, variant, intervals = _deform_parameters(args, rs)
-    qp = _deform_formula(rs, psi, variant, intervals)
+    qp = _deform_formula(rs, psi, variant, intervals, args.weyl_cap)
     echo = {
         "subset": args.subset,
         "variant": variant,
@@ -396,7 +396,7 @@ def _cmd_deform(args, rs: RootSystem):
 
 def _cmd_verify(args, rs: RootSystem):
     psi, variant, intervals = _deform_parameters(args, rs)
-    formula = _deform_formula(rs, psi, variant, intervals)
+    formula = _deform_formula(rs, psi, variant, intervals, args.weyl_cap)
     spec = _deform_spec(rs, psi, variant, intervals)
     ok = verify_deform(rs, spec, formula)
     echo = {
@@ -410,7 +410,7 @@ def _cmd_verify(args, rs: RootSystem):
 
 def _cmd_genfunc(args, rs: RootSystem):
     psi = parse_subset(rs, args.subset)
-    ok = verify_genfunc(rs, psi, args.terms)
+    ok = verify_genfunc(rs, psi, args.terms, args.weyl_cap)
     lines = [
         f"agrees to order {args.terms}" if ok else f"disagrees within order {args.terms}"
     ]
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--weyl-cap",
         type=int,
-        default=None,
+        default=DEFAULT_WEYL_CAP,
         help="largest Weyl group order this invocation may enumerate",
     )
     common.add_argument(
@@ -540,12 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved_cap = os.environ.get("WEYLQ_WEYL_CAP")
     try:
-        if args.weyl_cap is not None:
-            if args.weyl_cap < 1:
-                raise ValidationError("--weyl-cap must be a positive integer")
-            os.environ["WEYLQ_WEYL_CAP"] = str(args.weyl_cap)
+        if args.weyl_cap < 1:
+            raise ValidationError("--weyl-cap must be a positive integer")
         rs = _get_system(args)
         lines, result, echo = _HANDLERS[args.command](args, rs)
     except ValidationError as exc:
@@ -557,12 +554,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    finally:
-        if args.weyl_cap is not None:
-            if saved_cap is None:
-                os.environ.pop("WEYLQ_WEYL_CAP", None)
-            else:
-                os.environ["WEYLQ_WEYL_CAP"] = saved_cap
     if args.json:
         query = {"command": args.command}
         query.update(echo)

@@ -26,7 +26,7 @@ from weylq.quasipoly import (
     qp_sub,
     series_of_qp,
 )
-from weylq.rootsys import RootSubset, RootSystem, normalize_subset
+from weylq.rootsys import DEFAULT_WEYL_CAP, RootSubset, RootSystem, normalize_subset
 
 
 class Witness(NamedTuple):
@@ -41,18 +41,21 @@ class CompatResult(NamedTuple):
     witness: Optional[Witness]
 
 
-def shift_formula_qp(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
+def shift_formula_qp(
+    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
+) -> QuasiPolynomial:
     """The descent-statistic shift formula applied to the closed alcove."""
-    shift = ShiftPolynomial.from_polynomial(eulerian_poly(rs, subset))
+    shift = ShiftPolynomial.from_polynomial(eulerian_poly(rs, subset, cap))
     return apply_shift(shift, ehrhart_closed_qp(rs))
 
 
 # Bounded: the only repeat question is deform or verify asking again
-# about the subset whose compatibility its formula requires.
+# about the subset whose compatibility its formula requires.  A hit means
+# the same cap already passed for that system.
 @functools.lru_cache(maxsize=4)
-def _decide(rs: RootSystem, psi: RootSubset) -> CompatResult:
+def _decide(rs: RootSystem, psi: RootSubset, cap: int) -> CompatResult:
     chi = char_quasi(from_root_subset(rs, psi))
-    formula = shift_formula_qp(rs, psi)
+    formula = shift_formula_qp(rs, psi, cap)
     if qp_equal(chi, formula):
         return CompatResult(True, None)
     period = math.lcm(chi.period, formula.period)
@@ -63,18 +66,24 @@ def _decide(rs: RootSystem, psi: RootSubset) -> CompatResult:
     raise InconsistencyError("unequal quasi-polynomials with no witness in range")
 
 
-def is_compatible(rs: RootSystem, subset: Iterable[int]) -> CompatResult:
+def is_compatible(
+    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
+) -> CompatResult:
     """Decide compatibility; on failure include the smallest witness."""
-    return _decide(rs, normalize_subset(rs, subset))
+    return _decide(rs, normalize_subset(rs, subset), cap)
 
 
-def defect_qp(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
+def defect_qp(
+    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
+) -> QuasiPolynomial:
     """Shift formula minus characteristic quasi-polynomial."""
     psi = normalize_subset(rs, subset)
-    return qp_sub(shift_formula_qp(rs, psi), char_quasi(from_root_subset(rs, psi)))
+    return qp_sub(shift_formula_qp(rs, psi, cap), char_quasi(from_root_subset(rs, psi)))
 
 
-def verify_genfunc(rs: RootSystem, subset: Iterable[int], order: int) -> bool:
+def verify_genfunc(
+    rs: RootSystem, subset: Iterable[int], order: int, cap: int = DEFAULT_WEYL_CAP
+) -> bool:
     """Check the generating-function form of compatibility to finite order:
     the series of the characteristic quasi-polynomial against the descent
     polynomial over the product of (1 - t^mark)."""
@@ -85,6 +94,6 @@ def verify_genfunc(rs: RootSystem, subset: Iterable[int], order: int) -> bool:
     psi = normalize_subset(rs, subset)
     lhs = series_of_qp(char_quasi(from_root_subset(rs, psi)), order)
     rhs = expand_rational_series(
-        eulerian_poly(rs, psi), (1,) + tuple(rs.marks), order
+        eulerian_poly(rs, psi, cap), (1,) + tuple(rs.marks), order
     )
     return lhs == rhs

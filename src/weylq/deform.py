@@ -19,7 +19,12 @@ from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import ValidationError
 from weylq.eulerian import profiles_over_weyl
 from weylq.quasipoly import QuasiPolynomial, ShiftPolynomial, apply_shift, qp_equal
-from weylq.rootsys import RootSystem, normalize_subset, subset_complement
+from weylq.rootsys import (
+    DEFAULT_WEYL_CAP,
+    RootSystem,
+    normalize_subset,
+    subset_complement,
+)
 
 
 def _check_interval(interval: Sequence[int]) -> Tuple[int, int]:
@@ -60,8 +65,8 @@ def type2_spec(
     return make_spec(rs.rank, items)
 
 
-def _require_compatible(rs: RootSystem, psi) -> None:
-    result = is_compatible(rs, psi)
+def _require_compatible(rs: RootSystem, psi, cap: int) -> None:
+    result = is_compatible(rs, psi, cap)
     if not result.compatible:
         raise ValidationError(
             f"subset {psi} of {rs.family}{rs.rank} is not compatible "
@@ -77,6 +82,7 @@ def _weighted_shift_qp(
     w_ascent: int,
     w_descent_bar: int,
     w_descent: int,
+    cap: int,
 ) -> QuasiPolynomial:
     """Average of shifted closed-alcove counts over the group, the shift of
     each element being the weighted blend of its four statistics."""
@@ -89,7 +95,7 @@ def _weighted_shift_qp(
             + w_descent * p.descent,
             inv_f,
         )
-        for p in profiles_over_weyl(rs, psi)
+        for p in profiles_over_weyl(rs, psi, cap)
     ]
     return apply_shift(ShiftPolynomial(terms), ehrhart_closed_qp(rs))
 
@@ -100,6 +106,7 @@ def cqp_type1_formula(
     variant: str,
     a: int | None = None,
     b: int | None = None,
+    cap: int = DEFAULT_WEYL_CAP,
 ) -> QuasiPolynomial:
     """Closed formula for a Type I deformation of a compatible subset.
 
@@ -110,15 +117,15 @@ def cqp_type1_formula(
     if variant == "symmetric":
         if a is None or b is None or a < 0 or b < 0:
             raise ValidationError("symmetric variant needs a >= 0 and b >= 0")
-        _require_compatible(rs, psi)
-        return _weighted_shift_qp(rs, psi, b + 1, 1, a + 1, 0)
+        _require_compatible(rs, psi, cap)
+        return _weighted_shift_qp(rs, psi, b + 1, 1, a + 1, 0, cap)
     if variant == "positive":
         if b is None or b < 1:
             raise ValidationError("positive variant needs b >= 1")
         if a is not None:
             raise ValidationError("positive variant takes no lower bound")
-        _require_compatible(rs, psi)
-        return _weighted_shift_qp(rs, psi, b + 1, 1, 0, 0)
+        _require_compatible(rs, psi, cap)
+        return _weighted_shift_qp(rs, psi, b + 1, 1, 0, 0, cap)
     raise ValidationError(f"unknown variant {variant!r}; use symmetric or positive")
 
 
@@ -130,6 +137,7 @@ def cqp_type2_formula(
     b: int | None = None,
     c: int | None = None,
     d: int | None = None,
+    cap: int = DEFAULT_WEYL_CAP,
 ) -> QuasiPolynomial:
     """Closed formula for a Type II deformation of a compatible subset.
 
@@ -142,22 +150,22 @@ def cqp_type2_formula(
     if case == "i":
         if any(x is None or x < 0 for x in (a, b, c, d)):
             raise ValidationError("case i needs a, b, c, d >= 0")
-        _require_compatible(rs, psi)
-        return _weighted_shift_qp(rs, psi, b + 1, d + 1, a + 1, c + 1)
+        _require_compatible(rs, psi, cap)
+        return _weighted_shift_qp(rs, psi, b + 1, d + 1, a + 1, c + 1, cap)
     if case == "ii":
         if a is None or b is None or a < 0 or b < 0 or d is None or d < 1:
             raise ValidationError("case ii needs a, b >= 0 and d >= 1")
         if c is not None:
             raise ValidationError("case ii takes no lower bound on the complement")
-        _require_compatible(rs, psi)
-        return _weighted_shift_qp(rs, psi, b + 1, d + 1, a + 1, 0)
+        _require_compatible(rs, psi, cap)
+        return _weighted_shift_qp(rs, psi, b + 1, d + 1, a + 1, 0, cap)
     if case == "iii":
         if b is None or b < 1 or d is None or d < 1:
             raise ValidationError("case iii needs b >= 1 and d >= 1")
         if a is not None or c is not None:
             raise ValidationError("case iii takes no lower bounds")
-        _require_compatible(rs, psi)
-        return _weighted_shift_qp(rs, psi, b + 1, d + 1, 0, 0)
+        _require_compatible(rs, psi, cap)
+        return _weighted_shift_qp(rs, psi, b + 1, d + 1, 0, 0, cap)
     raise ValidationError(f"unknown case {case!r}; use i, ii or iii")
 
 

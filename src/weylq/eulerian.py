@@ -17,6 +17,7 @@ from typing import Dict, FrozenSet, Iterable, Tuple
 from weylq.errors import InconsistencyError, ValidationError
 from weylq.quasipoly import RationalPolynomial
 from weylq.rootsys import (
+    DEFAULT_WEYL_CAP,
     RootSubset,
     RootSystem,
     WeylElement,
@@ -84,23 +85,24 @@ def descent_profile(rs: RootSystem, subset: Iterable[int], w: WeylElement) -> De
 
 
 # A few subsets at a time: e and m of one query, or one ideal of a sweep
-# with its deformation checks.  Each entry holds |W| profiles.
+# with its deformation checks.  Each entry holds |W| profiles.  The cap is
+# part of the key, so a hit means that cap already passed for the system.
 @functools.lru_cache(maxsize=4)
-def _profiles(rs: RootSystem, psi: RootSubset) -> Tuple[DescentProfile, ...]:
+def _profiles(rs: RootSystem, psi: RootSubset, cap: int) -> Tuple[DescentProfile, ...]:
     return tuple(
-        descent_profile(rs, psi, w) for w in enumerate_weyl(rs)
+        descent_profile(rs, psi, w) for w in enumerate_weyl(rs, cap)
     )
 
 
 def profiles_over_weyl(
-    rs: RootSystem, subset: Iterable[int]
+    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
 ) -> Tuple[DescentProfile, ...]:
     """Profiles of every group element, aligned with enumerate_weyl order.
 
     The Weyl cap is checked on every call, cache hits included.
     """
-    check_weyl_cap(rs)
-    return _profiles(rs, normalize_subset(rs, subset))
+    check_weyl_cap(rs, cap)
+    return _profiles(rs, normalize_subset(rs, subset), cap)
 
 
 def _fiber_polynomial(rs: RootSystem, exponents: Iterable[int]) -> RationalPolynomial:
@@ -120,23 +122,31 @@ def _fiber_polynomial(rs: RootSystem, exponents: Iterable[int]) -> RationalPolyn
     return RationalPolynomial(coeffs)
 
 
-def eulerian_poly(rs: RootSystem, subset: Iterable[int]) -> RationalPolynomial:
+def eulerian_poly(
+    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
+) -> RationalPolynomial:
     """Generating polynomial of h minus the descent statistic, scaled down
     by the index of connection; always has integer coefficients."""
     h = rs.coxeter_number
-    return _fiber_polynomial(rs, (h - p.descent for p in profiles_over_weyl(rs, subset)))
+    return _fiber_polynomial(
+        rs, (h - p.descent for p in profiles_over_weyl(rs, subset, cap))
+    )
 
 
-def generalized_eulerian(rs: RootSystem) -> RationalPolynomial:
+def generalized_eulerian(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> RationalPolynomial:
     """The subset-free special case, against the empty subset."""
-    return eulerian_poly(rs, ())
+    return eulerian_poly(rs, (), cap)
 
 
-def m_poly(rs: RootSystem, subset: Iterable[int]) -> RationalPolynomial:
+def m_poly(
+    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
+) -> RationalPolynomial:
     """Generating polynomial of h plus the inside-ascent statistic, scaled
     down by the index of connection."""
     h = rs.coxeter_number
-    return _fiber_polynomial(rs, (h + p.ascent_bar for p in profiles_over_weyl(rs, subset)))
+    return _fiber_polynomial(
+        rs, (h + p.ascent_bar for p in profiles_over_weyl(rs, subset, cap))
+    )
 
 
 def _length_class_size(rs: RootSystem, cls: str) -> int:
@@ -178,7 +188,7 @@ def eulerian_delta_complement(rs: RootSystem, delta_index: int) -> RationalPolyn
 
 
 def omega_partition(
-    rs: RootSystem, delta_index: int
+    rs: RootSystem, delta_index: int, cap: int = DEFAULT_WEYL_CAP
 ) -> Dict[int, Tuple[WeylElement, ...]]:
     """Group elements sending some extended-base root onto the negative of
     the chosen root, fibered by the extended-base position.
@@ -196,7 +206,7 @@ def omega_partition(
         for i, (root, _) in enumerate(extended_base(rs))
         if classify_length(rs, root) == cls
     }
-    for w in enumerate_weyl(rs):
+    for w in enumerate_weyl(rs, cap):
         for i, image in enumerate(w.base_images):
             if image == target:
                 if i not in fibers:

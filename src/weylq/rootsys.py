@@ -10,7 +10,6 @@ into that list are 0-based.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -387,33 +386,18 @@ def _weyl_elements(rs: RootSystem) -> Tuple[WeylElement, ...]:
     return tuple(order)
 
 
-def resolve_weyl_cap(cap: int | None = None) -> int:
-    """Effective enumeration cap: explicit value, else WEYLQ_WEYL_CAP, else default."""
-    if cap is not None:
-        return cap
-    raw = os.environ.get("WEYLQ_WEYL_CAP")
-    if raw is None:
-        return DEFAULT_WEYL_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"WEYLQ_WEYL_CAP must be an integer, got {raw!r}")
-
-
-def check_weyl_cap(rs: RootSystem, cap: int | None = None) -> None:
-    """Refuse with ResourceCapError when the known group order exceeds the
-    effective cap (see resolve_weyl_cap)."""
-    limit = resolve_weyl_cap(cap)
-    if limit < 1:
+def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:
+    """Refuse with ResourceCapError when the known group order exceeds the cap."""
+    if cap < 1:
         raise ValidationError("cap must be a positive integer")
-    if rs.weyl_order > limit:
+    if rs.weyl_order > cap:
         raise ResourceCapError(
             f"Weyl group of {rs.family}{rs.rank} has order {rs.weyl_order}, "
-            f"which exceeds the cap {limit}"
+            f"which exceeds the cap {cap}"
         )
 
 
-def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> Tuple[WeylElement, ...]:
+def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> Tuple[WeylElement, ...]:
     """All Weyl group elements, identity first, in breadth-first word order.
 
     Elements come by length, and within a length in lexicographic order of

@@ -29,13 +29,11 @@ def run_main(capsys, *argv):
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_proc(*argv, env_extra=None):
+def run_proc(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
     )
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "weylq.cli", *argv],
         capture_output=True,
@@ -299,14 +297,6 @@ def test_exit_code_resource_cap():
     assert "exceeds the cap" in proc.stderr
 
 
-def test_exit_code_resource_cap_from_env():
-    proc = run_proc(
-        "eulerian", "--type", "D", "--rank", "4", "--subset", "empty",
-        env_extra={"WEYLQ_WEYL_CAP": "10"},
-    )
-    assert proc.returncode == 3
-
-
 def test_resource_cap_after_cached_query(capsys):
     """In one process, a cap given after the same query ran uncapped still
     refuses; the cached profiles do not get round it."""
@@ -319,13 +309,49 @@ def test_resource_cap_after_cached_query(capsys):
     assert "exceeds the cap" in err
 
 
-def test_weyl_cap_flag_overrides_env():
-    proc = run_proc(
-        "eulerian", "--type", "D", "--rank", "4", "--subset", "empty",
-        "--weyl-cap", "200",
-        env_extra={"WEYLQ_WEYL_CAP": "10"},
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["eulerian", "--subset", "full"], 3),
+        (["eulerian", "--subset", "full", "--variant", "m"], 3),
+        (["compat", "--subset", "full"], 3),
+        (["compat", "--subset", "ideal-all"], 3),
+        (["deform", "--subset", "full", "--variant", "symmetric", "--interval=0:1"], 3),
+        (["verify", "--subset", "full", "--variant", "symmetric", "--interval=0:1"], 3),
+        (["genfunc", "--subset", "full"], 3),
+        # these never enumerate the group, so the cap does not touch them
+        (["char-quasi", "--subset", "full"], 0),
+        (["ehrhart"], 0),
+    ],
+    ids=[
+        "eulerian-e", "eulerian-m", "compat", "compat-ideal-all", "deform",
+        "verify", "genfunc", "char-quasi", "ehrhart",
+    ],
+)
+def test_every_handler_forwards_the_cap(capsys, argv, code):
+    """|W(A2)| = 6 exceeds --weyl-cap 5; a handler that dropped the cap
+    would fall back to the default and answer."""
+    command, *rest = argv
+    got, out, err = run_main(
+        capsys, command, "--type", "A", "--rank", "2", "--weyl-cap", "5", *rest
     )
-    assert proc.returncode == 0
+    assert got == code
+    if code == 3:
+        assert out == ""
+        assert "exceeds the cap 5" in err
+    else:
+        assert out and err == ""
+
+
+def test_exit_code_period_search_cap(capsys):
+    """The other refusal: E6 full has 36 coefficient vectors, over the
+    period-search cap, and is refused before any counting."""
+    code, out, err = run_main(
+        capsys, "char-quasi", "--type", "E", "--rank", "6", "--subset", "full"
+    )
+    assert code == 3
+    assert out == ""
+    assert "period-search cap" in err
 
 
 def test_exit_code_inconsistency():
@@ -367,12 +393,3 @@ def test_byte_determinism():
     second = run_proc(*argv)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
-
-
-def test_env_cap_restored_after_run(capsys):
-    os.environ.pop("WEYLQ_WEYL_CAP", None)
-    code, _, _ = run_main(
-        capsys, "info", "--type", "A", "--rank", "2", "--weyl-cap", "50"
-    )
-    assert code == 0
-    assert "WEYLQ_WEYL_CAP" not in os.environ

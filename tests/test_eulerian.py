@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylq import eulerian
+from weylq.compat import is_compatible, verify_genfunc
+from weylq.deform import cqp_type1_formula
 from weylq.errors import ResourceCapError
 from weylq.eulerian import (
     DescentProfile,
@@ -271,17 +273,25 @@ def test_word_and_table_profiles_agree():
         assert descent_profile(rs, psi, bare) == descent_profile(rs, psi, w)
 
 
-def test_cap_holds_on_cached_profiles(monkeypatch):
-    """A cap set after a subset's profiles are cached still refuses."""
+def test_cap_holds_on_cached_profiles():
+    """A cap passed after a subset's results are cached still refuses, on
+    every entry point that reaches the Weyl enumeration."""
     rs = build_root_system("B", 3)
     psi = (0, 1, 2)
-    eulerian_poly(rs, psi)
-    monkeypatch.setenv("WEYLQ_WEYL_CAP", "10")
-    for call in (eulerian_poly, m_poly, profiles_over_weyl):
+    calls = (
+        eulerian_poly,
+        m_poly,
+        profiles_over_weyl,
+        is_compatible,
+        lambda rs, psi, **cap: verify_genfunc(rs, psi, 60, **cap),
+        lambda rs, psi, **cap: cqp_type1_formula(rs, psi, "symmetric", a=0, b=1, **cap),
+    )
+    for call in calls:
+        call(rs, psi)
         with pytest.raises(ResourceCapError):
-            call(rs, psi)
+            call(rs, psi, cap=10)
     with pytest.raises(ResourceCapError):
-        omega_partition(rs, 0)
+        omega_partition(rs, 0, cap=10)
 
 
 def test_e_then_m_share_the_profiles():

@@ -20,7 +20,6 @@ from weylq.rootsys import (
     lower_closure,
     normalize_subset,
     poset_leq,
-    resolve_weyl_cap,
     root_index,
     signed_roots,
     subset_complement,
@@ -319,23 +318,11 @@ def test_weyl_cap():
     with pytest.raises(ResourceCapError, match="192"):
         enumerate_weyl(d4, cap=10)
     assert len(enumerate_weyl(d4, cap=192)) == 192
-
-
-def test_resolve_weyl_cap_env(monkeypatch):
-    monkeypatch.delenv("WEYLQ_WEYL_CAP", raising=False)
-    assert resolve_weyl_cap() == DEFAULT_WEYL_CAP
-    monkeypatch.setenv("WEYLQ_WEYL_CAP", "123")
-    assert resolve_weyl_cap() == 123
-    assert resolve_weyl_cap(77) == 77
-    monkeypatch.setenv("WEYLQ_WEYL_CAP", "many")
     with pytest.raises(ValidationError):
-        resolve_weyl_cap()
-
-
-def test_env_cap_blocks_enumeration(monkeypatch):
-    monkeypatch.setenv("WEYLQ_WEYL_CAP", "5")
-    with pytest.raises(ResourceCapError):
-        enumerate_weyl(build_root_system("B", 3))
+        enumerate_weyl(d4, cap=0)
+    # the default cap refuses E7 (order 2,903,040) before enumerating
+    with pytest.raises(ResourceCapError, match=str(DEFAULT_WEYL_CAP)):
+        enumerate_weyl(build_root_system("E", 7))
 
 
 def test_normalize_subset(g2):

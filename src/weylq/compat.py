@@ -26,7 +26,13 @@ from weylq.quasipoly import (
     qp_sub,
     series_of_qp,
 )
-from weylq.rootsys import DEFAULT_WEYL_CAP, RootSubset, RootSystem, normalize_subset
+from weylq.rootsys import (
+    DEFAULT_WEYL_CAP,
+    RootSubset,
+    RootSystem,
+    check_weyl_cap,
+    normalize_subset,
+)
 
 
 class Witness(NamedTuple):
@@ -69,7 +75,9 @@ def _decide(rs: RootSystem, psi: RootSubset, cap: int) -> CompatResult:
 def is_compatible(
     rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
 ) -> CompatResult:
-    """Decide compatibility; on failure include the smallest witness."""
+    """Decide compatibility, refusing on the Weyl cap before any counting;
+    on failure include the smallest witness."""
+    check_weyl_cap(rs, cap)
     return _decide(rs, normalize_subset(rs, subset), cap)
 
 
@@ -91,6 +99,7 @@ def verify_genfunc(
         raise ValidationError(
             f"order must be at least three Coxeter numbers ({3 * rs.coxeter_number})"
         )
+    check_weyl_cap(rs, cap)
     psi = normalize_subset(rs, subset)
     lhs = series_of_qp(char_quasi(from_root_subset(rs, psi)), order)
     rhs = expand_rational_series(

@@ -4,8 +4,8 @@ A Type I deformation attaches a whole interval of offsets to every root of
 a subset; Type II additionally deforms the complement with its own
 interval.  For compatible subsets the characteristic quasi-polynomial of
 either kind is a mark-weighted sum of shifted closed-alcove counts over the
-Weyl group; the shift exponents blend the four descent statistics with
-weights read off the interval bounds.
+Weyl group; each element's shift blends its four descent statistics with
+weights read off the interval bounds by one rule (see _interval_formula).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from weylq.charquasi import ArrangementSpec, char_quasi, make_spec
 from weylq.compat import is_compatible
 from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import ValidationError
-from weylq.eulerian import profiles_over_weyl
+from weylq.eulerian import profile_counts
 from weylq.quasipoly import QuasiPolynomial, ShiftPolynomial, apply_shift, qp_equal
 from weylq.rootsys import (
     DEFAULT_WEYL_CAP,
@@ -27,7 +27,9 @@ from weylq.rootsys import (
 )
 
 
-def _check_interval(interval: Sequence[int]) -> Tuple[int, int]:
+def _interval_items(rs: RootSystem, roots: Iterable[int], interval: Sequence[int]):
+    """Items attaching the offsets of an interval, an ordered pair of
+    integers, to each of the roots."""
     try:
         a, b = interval
     except (TypeError, ValueError):
@@ -36,15 +38,13 @@ def _check_interval(interval: Sequence[int]) -> Tuple[int, int]:
         raise ValidationError(f"interval bounds must be integers, got {interval!r}")
     if a > b:
         raise ValidationError(f"interval bounds must be ordered, got [{a}, {b}]")
-    return a, b
+    offs = tuple(range(a, b + 1))
+    return [(rs.positive_roots[i], offs) for i in roots]
 
 
 def type1_spec(rs: RootSystem, subset: Iterable[int], a: int, b: int) -> ArrangementSpec:
     """Attach offsets a..b to every root of the subset."""
-    lo, hi = _check_interval((a, b))
-    psi = normalize_subset(rs, subset)
-    offs = tuple(range(lo, hi + 1))
-    return make_spec(rs.rank, ((rs.positive_roots[i], offs) for i in psi))
+    return make_spec(rs.rank, _interval_items(rs, normalize_subset(rs, subset), (a, b)))
 
 
 def type2_spec(
@@ -54,14 +54,9 @@ def type2_spec(
     interval2: Sequence[int],
 ) -> ArrangementSpec:
     """Offsets interval1 on the subset, interval2 on its complement."""
-    lo1, hi1 = _check_interval(interval1)
-    lo2, hi2 = _check_interval(interval2)
     psi = normalize_subset(rs, subset)
-    comp = subset_complement(rs, psi)
-    offs1 = tuple(range(lo1, hi1 + 1))
-    offs2 = tuple(range(lo2, hi2 + 1))
-    items = [(rs.positive_roots[i], offs1) for i in psi]
-    items += [(rs.positive_roots[i], offs2) for i in comp]
+    items = _interval_items(rs, psi, interval1)
+    items += _interval_items(rs, subset_complement(rs, psi), interval2)
     return make_spec(rs.rank, items)
 
 
@@ -75,29 +70,26 @@ def _require_compatible(rs: RootSystem, psi, cap: int) -> None:
         )
 
 
-def _weighted_shift_qp(
-    rs: RootSystem,
-    psi,
-    w_ascent_bar: int,
-    w_ascent: int,
-    w_descent_bar: int,
-    w_descent: int,
-    cap: int,
-) -> QuasiPolynomial:
-    """Average of shifted closed-alcove counts over the group, the shift of
-    each element being the weighted blend of its four statistics."""
-    inv_f = Fraction(1, rs.index_of_connection)
-    terms = [
-        (
-            w_ascent_bar * p.ascent_bar
-            + w_ascent * p.ascent
-            + w_descent_bar * p.descent_bar
-            + w_descent * p.descent,
-            inv_f,
-        )
-        for p in profiles_over_weyl(rs, psi, cap)
-    ]
-    return apply_shift(ShiftPolynomial(terms), ehrhart_closed_qp(rs))
+def _interval_formula(rs: RootSystem, psi, inside, outside, cap: int) -> QuasiPolynomial:
+    """Average over the group of the closed-alcove count, each element
+    shifting it by its weighted statistics.
+
+    An interval [lo, hi] on a root set weighs that set's ascents by hi + 1
+    and its descents by 1 - lo; inside is the subset's interval, outside
+    the complement's.  A Type I deformation puts no hyperplane outside:
+    the empty interval [1, 0], weights (1, 0).  The compatibility formula
+    is inside [0, 0] with nothing outside.
+    """
+    _require_compatible(rs, psi, cap)
+    (lo_in, hi_in), (lo_out, hi_out) = inside, outside
+    # in DescentProfile field order: descent, descent_bar, ascent, ascent_bar
+    weights = (1 - lo_out, 1 - lo_in, hi_out + 1, hi_in + 1)
+    f = rs.index_of_connection
+    shift = ShiftPolynomial(
+        (sum(w * stat for w, stat in zip(weights, p)), Fraction(count, f))
+        for p, count in profile_counts(rs, psi, cap)
+    )
+    return apply_shift(shift, ehrhart_closed_qp(rs))
 
 
 def cqp_type1_formula(
@@ -117,16 +109,16 @@ def cqp_type1_formula(
     if variant == "symmetric":
         if a is None or b is None or a < 0 or b < 0:
             raise ValidationError("symmetric variant needs a >= 0 and b >= 0")
-        _require_compatible(rs, psi, cap)
-        return _weighted_shift_qp(rs, psi, b + 1, 1, a + 1, 0, cap)
-    if variant == "positive":
+        inside = (-a, b)
+    elif variant == "positive":
         if b is None or b < 1:
             raise ValidationError("positive variant needs b >= 1")
         if a is not None:
             raise ValidationError("positive variant takes no lower bound")
-        _require_compatible(rs, psi, cap)
-        return _weighted_shift_qp(rs, psi, b + 1, 1, 0, 0, cap)
-    raise ValidationError(f"unknown variant {variant!r}; use symmetric or positive")
+        inside = (1, b)
+    else:
+        raise ValidationError(f"unknown variant {variant!r}; use symmetric or positive")
+    return _interval_formula(rs, psi, inside, (1, 0), cap)
 
 
 def cqp_type2_formula(
@@ -150,23 +142,22 @@ def cqp_type2_formula(
     if case == "i":
         if any(x is None or x < 0 for x in (a, b, c, d)):
             raise ValidationError("case i needs a, b, c, d >= 0")
-        _require_compatible(rs, psi, cap)
-        return _weighted_shift_qp(rs, psi, b + 1, d + 1, a + 1, c + 1, cap)
-    if case == "ii":
+        inside, outside = (-a, b), (-c, d)
+    elif case == "ii":
         if a is None or b is None or a < 0 or b < 0 or d is None or d < 1:
             raise ValidationError("case ii needs a, b >= 0 and d >= 1")
         if c is not None:
             raise ValidationError("case ii takes no lower bound on the complement")
-        _require_compatible(rs, psi, cap)
-        return _weighted_shift_qp(rs, psi, b + 1, d + 1, a + 1, 0, cap)
-    if case == "iii":
+        inside, outside = (-a, b), (1, d)
+    elif case == "iii":
         if b is None or b < 1 or d is None or d < 1:
             raise ValidationError("case iii needs b >= 1 and d >= 1")
         if a is not None or c is not None:
             raise ValidationError("case iii takes no lower bounds")
-        _require_compatible(rs, psi, cap)
-        return _weighted_shift_qp(rs, psi, b + 1, d + 1, 0, 0, cap)
-    raise ValidationError(f"unknown case {case!r}; use i, ii or iii")
+        inside, outside = (1, b), (1, d)
+    else:
+        raise ValidationError(f"unknown case {case!r}; use i, ii or iii")
+    return _interval_formula(rs, psi, inside, outside, cap)
 
 
 def verify_deform(

@@ -62,13 +62,13 @@ def _alcove_qp(rs: RootSystem, closed: bool) -> QuasiPolynomial:
     return interpolate_qp(lambda q: counter(rs, q), period, rs.rank)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def ehrhart_closed_qp(rs: RootSystem) -> QuasiPolynomial:
     """Quasi-polynomial of count_closed, period lcm of the marks."""
     return _alcove_qp(rs, closed=True)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def ehrhart_open_qp(rs: RootSystem) -> QuasiPolynomial:
     """Quasi-polynomial of count_open, period lcm of the marks."""
     return _alcove_qp(rs, closed=False)

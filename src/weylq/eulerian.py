@@ -10,9 +10,9 @@ positive outside or inside it (ascents), each weighted by the mark.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Tuple
 
 from weylq.errors import InconsistencyError, ValidationError
 from weylq.quasipoly import RationalPolynomial
@@ -32,14 +32,13 @@ from weylq.rootsys import (
 Vector = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DescentProfile:
+class DescentProfile(NamedTuple):
     """Mark-weighted image counts of one element against one subset.
 
     descent: images that are negatives of roots outside the subset;
     descent_bar: negatives of roots inside it; ascent: roots outside;
     ascent_bar: roots inside.  The four always add up to the Coxeter
-    number.
+    number.  A named tuple, so counting profiles hashes plain 4-tuples.
     """
 
     descent: int
@@ -50,6 +49,9 @@ class DescentProfile:
     @property
     def total(self) -> int:
         return self.descent + self.descent_bar + self.ascent + self.ascent_bar
+
+
+Histogram = Tuple[Tuple[DescentProfile, int], ...]
 
 
 def extended_base(rs: RootSystem) -> Tuple[Tuple[Vector, int], ...]:
@@ -85,19 +87,19 @@ def descent_profile(rs: RootSystem, subset: Iterable[int], w: WeylElement) -> De
 
 
 # A few subsets at a time: e and m of one query, or one ideal of a sweep
-# with its deformation checks.  Each entry holds |W| profiles.  The cap is
-# part of the key, so a hit means that cap already passed for the system.
+# with its deformation checks; an entry holds only the distinct profiles.
+# The cap is part of the key, so a hit means that cap already passed.
 @functools.lru_cache(maxsize=4)
-def _profiles(rs: RootSystem, psi: RootSubset, cap: int) -> Tuple[DescentProfile, ...]:
-    return tuple(
-        descent_profile(rs, psi, w) for w in enumerate_weyl(rs, cap)
-    )
+def _profiles(rs: RootSystem, psi: RootSubset, cap: int) -> Histogram:
+    counts = Counter(descent_profile(rs, psi, w) for w in enumerate_weyl(rs, cap))
+    return tuple(sorted(counts.items()))
 
 
-def profiles_over_weyl(
+def profile_counts(
     rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
-) -> Tuple[DescentProfile, ...]:
-    """Profiles of every group element, aligned with enumerate_weyl order.
+) -> Histogram:
+    """Histogram of the profiles over the group: each distinct profile with
+    the number of elements that have it, in increasing profile order.
 
     The Weyl cap is checked on every call, cache hits included.
     """
@@ -105,12 +107,12 @@ def profiles_over_weyl(
     return _profiles(rs, normalize_subset(rs, subset), cap)
 
 
-def _fiber_polynomial(rs: RootSystem, exponents: Iterable[int]) -> RationalPolynomial:
-    """Sum of t^e over the exponents, divided by the index of connection;
-    refuses when some fiber count is not divisible by it."""
+def _fiber_polynomial(rs: RootSystem, fibers: Iterable[Tuple[int, int]]) -> RationalPolynomial:
+    """Sum of c * t^e over the fibers (e, c), divided by the index of
+    connection; refuses when some fiber count is not divisible by it."""
     counts: Dict[int, int] = {}
-    for e in exponents:
-        counts[e] = counts.get(e, 0) + 1
+    for e, c in fibers:
+        counts[e] = counts.get(e, 0) + c
     f = rs.index_of_connection
     coeffs = [0] * (max(counts) + 1 if counts else 0)
     for e, c in counts.items():
@@ -129,7 +131,7 @@ def eulerian_poly(
     by the index of connection; always has integer coefficients."""
     h = rs.coxeter_number
     return _fiber_polynomial(
-        rs, (h - p.descent for p in profiles_over_weyl(rs, subset, cap))
+        rs, ((h - p.descent, c) for p, c in profile_counts(rs, subset, cap))
     )
 
 
@@ -145,7 +147,7 @@ def m_poly(
     down by the index of connection."""
     h = rs.coxeter_number
     return _fiber_polynomial(
-        rs, (h + p.ascent_bar for p in profiles_over_weyl(rs, subset, cap))
+        rs, ((h + p.ascent_bar, c) for p, c in profile_counts(rs, subset, cap))
     )
 
 

@@ -267,14 +267,6 @@ class ShiftPolynomial:
         """Read t^k as the shift q -> q - k."""
         return cls((k, c) for k, c in enumerate(p.coeffs) if c)
 
-    def __mul__(self, other: "ShiftPolynomial") -> "ShiftPolynomial":
-        """Composition of the two operators (convolution of terms)."""
-        out = []
-        for o1, c1 in self.terms:
-            for o2, c2 in other.terms:
-                out.append((o1 + o2, c1 * c2))
-        return ShiftPolynomial(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ShiftPolynomial) and self.terms == other.terms
 

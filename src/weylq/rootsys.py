@@ -347,7 +347,9 @@ def _reflection_permutations(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     return tuple(perms)
 
 
-@functools.lru_cache(maxsize=None)
+# Two groups: a sweep over two systems (B4, then C4) reuses each group
+# while it runs, and a lifted cap keeps at most two large groups resident.
+@functools.lru_cache(maxsize=2)
 def _weyl_elements(rs: RootSystem) -> Tuple[WeylElement, ...]:
     """Breadth-first closure of the identity under right multiplication by
     the simple reflections, on permutations of the signed roots.

@@ -32,7 +32,7 @@ from weylq.eulerian import (
     generalized_eulerian,
     m_poly,
     omega_partition,
-    profiles_over_weyl,
+    profile_counts,
 )
 from weylq.quasipoly import (
     RationalPolynomial,
@@ -363,7 +363,7 @@ def test_criterion_12_statistics_suite():
         if (family, rank) == ("G", 2):
             subsets += [(1, 2, 5), (2,), (0, 4)]
         for psi in subsets:
-            for p in profiles_over_weyl(rs, psi):
+            for p, _ in profile_counts(rs, psi):
                 assert p.total == h
                 for stat in (p.descent, p.descent_bar, p.ascent, p.ascent_bar):
                     assert 0 <= stat < h

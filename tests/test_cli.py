@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from weylq import charquasi
 from weylq.charquasi import char_quasi_subset
 from weylq.cli import main, parse_subset, qp_from_json, qp_to_json
 from weylq.ehrhart import ehrhart_closed_qp
@@ -341,6 +342,27 @@ def test_every_handler_forwards_the_cap(capsys, argv, code):
         assert "exceeds the cap 5" in err
     else:
         assert out and err == ""
+
+
+@pytest.mark.parametrize(
+    "command, family, rank",
+    [("compat", "D", 5), ("genfunc", "D", 5), ("compat", "B", 5)],
+)
+def test_weyl_cap_refuses_before_counting(capsys, monkeypatch, command, family, rank):
+    """The Weyl cap is checked before the characteristic quasi-polynomial
+    is computed, so no period search starts; B5 full, which the
+    period-search cap would also refuse, names the Weyl cap."""
+    searches = []
+    search = charquasi.lcm_period
+    monkeypatch.setattr(charquasi, "lcm_period", lambda spec: searches.append(spec) or search(spec))
+    charquasi.char_quasi.cache_clear()
+    code, out, err = run_main(
+        capsys, command, "--type", family, "--rank", str(rank), "--subset", "full",
+        "--weyl-cap", "10",
+    )
+    assert (code, out) == (3, "")
+    assert "exceeds the cap 10" in err
+    assert searches == []
 
 
 def test_exit_code_period_search_cap(capsys):

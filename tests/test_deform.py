@@ -8,10 +8,10 @@ counterexample test pins the failing polynomials themselves.
 
 import pytest
 
-from weylq import compat
+from weylq import compat, rootsys
 from weylq.charquasi import char_quasi, from_root_subset
 from weylq.deform import cqp_type1_formula, cqp_type2_formula, type1_spec, type2_spec, verify_deform
-from weylq.ehrhart import ehrhart_closed_qp
+from weylq.ehrhart import ehrhart_closed_qp, ehrhart_open_qp
 from weylq.errors import ValidationError
 from weylq.eulerian import m_poly
 from weylq.quasipoly import (
@@ -212,6 +212,19 @@ def test_mixed_unit_interval_formula(family, rank):
         assert qp_equal(formula, brute)
 
 
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_compatibility_formula_is_the_zero_interval(family, rank):
+    """The shift formula read off eulerian_poly and the interval rule at
+    [0, 0] give the same quasi-polynomial on every compatible ideal."""
+    rs = build_root_system(family, rank)
+    compatible = [psi for psi in enumerate_ideals(rs) if compat.is_compatible(rs, psi).compatible]
+    assert compatible
+    for psi in compatible:
+        via_e = compat.shift_formula_qp(rs, psi)
+        via_rule = cqp_type1_formula(rs, psi, "symmetric", a=0, b=0)
+        assert qp_equal(via_e, via_rule)
+
+
 def test_formula_requires_compatible_subset(g2):
     with pytest.raises(ValidationError, match="not compatible"):
         cqp_type1_formula(g2, (1, 2, 5), "symmetric", a=0, b=0)
@@ -221,9 +234,15 @@ def test_formula_requires_compatible_subset(g2):
 
 def test_formulas_share_one_bounded_decision():
     """Two intervals on one subset decide its compatibility once; the
-    decision and char_quasi caches are bounded."""
-    assert compat._decide.cache_info().maxsize is not None
-    assert char_quasi.cache_info().maxsize is not None
+    decision, char_quasi, Weyl-group and alcove caches are bounded."""
+    for cached in (
+        compat._decide,
+        char_quasi,
+        rootsys._weyl_elements,
+        ehrhart_closed_qp,
+        ehrhart_open_qp,
+    ):
+        assert cached.cache_info().maxsize is not None
     d4 = build_root_system("D", 4)
     full = range(len(d4.positive_roots))
     compat._decide.cache_clear()

@@ -1,5 +1,7 @@
 """Mark-weighted descent statistics and the subset Eulerian polynomials."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from weylq.eulerian import (
     generalized_eulerian,
     m_poly,
     omega_partition,
-    profiles_over_weyl,
+    profile_counts,
 )
 from weylq.quasipoly import RationalPolynomial
 from weylq.rootsys import (
@@ -76,7 +78,7 @@ def test_profile_sum_rule(family, rank):
     rs = build_root_system(family, rank)
     h = rs.coxeter_number
     for psi in enumerate_ideals(rs):
-        for p in profiles_over_weyl(rs, psi):
+        for p, _ in profile_counts(rs, psi):
             assert p.total == h
             for stat in (p.descent, p.descent_bar, p.ascent, p.ascent_bar):
                 assert 0 <= stat < h
@@ -263,6 +265,18 @@ def test_descent_profile_matches_matrix_action(case):
     assert descent_profile(rs, subset, w) == _reference_profile(rs, subset, w)
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=_element_and_subset())
+def test_profile_counts_match_per_element_profiles(case):
+    """The histogram counts the per-element classification, in a fixed
+    (increasing) order, and its counts add up to the group order."""
+    rs, _, subset = case
+    hist = profile_counts(rs, subset)
+    assert dict(hist) == Counter(descent_profile(rs, subset, w) for w in enumerate_weyl(rs))
+    assert list(hist) == sorted(hist)
+    assert sum(count for _, count in hist) == rs.weyl_order
+
+
 def test_word_and_table_profiles_agree():
     """An element built from its word classifies like its table entry."""
     rs = build_root_system("B", 3)
@@ -281,7 +295,7 @@ def test_cap_holds_on_cached_profiles():
     calls = (
         eulerian_poly,
         m_poly,
-        profiles_over_weyl,
+        profile_counts,
         is_compatible,
         lambda rs, psi, **cap: verify_genfunc(rs, psi, 60, **cap),
         lambda rs, psi, **cap: cqp_type1_formula(rs, psi, "symmetric", a=0, b=1, **cap),

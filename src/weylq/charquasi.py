@@ -4,8 +4,9 @@ An arrangement is a list of integer coefficient vectors, each carrying a
 set of forbidden offsets.  For a modulus q the complement count is the
 number of points of (Z/q)^rank avoiding every congruence; interpolating
 that count over a verified period yields the characteristic
-quasi-polynomial.  Subsets of a positive system enter through their
-coefficient vectors on the simple basis with offset 0.
+quasi-polynomial.  Subsets of a positive system need no counting: their
+quasi-polynomial is a combination of the alcove's open-face counts, with
+weights read from Weyl orbits of the faces' root sets (char_quasi_subset).
 """
 
 from __future__ import annotations
@@ -13,17 +14,31 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from weylq import kernels
+from weylq.ehrhart import open_face_qp
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
-from weylq.quasipoly import QuasiPolynomial, interpolate_qp
-from weylq.rootsys import RootSubset, RootSystem, normalize_subset
+from weylq.quasipoly import QuasiPolynomial, RationalPolynomial, fold_period, interpolate_qp
+from weylq.rootsys import (
+    RootSystem,
+    face_roots,
+    face_weyl_order,
+    normalize_subset,
+    root_set_orbit,
+)
 
 Vector = Tuple[int, ...]
 
-# Refuses large arrangements (E6 full has 36 vectors) up front, before counting hangs.
+# Refuses large counted arrangements (arrangements with offsets, or a
+# period override) up front, before counting hangs; B5 full with the
+# symmetric [0, 1] offsets has 25 vectors.
 MAX_PERIOD_VECTORS = 24
+
+# The face table keeps every member of every face orbit: E7 has 106,516
+# members, E8 about 7.3 million, so E8 is refused once this many are found.
+MAX_FACE_ORBIT_MEMBERS = 250_000
 
 
 @dataclass(frozen=True)
@@ -161,8 +176,8 @@ def lcm_period(spec: ArrangementSpec) -> int:
     in index order, up to rank rows, while their Smith normal form keeps a
     factor per row; each visited sublist costs one Smith normal form.
 
-    The search does not need the vector cap; the cap refuses arrangements
-    such as the 36 roots of E6 before their counting would hang.
+    The search does not need the vector cap; the cap refuses counted
+    arrangements of more than 24 vectors before their counting would hang.
     """
     vectors = tuple(vec for vec, _ in spec.items)
     if len(vectors) > MAX_PERIOD_VECTORS:
@@ -234,6 +249,73 @@ def char_quasi(
     return qp
 
 
+FaceTable = Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, ...], Fraction], ...]], ...]
+
+
+@functools.lru_cache(maxsize=4)
+def _face_table(rs: RootSystem) -> FaceTable:
+    """The faces of the alcove grouped by the W-orbit of their root sets:
+    per orbit, its member masks and, per multiset of off-face marks, the
+    weight |W| / (f * |orbit| * |W_J|) summed over the orbit's faces J."""
+    walls = rs.rank + 1
+    marks = (1,) + rs.marks
+    orbit_of: Dict[int, int] = {}
+    orbits: List[Tuple[int, ...]] = []
+    weights: List[Dict[Tuple[int, ...], Fraction]] = []
+    for bits in range((1 << walls) - 1):
+        face = [i for i in range(walls) if bits >> i & 1]
+        mask = sum(1 << k for k in face_roots(rs, face))
+        if mask not in orbit_of:
+            orbit = root_set_orbit(rs, mask, MAX_FACE_ORBIT_MEMBERS - len(orbit_of))
+            if len(orbit_of) + len(orbit) > MAX_FACE_ORBIT_MEMBERS:
+                raise ResourceCapError(
+                    f"the face orbits of {rs.family}{rs.rank} exceed the cap of "
+                    f"{MAX_FACE_ORBIT_MEMBERS} members"
+                )
+            orbit_of.update((m, len(orbits)) for m in orbit)
+            orbits.append(orbit)
+            weights.append({})
+        k = orbit_of[mask]
+        key = tuple(sorted(marks[i] for i in range(walls) if not bits >> i & 1))
+        weight = Fraction(
+            rs.weyl_order,
+            rs.index_of_connection * len(orbits[k]) * face_weyl_order(rs, face),
+        )
+        weights[k][key] = weights[k].get(key, 0) + weight
+    return tuple(zip(orbits, (tuple(sorted(w.items())) for w in weights)))
+
+
 def char_quasi_subset(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
-    """Characteristic quasi-polynomial of a subset of the positive system."""
-    return char_quasi(from_root_subset(rs, subset))
+    """Characteristic quasi-polynomial of a subset of the positive system,
+    over its minimal period, from the faces of the alcove.
+
+    A point of the q-dilated closed alcove on the open face J has
+    |W| / |W_J| images under W modulo q times the coroot lattice, and its
+    image under w avoids the subset's hyperplanes exactly when w maps the
+    face's roots (face_roots, up to sign) off the subset.  Counting those w by the W-orbit of the face's
+    root set, and dividing by the index of connection f to pass to the
+    coweight lattice mod q, gives (Yoshinaga, Tohoku Math. J. 2018)
+
+        chi(q) = (1/f) sum_J (|W| / |O_J|) #{S in O_J : S misses the subset}
+                 / |W_J| * F_J(q),
+
+    with F_J the open-face count, which depends only on the off-face marks.
+    The sum has period lcm(marks), folded down to the minimal period.
+    """
+    avoided = sum(1 << k for k in normalize_subset(rs, subset))
+    coeffs: Dict[Tuple[int, ...], Fraction] = {}
+    for orbit, weights in _face_table(rs):
+        free = sum(1 for m in orbit if not m & avoided)
+        if free:
+            for key, weight in weights:
+                coeffs[key] = coeffs.get(key, 0) + free * weight
+    period = math.lcm(*rs.marks)
+    sums = [[Fraction(0)] * (rs.rank + 1) for _ in range(period)]
+    for key, c in coeffs.items():
+        face = open_face_qp(key)
+        for k, row in enumerate(sums, 1):
+            for d, a in enumerate(face.constituent_for(k).coeffs):
+                row[d] += c * a
+    return fold_period(
+        QuasiPolynomial(period, tuple(RationalPolynomial(row) for row in sums))
+    )

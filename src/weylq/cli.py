@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from weylq.charquasi import char_quasi, from_root_subset
+from weylq.charquasi import char_quasi, char_quasi_subset, from_root_subset
 from weylq.compat import is_compatible, verify_genfunc
 from weylq.deform import (
     cqp_type1_formula,
@@ -254,9 +254,11 @@ def _cmd_info(args, rs: RootSystem):
 
 def _cmd_char_quasi(args, rs: RootSystem):
     psi = parse_subset(rs, args.subset)
-    qp = char_quasi(from_root_subset(rs, psi), period_override=args.period_override)
     echo = {"subset": args.subset}
-    if args.period_override is not None:
+    if args.period_override is None:
+        qp = char_quasi_subset(rs, psi)
+    else:
+        qp = char_quasi(from_root_subset(rs, psi), period_override=args.period_override)
         echo["period_override"] = args.period_override
     return _qp_lines(qp), qp_to_json(qp), echo
 

@@ -12,7 +12,7 @@ import functools
 import math
 from typing import Iterable, NamedTuple, Optional, Tuple
 
-from weylq.charquasi import char_quasi, from_root_subset
+from weylq.charquasi import char_quasi_subset
 from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import InconsistencyError, ValidationError
 from weylq.eulerian import eulerian_poly
@@ -60,7 +60,7 @@ def shift_formula_qp(
 # the same cap already passed for that system.
 @functools.lru_cache(maxsize=4)
 def _decide(rs: RootSystem, psi: RootSubset, cap: int) -> CompatResult:
-    chi = char_quasi(from_root_subset(rs, psi))
+    chi = char_quasi_subset(rs, psi)
     formula = shift_formula_qp(rs, psi, cap)
     if qp_equal(chi, formula):
         return CompatResult(True, None)
@@ -86,7 +86,7 @@ def defect_qp(
 ) -> QuasiPolynomial:
     """Shift formula minus characteristic quasi-polynomial."""
     psi = normalize_subset(rs, subset)
-    return qp_sub(shift_formula_qp(rs, psi, cap), char_quasi(from_root_subset(rs, psi)))
+    return qp_sub(shift_formula_qp(rs, psi, cap), char_quasi_subset(rs, psi))
 
 
 def verify_genfunc(
@@ -101,7 +101,7 @@ def verify_genfunc(
         )
     check_weyl_cap(rs, cap)
     psi = normalize_subset(rs, subset)
-    lhs = series_of_qp(char_quasi(from_root_subset(rs, psi)), order)
+    lhs = series_of_qp(char_quasi_subset(rs, psi), order)
     rhs = expand_rational_series(
         eulerian_poly(rs, psi, cap), (1,) + tuple(rs.marks), order
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from weylq.errors import DomainError, ValidationError
 from weylq.quasipoly import QuasiPolynomial, interpolate_qp
@@ -25,11 +25,10 @@ def _check_q(q: int, minimum: int) -> None:
         raise ValidationError(f"dilation must be at least {minimum}, got {q}")
 
 
-def _sum_counts(weights: Sequence[int], lows: Sequence[int], limit: int) -> int:
-    """Number of integer vectors z with z[i] >= lows[i] and
-    sum weights[i] * z[i] <= limit, by one knapsack pass per coordinate."""
-    if limit < 0:
-        return 0
+def _exact_counts(weights: Sequence[int], lows: Sequence[int], limit: int) -> List[int]:
+    """Entry s, for s = 0..limit, is the number of integer vectors z with
+    z[i] >= lows[i] and sum weights[i] * z[i] == s, by one knapsack pass
+    per coordinate."""
     dp = [0] * (limit + 1)
     dp[0] = 1
     for c, low in zip(weights, lows):
@@ -40,7 +39,15 @@ def _sum_counts(weights: Sequence[int], lows: Sequence[int], limit: int) -> int:
             if s >= c:
                 new[s] += new[s - c]
         dp = new
-    return sum(dp)
+    return dp
+
+
+def _sum_counts(weights: Sequence[int], lows: Sequence[int], limit: int) -> int:
+    """Number of integer vectors z with z[i] >= lows[i] and
+    sum weights[i] * z[i] <= limit."""
+    if limit < 0:
+        return 0
+    return sum(_exact_counts(weights, lows, limit))
 
 
 def count_closed(rs: RootSystem, q: int) -> int:
@@ -72,6 +79,24 @@ def ehrhart_closed_qp(rs: RootSystem) -> QuasiPolynomial:
 def ehrhart_open_qp(rs: RootSystem) -> QuasiPolynomial:
     """Quasi-polynomial of count_open, period lcm of the marks."""
     return _alcove_qp(rs, closed=False)
+
+
+# Keyed by a sorted tuple of marks, so systems with equal extended marks
+# (B4 and C4) share entries; E8, the largest system, has 215 distinct keys.
+@functools.lru_cache(maxsize=256)
+def open_face_qp(marks: Tuple[int, ...]) -> QuasiPolynomial:
+    """Points of an open face of the q-dilated alcove whose off-face walls
+    carry these marks (the affine wall carries 1): the vectors z >= 1 with
+    sum marks[i] * z[i] == q.
+
+    The count depends only on the multiset of marks, has period their lcm
+    and degree one less than their number, and is read from one knapsack
+    table that reaches every interpolation sample.
+    """
+    period = math.lcm(*marks)
+    degree = len(marks) - 1
+    counts = _exact_counts(marks, (1,) * len(marks), (degree + 3) * period)
+    return interpolate_qp(counts.__getitem__, period, degree)
 
 
 def _facet_marks(rs: RootSystem) -> Tuple[int, ...]:

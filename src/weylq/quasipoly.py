@@ -209,6 +209,20 @@ def normalize_period(qp: QuasiPolynomial, new_period: int) -> QuasiPolynomial:
     )
 
 
+def fold_period(qp: QuasiPolynomial) -> QuasiPolynomial:
+    """The same quasi-polynomial over its minimal period: the least
+    divisor d of the period for which residues d apart share a constituent
+    (the periods of a function on the integers are the multiples of the
+    least one)."""
+    cs = qp.constituents
+    d = next(
+        d
+        for d in range(1, qp.period + 1)
+        if qp.period % d == 0 and all(cs[k] == cs[k - d] for k in range(d, qp.period))
+    )
+    return QuasiPolynomial(d, cs[:d])
+
+
 def qp_equal(a: QuasiPolynomial, b: QuasiPolynomial) -> bool:
     """Exact equality as functions on the integers."""
     common = math.lcm(a.period, b.period)

@@ -437,6 +437,134 @@ def weyl_act(rs: RootSystem, w: WeylElement, v: Vector) -> Vector:
     )
 
 
+def face_roots(rs: RootSystem, face: Iterable[int]) -> RootSubset:
+    """Positive roots that take integer values on the open face of the
+    alcove cut out by the given walls (wall 0 is the affine one): those
+    whose coefficients vanish off the face and, when wall 0 is among the
+    walls, those whose coefficients equal the marks off the face.  They are
+    the roots of the face's stabiliser.  The face must omit some wall.
+    """
+    walls = set(face)
+    if not walls < set(range(rs.rank + 1)):
+        raise ValidationError(f"a face omits some of the walls 0..{rs.rank}")
+    off = [i for i in range(rs.rank) if i + 1 not in walls]
+    return tuple(
+        k
+        for k, root in enumerate(rs.positive_roots)
+        if all(root[i] == 0 for i in off)
+        or (0 in walls and all(root[i] == rs.marks[i] for i in off))
+    )
+
+
+def _component_order(rank: int, roots: int, laced: bool) -> int:
+    """Weyl group order of an irreducible root system; its rank, number of
+    positive roots and lacing fix its type (B and C share an order)."""
+    if laced:
+        counts = {
+            "A": rank * (rank + 1) // 2,
+            "D": rank * (rank - 1),
+            "E": {6: 36, 7: 63, 8: 120}.get(rank),
+        }
+    else:
+        counts = {
+            "B": rank * rank,
+            "F": 24 if rank == 4 else None,
+            "G": 6 if rank == 2 else None,
+        }
+    for family, count in counts.items():
+        if count == roots:
+            return _weyl_order(family, rank)
+    raise InconsistencyError(f"no irreducible type of rank {rank} has {roots} positive roots")
+
+
+def face_weyl_order(rs: RootSystem, face: Iterable[int]) -> int:
+    """Order of the stabiliser of the open face: the Weyl group of the
+    walls' subdiagram of the extended Dynkin diagram, read off the types
+    of its components.
+
+    The walls' roots (minus the highest root for wall 0) are a base of
+    face_roots.  A root's support in that base is connected, so the
+    supports join the walls into the components: a root with zero
+    coefficients off the face is supported on its nonzero simple
+    coordinates, and one with the marks off the face is minus wall 0 minus
+    the walls where it falls short of the marks.
+    """
+    walls = sorted(set(face))
+    roots = face_roots(rs, walls)
+    # a face root is nonzero at an off-face coordinate only if it has the marks there
+    off = next((i for i in range(rs.rank) if i + 1 not in walls), None)
+    parent = {w: w for w in walls}
+
+    def find(w: int) -> int:
+        while parent[w] != w:
+            w = parent[w]
+        return w
+
+    supports = []
+    for k in roots:
+        root = rs.positive_roots[k]
+        if off is not None and root[off]:
+            support = [0] + [i + 1 for i in range(rs.rank) if root[i] < rs.marks[i]]
+        else:
+            support = [i + 1 for i in range(rs.rank) if root[i]]
+        supports.append(support)
+        for w in support[1:]:
+            parent[find(w)] = find(support[0])
+    norms = {0: Fraction(2)}  # wall 0 is minus the highest root, a long root
+    norms.update((i + 1, rs.gram[i][i]) for i in range(rs.rank))
+    order = 1
+    for top in {find(w) for w in walls}:
+        nodes = [w for w in walls if find(w) == top]
+        count = sum(1 for s in supports if find(s[0]) == top)
+        laced = len({norms[w] for w in nodes}) == 1
+        order *= _component_order(len(nodes), count, laced)
+    return order
+
+
+@functools.lru_cache(maxsize=8)
+def _mask_reflections(rs: RootSystem) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """Each simple reflection acting on sets of roots up to sign, given as
+    bitmasks over the positive-root indices: for every byte of a mask, a
+    table from the byte's value to the image of its bits."""
+    n = len(rs.positive_roots)
+    out = []
+    for perm in _reflection_permutations(rs):
+        image = [1 << (perm[i] % n) for i in range(n)]
+        chunks = []
+        for lo in range(0, n, 8):
+            bits = image[lo:lo + 8]
+            table = [0] * (1 << len(bits))
+            for b in range(1, len(table)):
+                low = b & -b
+                table[b] = table[b ^ low] | bits[low.bit_length() - 1]
+            chunks.append(tuple(table))
+        out.append(tuple(chunks))
+    return tuple(out)
+
+
+def root_set_orbit(rs: RootSystem, mask: int, limit: int) -> Tuple[int, ...]:
+    """The Weyl orbit of a set of roots taken up to sign, as bitmasks over
+    the positive-root indices (bit i for root i), by breadth-first closure
+    under the simple reflections; the given mask comes first.  The closure
+    stops as soon as it holds more than limit members."""
+    gens = _mask_reflections(rs)
+    seen = {mask}
+    order = [mask]
+    for m in order:
+        if len(order) > limit:
+            break
+        for chunks in gens:
+            image = 0
+            shift = 0
+            for table in chunks:
+                image |= table[(m >> shift) & 255]
+                shift += 8
+            if image not in seen:
+                seen.add(image)
+                order.append(image)
+    return tuple(order)
+
+
 def poset_leq(a: Vector, b: Vector) -> bool:
     """Componentwise order on coefficient vectors (the root poset order)."""
     if len(a) != len(b):

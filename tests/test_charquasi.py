@@ -20,7 +20,7 @@ from weylq.charquasi import (
 )
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
 from weylq.quasipoly import RationalPolynomial, evaluate_qp, qp_equal
-from weylq.rootsys import build_root_system
+from weylq.rootsys import build_root_system, enumerate_ideals
 
 
 @pytest.fixture(scope="module")
@@ -310,3 +310,60 @@ def test_char_quasi_random_subsets_match_counts(subset):
     spec = from_root_subset(rs, tuple(subset))
     for q in range(1, 13):
         assert evaluate_qp(qp, q) == count_complement(spec, q)
+
+
+# The face formula against counting: two independent routes to chi.
+
+FACE_SYSTEMS = [("G", 2), ("B", 3), ("C", 3), ("A", 4), ("B", 4), ("C", 4), ("D", 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_face_formula_matches_counting(data):
+    family, rank = data.draw(st.sampled_from(FACE_SYSTEMS))
+    rs = build_root_system(family, rank)
+    n = len(rs.positive_roots)
+    subset = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
+    faces = char_quasi_subset(rs, subset)
+    counted = char_quasi(from_root_subset(rs, subset))
+    assert qp_equal(faces, counted)
+    assert faces.period == counted.period
+
+
+@pytest.mark.parametrize(
+    "subset",
+    [
+        (1, 2, 4, 10, 12, 20),
+        (1, 2, 3, 6, 11, 16, 17, 18, 19, 23),
+        (0, 1, 2, 3, 7, 9, 10, 12, 13, 14, 17, 21, 22, 23),
+    ],
+)
+def test_face_formula_matches_counting_f4(subset):
+    rs = build_root_system("F", 4)
+    faces = char_quasi_subset(rs, subset)
+    counted = char_quasi(from_root_subset(rs, subset))
+    assert qp_equal(faces, counted)
+    assert faces.period == counted.period
+
+
+@pytest.mark.parametrize("family, rank", FACE_SYSTEMS)
+def test_ideal_periods_fold_to_lcm_period(family, rank):
+    """On every ideal the minimal period is the lcm period: no collapse."""
+    rs = build_root_system(family, rank)
+    for ideal in enumerate_ideals(rs):
+        assert char_quasi_subset(rs, ideal).period == lcm_period(
+            from_root_subset(rs, ideal)
+        ), ideal
+
+
+def test_face_formula_validates_the_subset(g2):
+    with pytest.raises(ValidationError):
+        char_quasi_subset(g2, (6,))
+
+
+def test_face_caches_are_bounded():
+    from weylq import charquasi, rootsys
+    from weylq.ehrhart import open_face_qp
+
+    for cached in (charquasi._face_table, open_face_qp, rootsys._mask_reflections):
+        assert cached.cache_info().maxsize is not None

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, output shapes, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -366,10 +367,12 @@ def test_weyl_cap_refuses_before_counting(capsys, monkeypatch, command, family, 
 
 
 def test_exit_code_period_search_cap(capsys):
-    """The other refusal: E6 full has 36 coefficient vectors, over the
-    period-search cap, and is refused before any counting."""
+    """The other refusal, which only arrangements with offsets still meet:
+    the symmetric [0, 1] deformation of B5 full has 25 coefficient vectors,
+    over the period-search cap, and is refused before any counting."""
     code, out, err = run_main(
-        capsys, "char-quasi", "--type", "E", "--rank", "6", "--subset", "full"
+        capsys, "verify", "--type", "B", "--rank", "5", "--subset", "full",
+        "--variant", "symmetric", "--interval=0:1",
     )
     assert code == 3
     assert out == ""
@@ -415,3 +418,49 @@ def test_byte_determinism():
     second = run_proc(*argv)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_e6_full_char_quasi(capsys):
+    """E6 full answers in process, over period 6; on the residues prime to
+    6 its constituent is the product of (q - e) over the exponents."""
+    code, out, err = run_main(
+        capsys, "char-quasi", "--type", "E", "--rank", "6", "--subset", "full", "--json"
+    )
+    assert (code, err) == (0, "")
+    qp = qp_from_json(json.loads(out)["result"])
+    assert qp.period == 6
+    product = RationalPolynomial((1,))
+    for e in (1, 4, 5, 7, 8, 11):
+        product = product * RationalPolynomial((-e, 1))
+    assert qp.constituents[0] == product
+    assert qp.constituents[4] == product
+
+
+REPO_DIR = os.path.dirname(SRC_DIR)
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+def test_benchmark_sweeps_match_pinned_digests(capsys, family):
+    """The compat-sweep workload's answers, digested as the benchmark
+    digests them, equal the pinned ones, so a wrong face coefficient fails
+    here as well as in the benchmark."""
+    code, out, err = run_main(
+        capsys, "compat", "--type", family, "--rank", "4", "--subset", "ideal-all", "--json"
+    )
+    assert (code, err) == (0, "")
+    canon = json.dumps(json.loads(out)["result"], sort_keys=True, separators=(",", ":"))
+    with open(os.path.join(REPO_DIR, "perfbench", "expected.json")) as fh:
+        pinned = json.load(fh)
+    assert hashlib.sha256(canon.encode()).hexdigest() == pinned[f"compat-{family}4-ideal-all"]
+
+
+def test_exit_code_face_orbit_cap(capsys, monkeypatch):
+    """The face table refuses once its orbits outgrow the member cap (E8
+    full meets it; B4, with 161 members, stands in here)."""
+    monkeypatch.setattr(charquasi, "MAX_FACE_ORBIT_MEMBERS", 160)
+    charquasi._face_table.cache_clear()
+    code, out, err = run_main(
+        capsys, "char-quasi", "--type", "B", "--rank", "4", "--subset", "full"
+    )
+    assert (code, out) == (3, "")
+    assert "face orbits of B4 exceed the cap of 160 members" in err

@@ -1,5 +1,6 @@
 """Lattice point counts of dilated fundamental alcoves and wall removals."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -15,6 +16,7 @@ from weylq.ehrhart import (
     count_open,
     ehrhart_closed_qp,
     ehrhart_open_qp,
+    open_face_qp,
 )
 from weylq.quasipoly import RationalPolynomial, evaluate_qp, expand_rational_series, series_of_qp
 from weylq.rootsys import build_root_system
@@ -254,3 +256,26 @@ def test_minus_band_general_validation():
         count_minus_band_general(rs, 20, 7, (1, 2))
     with pytest.raises(DomainError):
         count_minus_band_general(rs, 6, 1, (1, 1))  # threshold is 2 * 3
+
+
+@pytest.mark.parametrize("marks", [(1,), (3,), (1, 1), (1, 2), (2, 3), (1, 2, 2), (1, 1, 2, 3)])
+def test_open_face_qp_matches_direct_count(marks):
+    """Vectors z >= 1 with sum of marks[i] * z[i] == q, by direct walk."""
+    qp = open_face_qp(marks)
+    assert qp.period == math.lcm(*marks)
+    for q in range(1, 25):
+        direct = sum(
+            1
+            for z in product(*(range(1, q // m + 1) for m in marks))
+            if sum(m * zi for m, zi in zip(marks, z)) == q
+        )
+        assert evaluate_qp(qp, q) == direct, (marks, q)
+
+
+def test_open_face_of_the_whole_alcove_is_the_open_count():
+    """The face with no walls is the open alcove, with the affine mark 1."""
+    for family, rank in TYPES:
+        rs = build_root_system(family, rank)
+        face = open_face_qp(tuple(sorted((1,) + rs.marks)))
+        for q in range(1, 16):
+            assert evaluate_qp(face, q) == count_open(rs, q)

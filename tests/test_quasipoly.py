@@ -16,6 +16,7 @@ from weylq.quasipoly import (
     evaluate_qp,
     expand_rational_series,
     first_constituent,
+    fold_period,
     from_polynomial,
     interpolate_qp,
     lagrange_polynomial,
@@ -258,3 +259,30 @@ def test_series_truncation_validation():
         SeriesTruncation(2, (Fraction(1),))
     with pytest.raises(ValidationError):
         series_of_qp(from_polynomial(poly(1)), -1)
+
+
+def test_fold_period():
+    a = RationalPolynomial((1, 2))
+    b = RationalPolynomial((0, 1))
+    folded = fold_period(QuasiPolynomial(6, (a, b, a, b, a, b)))
+    assert folded == QuasiPolynomial(2, (a, b))
+    assert fold_period(QuasiPolynomial(4, (a,) * 4)) == QuasiPolynomial(1, (a,))
+    # residues 1..3 and 4..6 differ in one class, so 6 stays minimal
+    whole = QuasiPolynomial(6, (a, b, a, b, a, a))
+    assert fold_period(whole) == whole
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.lists(st.integers(-2, 2), min_size=1, max_size=4),
+    repeats=st.integers(1, 4),
+)
+def test_fold_period_is_minimal(base, repeats):
+    """Folding a repeated pattern returns its least period and the same function."""
+    polys = tuple(RationalPolynomial((c, 1)) for c in base)
+    qp = QuasiPolynomial(len(polys) * repeats, polys * repeats)
+    folded = fold_period(qp)
+    assert qp_equal(folded, qp)
+    least = next(d for d in range(1, len(base) + 1)
+                 if all(base[k] == base[k % d] for k in range(len(base))) and len(base) % d == 0)
+    assert folded.period == least

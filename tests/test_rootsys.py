@@ -15,6 +15,8 @@ from weylq.rootsys import (
     enumerate_ideals,
     enumerate_weyl,
     extended_base_indices,
+    face_roots,
+    face_weyl_order,
     height,
     is_ideal,
     lower_closure,
@@ -445,3 +447,108 @@ def test_lower_closure_idempotent(indices):
     once = lower_closure(rs, indices)
     assert lower_closure(rs, once) == once
     assert is_ideal(rs, once)
+
+
+# Faces of the alcove: root sets, stabiliser orders and orbits.
+
+
+def _faces(rs):
+    walls = rs.rank + 1
+    for bits in range((1 << walls) - 1):
+        yield tuple(i for i in range(walls) if bits >> i & 1)
+
+
+def _form(rs, u, v):
+    return sum(u[i] * rs.gram[i][j] * v[j] for i in range(rs.rank) for j in range(rs.rank))
+
+
+def _reflection_group_order(rs, roots):
+    """Order of the group generated by the reflections in the given roots,
+    by closure on permutations of the signed roots."""
+    signed = signed_roots(rs)
+    lookup = {v: i for i, v in enumerate(signed)}
+    gens = []
+    for beta in roots:
+        norm = _form(rs, beta, beta)
+        perm = []
+        for v in signed:
+            pairing = 2 * _form(rs, v, beta) / norm
+            assert pairing.denominator == 1
+            perm.append(lookup[tuple(x - int(pairing) * b for x, b in zip(v, beta))])
+        gens.append(tuple(perm))
+    identity = tuple(range(len(signed)))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                prod = tuple(p[i] for i in g)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("G", 2), ("B", 3), ("C", 3), ("A", 4), ("D", 4), ("F", 4)]
+)
+def test_face_weyl_order_matches_reflection_closure(family, rank):
+    rs = build_root_system(family, rank)
+    for face in _faces(rs):
+        roots = [rs.positive_roots[k] for k in face_roots(rs, face)]
+        assert face_weyl_order(rs, face) == _reflection_group_order(rs, roots), face
+
+
+def test_face_roots_extremes(g2):
+    assert face_roots(g2, ()) == ()
+    assert face_roots(g2, (1, 2)) == tuple(range(6))
+    assert face_roots(g2, (0,)) == (g2.highest_root_index,)
+    # wall 0 with the short simple root (1,0), root 1: the highest root
+    # and that root, orthogonal to each other (A1 x A1)
+    assert face_roots(g2, (0, 1)) == (1, g2.highest_root_index)
+    assert face_weyl_order(g2, (0, 1)) == 4
+    with pytest.raises(ValidationError):
+        face_roots(g2, (0, 1, 2))
+    with pytest.raises(ValidationError):
+        face_roots(g2, (3,))
+
+
+@pytest.mark.parametrize("family, rank", SMALL + [("F", 4)])
+def test_root_set_orbit_of_one_root(family, rank):
+    """The orbit of a single root, up to sign, is every positive root of
+    its length."""
+    rs = build_root_system(family, rank)
+    for k, root in enumerate(rs.positive_roots):
+        length = classify_length(rs, root)
+        same = {
+            1 << j for j, other in enumerate(rs.positive_roots)
+            if classify_length(rs, other) == length
+        }
+        orbit = rootsys.root_set_orbit(rs, 1 << k, len(rs.positive_roots))
+        assert orbit[0] == 1 << k
+        assert len(orbit) == len(set(orbit))
+        assert set(orbit) == same
+
+
+def test_root_set_orbit_matches_group_action(g2):
+    """Orbits of root sets agree with applying every group element."""
+    signed = signed_roots(g2)
+    n = len(g2.positive_roots)
+    lookup = {v: i % n for i, v in enumerate(signed)}
+    for mask in range(1 << n):
+        members = [k for k in range(n) if mask >> k & 1]
+        expected = {
+            sum(1 << lookup[weyl_act(g2, w, g2.positive_roots[k])] for k in members)
+            for w in enumerate_weyl(g2)
+        }
+        assert set(rootsys.root_set_orbit(g2, mask, 12)) == expected
+
+
+def test_root_set_orbit_stops_past_the_limit():
+    rs = build_root_system("B", 3)
+    whole = rootsys.root_set_orbit(rs, 1, len(rs.positive_roots))
+    assert len(whole) == 3  # root 0 is short, and B3 has three short positive roots
+    cut = rootsys.root_set_orbit(rs, 1, 1)
+    assert cut == whole[:2]

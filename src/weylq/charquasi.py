@@ -4,9 +4,10 @@ An arrangement is a list of integer coefficient vectors, each carrying a
 set of forbidden offsets.  For a modulus q the complement count is the
 number of points of (Z/q)^rank avoiding every congruence; interpolating
 that count over a verified period yields the characteristic
-quasi-polynomial.  Subsets of a positive system need no counting: their
-quasi-polynomial is a combination of the alcove's open-face counts, with
-weights read from Weyl orbits of the faces' root sets (char_quasi_subset).
+quasi-polynomial.  Subsets of a positive system mostly need no counting:
+their quasi-polynomial is a combination of the alcove's open-face counts,
+with weights read from Weyl orbits of the faces' root sets
+(char_quasi_faces); char_quasi_subset picks that route or counting.
 """
 
 from __future__ import annotations
@@ -31,14 +32,26 @@ from weylq.rootsys import (
 
 Vector = Tuple[int, ...]
 
-# Refuses large counted arrangements (arrangements with offsets, or a
-# period override) up front, before counting hangs; B5 full with the
-# symmetric [0, 1] offsets has 25 vectors.
+# Refuses large counted arrangements (arrangements with offsets, a period
+# override, or root subsets of systems too large for the face table) up
+# front, before counting hangs; B5 full with the symmetric [0, 1] offsets
+# has 25 vectors.
 MAX_PERIOD_VECTORS = 24
 
-# The face table keeps every member of every face orbit: E7 has 106,516
-# members, E8 about 7.3 million, so E8 is refused once this many are found.
-MAX_FACE_ORBIT_MEMBERS = 250_000
+# The face table keeps every member of every face orbit, and their number
+# grows with |W|: D8 (|W| = 5,160,960) has 156,645 members, built in about
+# 1.4 s, and E7 106,516, while B8 (|W| = 10,321,920) passes 250,000 and E8
+# has about 7.3 million.  Root subsets of systems whose Weyl group is
+# larger are counted, as arrangements with offsets are.
+MAX_FACE_WEYL_ORDER = 6_000_000
+
+# Building the face table, with its open-face interpolations, takes about
+# as long as a period search over |W| / 50 sublists (E6 0.08 s, E7 1.7 s),
+# and a search over n vectors visits at most 2^n of them.  A subset with
+# 2^n <= |W| / COUNT_FIRST_SHARE has its period searched first and is
+# counted when that period is 1: the count is then a polynomial, read
+# from the samples q = 1..rank + 1.
+COUNT_FIRST_SHARE = 100
 
 
 @dataclass(frozen=True)
@@ -165,6 +178,7 @@ def smith_invariants(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=4)
 def lcm_period(spec: ArrangementSpec) -> int:
     """Least common multiple, over every sublist J of the distinct
     coefficient vectors, of the exponent (largest invariant factor) of the
@@ -266,12 +280,7 @@ def _face_table(rs: RootSystem) -> FaceTable:
         face = [i for i in range(walls) if bits >> i & 1]
         mask = sum(1 << k for k in face_roots(rs, face))
         if mask not in orbit_of:
-            orbit = root_set_orbit(rs, mask, MAX_FACE_ORBIT_MEMBERS - len(orbit_of))
-            if len(orbit_of) + len(orbit) > MAX_FACE_ORBIT_MEMBERS:
-                raise ResourceCapError(
-                    f"the face orbits of {rs.family}{rs.rank} exceed the cap of "
-                    f"{MAX_FACE_ORBIT_MEMBERS} members"
-                )
+            orbit = root_set_orbit(rs, mask)
             orbit_of.update((m, len(orbits)) for m in orbit)
             orbits.append(orbit)
             weights.append({})
@@ -287,14 +296,34 @@ def _face_table(rs: RootSystem) -> FaceTable:
 
 def char_quasi_subset(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
     """Characteristic quasi-polynomial of a subset of the positive system,
+    over its minimal period.
+
+    The face formula (char_quasi_faces) answers, except where counting is
+    cheaper or the only route: subsets small enough for a short period
+    search (COUNT_FIRST_SHARE) whose period is 1, and every subset of a
+    system whose face table would be too large (MAX_FACE_WEYL_ORDER),
+    which meets the counting route's vector cap instead.
+    """
+    psi = normalize_subset(rs, subset)
+    spec = from_root_subset(rs, psi)
+    if rs.weyl_order > MAX_FACE_WEYL_ORDER or (
+        COUNT_FIRST_SHARE << len(psi) <= rs.weyl_order and lcm_period(spec) == 1
+    ):
+        return fold_period(char_quasi(spec))
+    return char_quasi_faces(rs, psi)
+
+
+def char_quasi_faces(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
+    """Characteristic quasi-polynomial of a subset of the positive system,
     over its minimal period, from the faces of the alcove.
 
     A point of the q-dilated closed alcove on the open face J has
     |W| / |W_J| images under W modulo q times the coroot lattice, and its
     image under w avoids the subset's hyperplanes exactly when w maps the
-    face's roots (face_roots, up to sign) off the subset.  Counting those w by the W-orbit of the face's
-    root set, and dividing by the index of connection f to pass to the
-    coweight lattice mod q, gives (Yoshinaga, Tohoku Math. J. 2018)
+    face's roots (face_roots, up to sign) off the subset.  Counting those w
+    by the W-orbit of the face's root set, and dividing by the index of
+    connection f to pass to the coweight lattice mod q, gives (Yoshinaga,
+    Tohoku Math. J. 2018)
 
         chi(q) = (1/f) sum_J (|W| / |O_J|) #{S in O_J : S misses the subset}
                  / |W_J| * F_J(q),

@@ -63,22 +63,17 @@ def count_open(rs: RootSystem, q: int) -> int:
     return _sum_counts(rs.marks, (1,) * rs.rank, q - 1)
 
 
-def _alcove_qp(rs: RootSystem, closed: bool) -> QuasiPolynomial:
-    period = math.lcm(*rs.marks)
-    counter = count_closed if closed else count_open
-    return interpolate_qp(lambda q: counter(rs, q), period, rs.rank)
-
-
 @functools.lru_cache(maxsize=4)
 def ehrhart_closed_qp(rs: RootSystem) -> QuasiPolynomial:
     """Quasi-polynomial of count_closed, period lcm of the marks."""
-    return _alcove_qp(rs, closed=True)
+    return interpolate_qp(lambda q: count_closed(rs, q), math.lcm(*rs.marks), rs.rank)
 
 
 @functools.lru_cache(maxsize=4)
 def ehrhart_open_qp(rs: RootSystem) -> QuasiPolynomial:
-    """Quasi-polynomial of count_open, period lcm of the marks."""
-    return _alcove_qp(rs, closed=False)
+    """Quasi-polynomial of count_open, period lcm of the marks: the open
+    face of the alcove with every wall off it."""
+    return open_face_qp(tuple(sorted(_facet_marks(rs))))
 
 
 # Keyed by a sorted tuple of marks, so systems with equal extended marks

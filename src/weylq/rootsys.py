@@ -542,17 +542,14 @@ def _mask_reflections(rs: RootSystem) -> Tuple[Tuple[Tuple[int, ...], ...], ...]
     return tuple(out)
 
 
-def root_set_orbit(rs: RootSystem, mask: int, limit: int) -> Tuple[int, ...]:
+def root_set_orbit(rs: RootSystem, mask: int) -> Tuple[int, ...]:
     """The Weyl orbit of a set of roots taken up to sign, as bitmasks over
     the positive-root indices (bit i for root i), by breadth-first closure
-    under the simple reflections; the given mask comes first.  The closure
-    stops as soon as it holds more than limit members."""
+    under the simple reflections; the given mask comes first."""
     gens = _mask_reflections(rs)
     seen = {mask}
     order = [mask]
     for m in order:
-        if len(order) > limit:
-            break
         for chunks in gens:
             image = 0
             shift = 0

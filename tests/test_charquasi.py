@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylq import charquasi
 from weylq.charquasi import (
     MAX_PERIOD_VECTORS,
     char_quasi,
+    char_quasi_faces,
     char_quasi_subset,
     count_complement,
     default_min_q,
@@ -19,7 +21,7 @@ from weylq.charquasi import (
     smith_invariants,
 )
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
-from weylq.quasipoly import RationalPolynomial, evaluate_qp, qp_equal
+from weylq.quasipoly import RationalPolynomial, evaluate_qp, from_polynomial, qp_equal
 from weylq.rootsys import build_root_system, enumerate_ideals
 
 
@@ -324,7 +326,7 @@ def test_face_formula_matches_counting(data):
     rs = build_root_system(family, rank)
     n = len(rs.positive_roots)
     subset = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
-    faces = char_quasi_subset(rs, subset)
+    faces = char_quasi_faces(rs, subset)
     counted = char_quasi(from_root_subset(rs, subset))
     assert qp_equal(faces, counted)
     assert faces.period == counted.period
@@ -340,7 +342,7 @@ def test_face_formula_matches_counting(data):
 )
 def test_face_formula_matches_counting_f4(subset):
     rs = build_root_system("F", 4)
-    faces = char_quasi_subset(rs, subset)
+    faces = char_quasi_faces(rs, subset)
     counted = char_quasi(from_root_subset(rs, subset))
     assert qp_equal(faces, counted)
     assert faces.period == counted.period
@@ -351,7 +353,7 @@ def test_ideal_periods_fold_to_lcm_period(family, rank):
     """On every ideal the minimal period is the lcm period: no collapse."""
     rs = build_root_system(family, rank)
     for ideal in enumerate_ideals(rs):
-        assert char_quasi_subset(rs, ideal).period == lcm_period(
+        assert char_quasi_faces(rs, ideal).period == lcm_period(
             from_root_subset(rs, ideal)
         ), ideal
 
@@ -361,9 +363,37 @@ def test_face_formula_validates_the_subset(g2):
         char_quasi_subset(g2, (6,))
 
 
-def test_face_caches_are_bounded():
-    from weylq import charquasi, rootsys
-    from weylq.ehrhart import open_face_qp
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_short_searches_of_period_one_are_counted(data):
+    """E6 subsets of at most 9 roots (100 * 2^9 <= |W| = 51,840) have their
+    period searched first; those of period 1 are counted, and both routes
+    agree with the face formula, period included."""
+    rs = build_root_system("E", 6)
+    n = len(rs.positive_roots)
+    subset = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=9))))
+    routed = char_quasi_subset(rs, subset)
+    faces = char_quasi_faces(rs, subset)
+    assert qp_equal(routed, faces)
+    assert routed.period == faces.period
 
-    for cached in (charquasi._face_table, open_face_qp, rootsys._mask_reflections):
-        assert cached.cache_info().maxsize is not None
+
+def test_large_systems_and_short_searches_skip_the_face_table(monkeypatch, g2):
+    """Systems past MAX_FACE_WEYL_ORDER are counted (E8, and G2 with the
+    bound lowered below its |W| = 12), and so is a single E7 root, a short
+    search of period 1.  None of them builds a face table."""
+
+    def refuse(rs):
+        raise AssertionError(f"face table built for {rs}")
+
+    monkeypatch.setattr(charquasi, "_face_table", refuse)
+    e8 = build_root_system("E", 8)
+    assert char_quasi_subset(e8, ()) == from_polynomial(RationalPolynomial.monomial(8))
+    monkeypatch.setattr(charquasi, "MAX_FACE_WEYL_ORDER", 11)
+    full = char_quasi_subset(g2, range(6))
+    assert full.period == 6
+    assert full.constituents[0].format("q") == "q^2 - 6q + 5"
+    e7 = build_root_system("E", 7)
+    one_root = char_quasi_subset(e7, (0,))
+    assert one_root.period == 1
+    assert one_root.constituents[0] == RationalPolynomial((0,) * 6 + (-1, 1))

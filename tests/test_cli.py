@@ -454,13 +454,19 @@ def test_benchmark_sweeps_match_pinned_digests(capsys, family):
     assert hashlib.sha256(canon.encode()).hexdigest() == pinned[f"compat-{family}4-ideal-all"]
 
 
-def test_exit_code_face_orbit_cap(capsys, monkeypatch):
-    """The face table refuses once its orbits outgrow the member cap (E8
-    full meets it; B4, with 161 members, stands in here)."""
-    monkeypatch.setattr(charquasi, "MAX_FACE_ORBIT_MEMBERS", 160)
-    charquasi._face_table.cache_clear()
+@pytest.mark.parametrize(
+    "subset, constituent",
+    [
+        ("empty", "q^8"),
+        ("ideal:(1,0,1,1,0,0,0,0)", "q^8 - 6q^7 + 11q^6 - 6q^5"),
+    ],
+)
+def test_e8_small_subsets_are_counted(capsys, subset, constituent):
+    """E8's face table is too large, so its subsets are counted: the empty
+    set, and the six roots below alpha_1 + alpha_3 + alpha_4, an A3 whose
+    polynomial q(q - 1)(q - 2)(q - 3) gains q^4 from the free coordinates."""
     code, out, err = run_main(
-        capsys, "char-quasi", "--type", "B", "--rank", "4", "--subset", "full"
+        capsys, "char-quasi", "--type", "E", "--rank", "8", "--subset", subset
     )
-    assert (code, out) == (3, "")
-    assert "face orbits of B4 exceed the cap of 160 members" in err
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["period: 1", f"residue 1: {constituent}"]

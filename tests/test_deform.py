@@ -8,10 +8,10 @@ counterexample test pins the failing polynomials themselves.
 
 import pytest
 
-from weylq import compat, rootsys
+from weylq import charquasi, compat, rootsys
 from weylq.charquasi import char_quasi, from_root_subset
 from weylq.deform import cqp_type1_formula, cqp_type2_formula, type1_spec, type2_spec, verify_deform
-from weylq.ehrhart import ehrhart_closed_qp, ehrhart_open_qp
+from weylq.ehrhart import ehrhart_closed_qp, ehrhart_open_qp, open_face_qp
 from weylq.errors import ValidationError
 from weylq.eulerian import m_poly
 from weylq.quasipoly import (
@@ -234,10 +234,15 @@ def test_formula_requires_compatible_subset(g2):
 
 def test_formulas_share_one_bounded_decision():
     """Two intervals on one subset decide its compatibility once; the
-    decision, char_quasi, Weyl-group and alcove caches are bounded."""
+    decision, counting, face-table, Weyl-group and alcove caches are
+    bounded."""
     for cached in (
         compat._decide,
         char_quasi,
+        charquasi.lcm_period,
+        charquasi._face_table,
+        open_face_qp,
+        rootsys._mask_reflections,
         rootsys._weyl_elements,
         ehrhart_closed_qp,
         ehrhart_open_qp,

@@ -232,9 +232,7 @@ def default_min_q(spec: ArrangementSpec) -> int:
 
 @functools.lru_cache(maxsize=4)
 def char_quasi(
-    spec: ArrangementSpec,
-    period_override: int | None = None,
-    min_q: int | None = None,
+    spec: ArrangementSpec, period_override: int | None = None
 ) -> QuasiPolynomial:
     """The characteristic quasi-polynomial of the arrangement.
 
@@ -246,7 +244,7 @@ def char_quasi(
     period = lcm_period(spec) if period_override is None else period_override
     if not isinstance(period, int) or isinstance(period, bool) or period < 1:
         raise ValidationError("period override must be a positive integer")
-    start = default_min_q(spec) if min_q is None else min_q
+    start = default_min_q(spec)
     qp = interpolate_qp(
         lambda q: count_complement(spec, q), period, spec.rank, min_q=start
     )

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, Tuple
 
 from weylq.charquasi import ArrangementSpec, char_quasi, make_spec
 from weylq.compat import is_compatible
-from weylq.ehrhart import ehrhart_closed_qp
+from weylq.ehrhart import ehrhart_closed_qp, int_pair
 from weylq.errors import ValidationError
 from weylq.eulerian import profile_counts
 from weylq.quasipoly import QuasiPolynomial, ShiftPolynomial, apply_shift, qp_equal
@@ -30,12 +30,7 @@ from weylq.rootsys import (
 def _interval_items(rs: RootSystem, roots: Iterable[int], interval: Sequence[int]):
     """Items attaching the offsets of an interval, an ordered pair of
     integers, to each of the roots."""
-    try:
-        a, b = interval
-    except (TypeError, ValueError):
-        raise ValidationError(f"interval must be a pair, got {interval!r}") from None
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (a, b)):
-        raise ValidationError(f"interval bounds must be integers, got {interval!r}")
+    a, b = int_pair(interval)
     if a > b:
         raise ValidationError(f"interval bounds must be ordered, got [{a}, {b}]")
     offs = tuple(range(a, b + 1))

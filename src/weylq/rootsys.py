@@ -10,9 +10,10 @@ into that list are 0-based.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
 
@@ -28,14 +29,6 @@ _EXACT_RANK = {"F": 4, "G": 2}
 _E_RANKS = (6, 7, 8)
 
 DEFAULT_WEYL_CAP = 2_000_000
-
-_WEYL_ORDER_EXCEPTIONAL = {
-    ("E", 6): 51_840,
-    ("E", 7): 2_903_040,
-    ("E", 8): 696_729_600,
-    ("F", 4): 1_152,
-    ("G", 2): 12,
-}
 
 
 @dataclass(frozen=True)
@@ -68,8 +61,10 @@ class RootSystem:
     """An immutable root system with its classical numeric invariants.
 
     positive_roots is sorted by height then lexicographically; marks are the
-    coefficients of the highest root; coxeter_number is 1 plus its height and
-    index_of_connection is the determinant of the Cartan matrix.
+    coefficients of the highest root; coxeter_number is 1 plus its height;
+    weyl_order is read from the root heights (_order_from_heights) and
+    index_of_connection is f = |W| / (rank! * prod(marks)), which equals the
+    determinant of the Cartan matrix.
     """
 
     family: str
@@ -156,38 +151,18 @@ def _simple_norms(family: str, rank: int) -> Tuple[Fraction, ...]:
     return (Fraction(2, 3), two)
 
 
-def _weyl_order(family: str, rank: int) -> int:
-    import math
-
-    if family == "A":
-        return math.factorial(rank + 1)
-    if family in ("B", "C"):
-        return (2**rank) * math.factorial(rank)
-    if family == "D":
-        return (2 ** (rank - 1)) * math.factorial(rank)
-    return _WEYL_ORDER_EXCEPTIONAL[(family, rank)]
-
-
-def _det_int(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination on Fractions."""
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+def _order_from_heights(heights: Iterable[int]) -> int:
+    """Order of the Weyl group of a root system, from the heights of its
+    positive roots in some base: prod (ht + 1) / ht, Macdonald's Poincare
+    product at t = 1.  Raises InconsistencyError when that is no integer."""
+    num = den = 1
+    for ht in heights:
+        num *= ht + 1
+        den *= ht
+    order, rem = divmod(num, den)
+    if rem:
+        raise InconsistencyError(f"height product {num}/{den} is not an integer")
+    return order
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,15 +215,14 @@ def _build(family: str, rank: int) -> RootSystem:
     if any(height(v) == height(highest) for v in positives[:-1]):
         raise InconsistencyError("highest root is not unique")
     h = 1 + height(highest)
-    f_det = _det_int(cartan)
-    if f_det.denominator != 1 or f_det <= 0:
-        raise InconsistencyError("Cartan determinant is not a positive integer")
-    f = int(f_det)
-    order = _weyl_order(family, rank)
     if 2 * len(positives) != rank * h:
         raise InconsistencyError("positive root count disagrees with Coxeter number")
-    if order % f != 0:
-        raise InconsistencyError("index of connection does not divide the group order")
+    order = _order_from_heights(map(height, positives))
+    # |W| = rank! * f * prod(marks) (Humphreys, Reflection Groups and
+    # Coxeter Groups, 4.9)
+    f, rem = divmod(order, math.factorial(rank) * math.prod(highest))
+    if rem:
+        raise InconsistencyError("rank! times the marks does not divide the group order")
 
     return RootSystem(
         family=family,
@@ -456,69 +430,23 @@ def face_roots(rs: RootSystem, face: Iterable[int]) -> RootSubset:
     )
 
 
-def _component_order(rank: int, roots: int, laced: bool) -> int:
-    """Weyl group order of an irreducible root system; its rank, number of
-    positive roots and lacing fix its type (B and C share an order)."""
-    if laced:
-        counts = {
-            "A": rank * (rank + 1) // 2,
-            "D": rank * (rank - 1),
-            "E": {6: 36, 7: 63, 8: 120}.get(rank),
-        }
-    else:
-        counts = {
-            "B": rank * rank,
-            "F": 24 if rank == 4 else None,
-            "G": 6 if rank == 2 else None,
-        }
-    for family, count in counts.items():
-        if count == roots:
-            return _weyl_order(family, rank)
-    raise InconsistencyError(f"no irreducible type of rank {rank} has {roots} positive roots")
-
-
 def face_weyl_order(rs: RootSystem, face: Iterable[int]) -> int:
-    """Order of the stabiliser of the open face: the Weyl group of the
-    walls' subdiagram of the extended Dynkin diagram, read off the types
-    of its components.
+    """Order of the stabiliser of the open face: the Weyl group of
+    face_roots, from their heights in its base, the walls' roots (minus
+    the highest root for wall 0).
 
-    The walls' roots (minus the highest root for wall 0) are a base of
-    face_roots.  A root's support in that base is connected, so the
-    supports join the walls into the components: a root with zero
-    coefficients off the face is supported on its nonzero simple
-    coordinates, and one with the marks off the face is minus wall 0 minus
-    the walls where it falls short of the marks.
+    A root with zero coefficients off the face keeps its height.  One with
+    the marks off the face is minus wall 0 plus the walls where it falls
+    short of the marks, so its height there is h - ht.
     """
-    walls = sorted(set(face))
-    roots = face_roots(rs, walls)
+    walls = set(face)
     # a face root is nonzero at an off-face coordinate only if it has the marks there
     off = next((i for i in range(rs.rank) if i + 1 not in walls), None)
-    parent = {w: w for w in walls}
-
-    def find(w: int) -> int:
-        while parent[w] != w:
-            w = parent[w]
-        return w
-
-    supports = []
-    for k in roots:
-        root = rs.positive_roots[k]
-        if off is not None and root[off]:
-            support = [0] + [i + 1 for i in range(rs.rank) if root[i] < rs.marks[i]]
-        else:
-            support = [i + 1 for i in range(rs.rank) if root[i]]
-        supports.append(support)
-        for w in support[1:]:
-            parent[find(w)] = find(support[0])
-    norms = {0: Fraction(2)}  # wall 0 is minus the highest root, a long root
-    norms.update((i + 1, rs.gram[i][i]) for i in range(rs.rank))
-    order = 1
-    for top in {find(w) for w in walls}:
-        nodes = [w for w in walls if find(w) == top]
-        count = sum(1 for s in supports if find(s[0]) == top)
-        laced = len({norms[w] for w in nodes}) == 1
-        order *= _component_order(len(nodes), count, laced)
-    return order
+    h = rs.coxeter_number
+    return _order_from_heights(
+        h - height(root) if off is not None and root[off] else height(root)
+        for root in map(rs.positive_roots.__getitem__, face_roots(rs, walls))
+    )
 
 
 @functools.lru_cache(maxsize=8)

@@ -297,13 +297,6 @@ def test_period_override_validation(g2):
         char_quasi(spec, period_override="6")
 
 
-def test_min_q_shifts_sampling(g2):
-    spec = from_root_subset(g2, (0, 1, 2))
-    low = char_quasi(spec)
-    high = char_quasi(spec, min_q=25)
-    assert qp_equal(low, high)
-
-
 @settings(max_examples=25, deadline=None)
 @given(subset=st.sets(st.integers(min_value=0, max_value=3), max_size=4))
 def test_char_quasi_random_subsets_match_counts(subset):
@@ -356,6 +349,15 @@ def test_ideal_periods_fold_to_lcm_period(family, rank):
         assert char_quasi_faces(rs, ideal).period == lcm_period(
             from_root_subset(rs, ideal)
         ), ideal
+
+
+@pytest.mark.parametrize("family, rank", [("B", 5), ("D", 5), ("E", 6), ("E", 7)])
+def test_face_formula_of_the_empty_subset_is_q_to_the_rank(family, rank):
+    """With no hyperplanes the weights |W| / (f * |W_J|) of all faces must
+    add up to q^rank, which checks every face's stabiliser order at once."""
+    rs = build_root_system(family, rank)
+    power = RationalPolynomial((0,) * rank + (1,))
+    assert char_quasi_faces(rs, ()) == from_polynomial(power)
 
 
 def test_face_formula_validates_the_subset(g2):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -42,6 +43,36 @@ def run_proc(*argv):
         text=True,
         env=env,
     )
+
+
+def _readme_examples():
+    """The `$ weylq ...` commands of README's Examples block, each with the
+    output lines shown under it; a final `...` line marks a truncation."""
+    with open(os.path.join(os.path.dirname(SRC_DIR), "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *shown = chunk.splitlines()
+        assert command.startswith("$ weylq "), command
+        examples.append((shlex.split(command)[2:], shown))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize(
+    "argv, shown", README_EXAMPLES, ids=[argv[0] for argv, _ in README_EXAMPLES]
+)
+def test_readme_examples_match_the_cli(capsys, argv, shown):
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    if shown[-1] == "...":
+        shown = shown[:-1]
+        lines = lines[: len(shown)]
+    assert lines == shown
 
 
 def test_benchmark_trace_bindings_resolve():

@@ -224,6 +224,10 @@ def test_minus_bands_validation():
         count_minus_bands(rs, 2, {0: (0, 1)})
     with pytest.raises(ValidationError):
         count_minus_bands(rs, 10, {5: (0, 1)})
+    with pytest.raises(ValidationError):
+        count_minus_bands(rs, 10, {1: 5})
+    with pytest.raises(ValidationError):
+        count_minus_bands(rs, 10, {1: (0,)})
 
 
 @pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2)])
@@ -254,6 +258,8 @@ def test_minus_band_general_validation():
         count_minus_band_general(rs, 20, 1, (3, 2))
     with pytest.raises(ValidationError):
         count_minus_band_general(rs, 20, 7, (1, 2))
+    with pytest.raises(ValidationError):
+        count_minus_band_general(rs, 20, 1, (1,))
     with pytest.raises(DomainError):
         count_minus_band_general(rs, 6, 1, (1, 1))  # threshold is 2 * 3
 

@@ -75,6 +75,12 @@ def test_rejected_family_and_rank_types():
         ("G", 2, 6, 6, 1, 12),
         ("F", 4, 24, 12, 1, 1152),
         ("E", 6, 36, 12, 3, 51840),
+        ("B", 5, 25, 10, 2, 3840),
+        ("C", 5, 25, 10, 2, 3840),
+        ("D", 5, 20, 8, 4, 1920),
+        ("A", 7, 28, 8, 8, 40320),
+        ("E", 7, 63, 18, 2, 2903040),
+        ("E", 8, 120, 30, 1, 696729600),
     ],
 )
 def test_classical_invariants(family, rank, n_pos, h, f, order):

@@ -38,6 +38,13 @@ Vector = Tuple[int, ...]
 # has 25 vectors.
 MAX_PERIOD_VECTORS = 24
 
+# The counting kernel holds about q^rank bits at its largest sample (q^(rank-k)
+# outer masks of q^k bits each), so counting is refused up front when that
+# passes 1 GiB: root subsets of E8, B8 and C8 from period 2 on (q up to 22),
+# and nonempty ones of rank-10 systems at any period.  The empty arrangement
+# is counted as q^rank without the kernel's masks.
+MAX_COUNT_BITS = 2**33
+
 # The face table keeps every member of every face orbit, and their number
 # grows with |W|: D8 (|W| = 5,160,960) has 156,645 members, built in about
 # 1.4 s, and E7 106,516, while B8 (|W| = 10,321,920) passes 250,000 and E8
@@ -178,20 +185,15 @@ def smith_invariants(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=4)
 def lcm_period(spec: ArrangementSpec) -> int:
     """Least common multiple, over every sublist J of the distinct
     coefficient vectors, of the exponent (largest invariant factor) of the
     torsion of Z^rank / <J>: the lcm period of Kamiya, Takemura and Terao.
 
-    Only linearly independent sublists are visited: a dependent J contains
-    a maximal independent J' with the same saturation S, so S/<J> is a
-    quotient of S/<J'> and its exponent divides that of J'.  Sublists grow
-    in index order, up to rank rows, while their Smith normal form keeps a
-    factor per row; each visited sublist costs one Smith normal form.
-
-    The search does not need the vector cap; the cap refuses counted
-    arrangements of more than 24 vectors before their counting would hang.
+    The period depends on the vectors alone, so arrangements that differ
+    only in their offsets share one search (_vector_period).  The search
+    does not need the vector cap; the cap refuses counted arrangements of
+    more than 24 vectors before their counting would hang.
     """
     vectors = tuple(vec for vec, _ in spec.items)
     if len(vectors) > MAX_PERIOD_VECTORS:
@@ -199,6 +201,17 @@ def lcm_period(spec: ArrangementSpec) -> int:
             f"{len(vectors)} distinct vectors exceed the period-search cap "
             f"{MAX_PERIOD_VECTORS}"
         )
+    return _vector_period(spec.rank, vectors)
+
+
+@functools.lru_cache(maxsize=4)
+def _vector_period(rank: int, vectors: Tuple[Vector, ...]) -> int:
+    """The lcm period of the vectors (lcm_period), visiting only linearly
+    independent sublists: a dependent J contains a maximal independent J'
+    with the same saturation S, so S/<J> is a quotient of S/<J'> and its
+    exponent divides that of J'.  Sublists grow in index order, up to rank
+    rows, while their Smith normal form keeps a factor per row; each
+    visited sublist costs one Smith normal form."""
     period = 1
     stack = [((), 0)]
     while stack:
@@ -208,7 +221,7 @@ def lcm_period(spec: ArrangementSpec) -> int:
             factors = smith_invariants(grown)
             if len(factors) == len(grown):
                 period = math.lcm(period, factors[-1])
-                if len(grown) < spec.rank:
+                if len(grown) < rank:
                     stack.append((grown, i + 1))
     return period
 
@@ -239,17 +252,30 @@ def char_quasi(
     The period defaults to lcm_period.  An override is cross-checked
     against one full combined period of counts beyond the sampling floor;
     since the pointwise difference is periodic there, any override that
-    produces a wrong result must fail inside that window.
+    produces a wrong result must fail inside that window.  Raises
+    ResourceCapError before counting when the arrangement is not empty and
+    the largest modulus q to count has q^rank above MAX_COUNT_BITS.
     """
     period = lcm_period(spec) if period_override is None else period_override
     if not isinstance(period, int) or isinstance(period, bool) or period < 1:
         raise ValidationError("period override must be a positive integer")
     start = default_min_q(spec)
+    # interpolate_qp's residues start at start .. start + period - 1, and
+    # each reads rank + 1 samples and two checks one period apart
+    top = start - 1 + (spec.rank + 3) * period
+    if period_override is not None:
+        guard = math.lcm(period, lcm_period(spec))
+        top = max(top, start + guard - 1)
+    if spec.items and top**spec.rank > MAX_COUNT_BITS:
+        raise ResourceCapError(
+            f"counting up to q={top} in rank {spec.rank} needs about "
+            f"{top}^{spec.rank} = {top**spec.rank} bits, which exceeds the "
+            f"counting cap {MAX_COUNT_BITS}"
+        )
     qp = interpolate_qp(
         lambda q: count_complement(spec, q), period, spec.rank, min_q=start
     )
     if period_override is not None:
-        guard = math.lcm(period, lcm_period(spec))
         for q in range(start, start + guard):
             expected = count_complement(spec, q)
             if qp(q) != expected:

@@ -289,12 +289,6 @@ def signed_roots(rs: RootSystem) -> Tuple[Vector, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def signed_root_index(rs: RootSystem) -> Dict[Vector, int]:
-    """Map each root of either sign to its index in signed_roots."""
-    return {v: i for i, v in enumerate(signed_roots(rs))}
-
-
-@functools.lru_cache(maxsize=None)
 def extended_base_indices(rs: RootSystem) -> Tuple[int, ...]:
     """Signed-root indices of the extended base: the negative of the
     highest root, then the simple roots in coordinate order."""
@@ -309,7 +303,7 @@ def _reflection_permutations(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     """Each simple reflection as a permutation of the signed-root indices:
     entry i of the j-th tuple is the index of s_j applied to root i."""
     roots = signed_roots(rs)
-    lookup = signed_root_index(rs)
+    lookup = {v: i for i, v in enumerate(roots)}
     perms = []
     for j in range(rs.rank):
         column = [rs.cartan[i][j] for i in range(rs.rank)]
@@ -325,41 +319,39 @@ def _reflection_permutations(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
 # while it runs, and a lifted cap keeps at most two large groups resident.
 @functools.lru_cache(maxsize=2)
 def _weyl_elements(rs: RootSystem) -> Tuple[WeylElement, ...]:
-    """Breadth-first closure of the identity under right multiplication by
-    the simple reflections, on permutations of the signed roots.
+    """Breadth-first closure of the identity under left multiplication by
+    the simple reflections, on extended-base images alone.
 
-    The product of an element (permutation p) with s_j is the permutation
-    p[P_j[i]].  Images of the extended base determine an element, so they
-    are the key that detects repeats, computed before the whole product;
-    only the current level keeps whole permutations.  Each level is scanned
-    in word order and its new elements are appended in (parent, generator)
-    order, so the next level is in word order too: every element carries
-    its lexicographically least reduced word, and a level lists its
-    elements in the order of those words.
+    s_j * w sends the extended base to P_j of w's images (P_j the
+    permutation of s_j on the signed roots), so the images are the whole
+    state and one dict from images to elements detects repeats.  Each level
+    is scanned generator by generator, and for each generator over the
+    previous level in order.  An element u of length k + 1 is therefore
+    first reached at its smallest left descent j, from s_j * u in level k.
+    If level k lists its elements in the order of their lexicographically
+    least reduced words, u gets j followed by the least word of s_j * u,
+    which is u's least reduced word (every reduced word of u begins with a
+    left descent), and level k + 1 comes out in the order of those words.
     """
     gens = _reflection_permutations(rs)
     base = extended_base_indices(rs)
-    base_gens = [tuple(perm[b] for b in base) for perm in gens]
-    seen = {base}
-    order: List[WeylElement] = [WeylElement(base, ())]
-    frontier = [(tuple(range(2 * len(rs.positive_roots))), ())]
-    while frontier:
+    found: Dict[Tuple[int, ...], WeylElement] = {base: WeylElement(base, ())}
+    level = [found[base]]
+    while level:
         nxt = []
-        for perm, word in frontier:
-            image_of = perm.__getitem__
-            for j, gen in enumerate(gens):
-                images = tuple(map(image_of, base_gens[j]))
-                if images not in seen:
-                    seen.add(images)
-                    new_word = word + (j + 1,)
-                    order.append(WeylElement(images, new_word))
-                    nxt.append((tuple(map(image_of, gen)), new_word))
-        frontier = nxt
-    if len(order) != rs.weyl_order:
+        for j, gen in enumerate(gens, 1):
+            image_of = gen.__getitem__
+            for w in level:
+                images = tuple(map(image_of, w.base_images))
+                if images not in found:
+                    found[images] = child = WeylElement(images, (j,) + w.word)
+                    nxt.append(child)
+        level = nxt
+    if len(found) != rs.weyl_order:
         raise InconsistencyError(
-            f"closure found {len(order)} elements, expected {rs.weyl_order}"
+            f"closure found {len(found)} elements, expected {rs.weyl_order}"
         )
-    return tuple(order)
+    return tuple(found.values())
 
 
 def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:

@@ -218,6 +218,32 @@ def test_lcm_period_vector_cap():
         lcm_period(make_spec(1, items))
 
 
+@pytest.mark.parametrize("override, top", [(None, 30), (1, 6)])
+def test_counting_cap_bounds_the_largest_sample(monkeypatch, g2, override, top):
+    """The counting cap weighs the largest modulus counted, checks and the
+    override guard included: G2 full interpolates over its period 6 up to
+    q = 30, and override 1 is cross-checked up to lcm(1, 6) = 6."""
+    spec = from_root_subset(g2, range(6))
+    monkeypatch.setattr(charquasi, "MAX_COUNT_BITS", top**2 - 1)
+    char_quasi.cache_clear()
+    with pytest.raises(ResourceCapError, match="counting cap"):
+        char_quasi(spec, override)
+    monkeypatch.setattr(charquasi, "MAX_COUNT_BITS", top**2)
+    if override is None:
+        assert char_quasi(spec).period == 6
+    else:
+        with pytest.raises(InconsistencyError):
+            char_quasi(spec, override)
+
+
+def test_counting_cap_spares_the_empty_arrangement():
+    """The empty arrangement is counted as q^rank without the kernel's
+    masks, so it answers in rank 10 too."""
+    qp = char_quasi(make_spec(10, []))
+    assert qp.period == 1
+    assert qp(13) == 13**10
+
+
 def test_default_min_q():
     g2 = build_root_system("G", 2)
     assert default_min_q(from_root_subset(g2, range(6))) == 1

@@ -77,13 +77,29 @@ def test_readme_examples_match_the_cli(capsys, argv, shown):
 
 def test_benchmark_trace_bindings_resolve():
     """The benchmark's tracer finds every layer function in the modules it
-    expects, so dropping a traced import fails here and not only in a
-    traced benchmark run."""
+    expects, and on each workload's seed-1 queries every layer it expects
+    to be used records a span and every layer it expects to be idle none;
+    so dropping a traced import or a traced call fails here and not only
+    in a traced benchmark run."""
     code = (
         "import sys; sys.path[:0] = ['src', 'perfbench']\n"
+        "import contextlib, io, json\n"
         "import weylq.cli, weylq.kernels\n"
-        "from tracing import Tracer\n"
-        "Tracer().install()\n"
+        "from tracing import LAYERS, Tracer\n"
+        "from workloads import WORKLOADS, make_queries\n"
+        "queries = {w: make_queries(w, 1) for w in WORKLOADS}\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "spans = {}\n"
+        "for workload, batch in queries.items():\n"
+        "    start = len(tracer.spans)\n"
+        "    for index, query in enumerate(batch):\n"
+        "        tracer.query = index\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert weylq.cli.main(query['argv']) == 0, query['id']\n"
+        "    spans[workload] = sorted({LAYERS[rec[0]].name for rec in tracer.spans[start:]})\n"
+        "layers = [(l.name, l.used_on, l.idle_on) for l in LAYERS]\n"
+        "print(json.dumps({'spans': spans, 'layers': layers}))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-B", "-c", code],
@@ -92,6 +108,13 @@ def test_benchmark_trace_bindings_resolve():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    for workload, traced in report["spans"].items():
+        for name, used_on, idle_on in report["layers"]:
+            if workload in used_on:
+                assert name in traced, f"{name} recorded no span on {workload}"
+            if workload in idle_on:
+                assert name not in traced, f"{name} recorded spans on {workload}"
 
 
 def test_info_text(capsys):
@@ -408,6 +431,18 @@ def test_exit_code_period_search_cap(capsys):
     assert code == 3
     assert out == ""
     assert "period-search cap" in err
+
+
+def test_exit_code_counting_cap(capsys):
+    """Counting is refused before it starts when its largest sample would
+    pass the counting cap: this 12-root E8 ideal, which the face table does
+    not serve, has period 2 and would count up to q = 22 in rank 8."""
+    code, out, err = run_main(
+        capsys, "char-quasi", "--type", "E", "--rank", "8",
+        "--subset", "ideal:(0,1,1,2,1,0,0,0)",
+    )
+    assert (code, out) == (3, "")
+    assert "counting cap" in err
 
 
 def test_exit_code_inconsistency():

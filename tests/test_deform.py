@@ -239,7 +239,7 @@ def test_formulas_share_one_bounded_decision():
     for cached in (
         compat._decide,
         char_quasi,
-        charquasi.lcm_period,
+        charquasi._vector_period,
         charquasi._face_table,
         open_face_qp,
         rootsys._mask_reflections,
@@ -255,6 +255,25 @@ def test_formulas_share_one_bounded_decision():
     cqp_type1_formula(d4, full, "symmetric", a=2, b=1)
     info = compat._decide.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_offsets_share_one_period_search():
+    """The period depends on the coefficient vectors alone, so three
+    offset sets on D4 full run one search."""
+    d4 = build_root_system("D", 4)
+    full = range(len(d4.positive_roots))
+    charquasi._vector_period.cache_clear()
+    periods = {
+        charquasi.lcm_period(spec)
+        for spec in (
+            type1_spec(d4, full, -1, 2),
+            type1_spec(d4, full, -2, 1),
+            type2_spec(d4, full, (-1, 1), (0, 1)),
+        )
+    }
+    info = charquasi._vector_period.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert len(periods) == 1
 
 
 def test_formula_parameter_validation(g2):

@@ -256,6 +256,38 @@ def test_enumeration_matches_matrix_closure(family, rank):
     assert got == _reference_weyl(rs)
 
 
+@pytest.mark.parametrize("family, rank, step", [("D", 5, 1), ("E", 6, 7)])
+def test_enumeration_words_past_the_matrix_closure(family, rank, step):
+    """Where the matrix closure does not reach: (length, word) strictly
+    increases along the enumeration, the word of every step-th element
+    multiplies out to its images, and every word is reduced, its length
+    being the number of positive roots the element sends negative."""
+    rs = build_root_system(family, rank)
+    elements = enumerate_weyl(rs)
+    keys = [(len(w.word), w.word) for w in elements]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for w in elements[::step]:
+        assert weyl_from_word(rs, w.word).base_images == w.base_images
+    # w(root) has height sum_i c_i * ht(w(alpha_i)); each positive root is
+    # a simple root or an earlier one plus a simple root, so the heights
+    # follow from one addition per root
+    index = root_index(rs)
+    steps = []
+    for root in rs.positive_roots:
+        for i, c in enumerate(root):
+            less = root[:i] + (c - 1,) + root[i + 1:]
+            if c and (less in index or not any(less)):
+                steps.append((index.get(less), i))
+                break
+    heights = [height(v) for v in signed_roots(rs)]
+    for w in elements:
+        simple = [heights[b] for b in w.base_images[1:]]
+        images = []
+        for k, i in steps:
+            images.append(simple[i] + (images[k] if k is not None else 0))
+        assert sum(h < 0 for h in images) == len(w.word)
+
+
 @pytest.mark.parametrize("family, rank", SMALL + [("F", 4)])
 def test_base_images_match_action(family, rank):
     """Each element's table entry lists the images of -theta and the

@@ -5,12 +5,19 @@ mark 1) followed by the simple roots (position i, mark c_i).  For a subset
 of the positive roots, a group element sorts each extended-base image into
 one of four classes: negative outside or inside the subset (descents), or
 positive outside or inside it (ascents), each weighted by the mark.
+
+A profile depends only on the class of each image, so profile_counts
+groups the elements by their pattern of classes over the extended base
+(one bytes.translate of a table of all images, then a count of the
+distinct patterns) and classifies one element per pattern.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
 from collections import Counter
+from itertools import chain
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, NamedTuple, Tuple
 
@@ -21,6 +28,7 @@ from weylq.rootsys import (
     RootSubset,
     RootSystem,
     WeylElement,
+    _weyl_elements,
     check_weyl_cap,
     classify_length,
     enumerate_weyl,
@@ -86,13 +94,45 @@ def descent_profile(rs: RootSystem, subset: Iterable[int], w: WeylElement) -> De
     return DescentProfile(descent, descent_bar, ascent, ascent_bar)
 
 
+# Two systems, like the Weyl group cache: every element's extended-base
+# images in enumerate_weyl order, rank + 1 bytes per element (a signed-root
+# index is below 2N <= 240).  Read after _profiles' enumerate_weyl call,
+# which checks the cap.
+@functools.lru_cache(maxsize=2)
+def _image_bytes(rs: RootSystem) -> bytes:
+    return bytes(chain.from_iterable(w.base_images for w in _weyl_elements(rs)))
+
+
+def _class_codes(rs: RootSystem, psi: RootSubset) -> bytes:
+    """A bytes.translate table sending each signed-root index to its class
+    against the subset, in DescentProfile field order: 0 descent,
+    1 descent_bar, 2 ascent, 3 ascent_bar."""
+    n = len(rs.positive_roots)
+    inside = _inside(rs, psi)
+    codes = bytearray(256)
+    for i in range(n):
+        codes[i] = 3 if i in inside else 2
+        codes[n + i] = 1 if i in inside else 0
+    return bytes(codes)
+
+
 # A few subsets at a time: e and m of one query, or one ideal of a sweep
 # with its deformation checks; an entry holds only the distinct profiles.
 # The cap is part of the key, so a hit means that cap already passed.
+# A profile reads only the class of each image, so the elements are
+# grouped by their pattern of classes over the extended base, and one
+# element per pattern is classified, weighted by the pattern's size.
 @functools.lru_cache(maxsize=4)
 def _profiles(rs: RootSystem, psi: RootSubset, cap: int) -> Histogram:
-    counts = Counter(descent_profile(rs, psi, w) for w in enumerate_weyl(rs, cap))
-    return tuple(sorted(counts.items()))
+    elements = enumerate_weyl(rs, cap)
+    patterns = _image_bytes(rs).translate(_class_codes(rs, psi))
+    fmt = f"{rs.rank + 1}s"  # one element's pattern
+    # any element of a pattern will do: the dict keeps the last one's index
+    member = dict(zip(struct.iter_unpack(fmt, patterns), range(len(elements))))
+    hist = Counter()
+    for pattern, size in Counter(struct.iter_unpack(fmt, patterns)).items():
+        hist[descent_profile(rs, psi, elements[member[pattern]])] += size
+    return tuple(sorted(hist.items()))
 
 
 def profile_counts(

@@ -1,17 +1,20 @@
 """Exact univariate polynomials, quasi-polynomials and shift operators.
 
-Everything here is Fraction arithmetic; no floats anywhere.  A
-quasi-polynomial of period p stores one constituent per residue class,
-1-based, with the class of 0 stored last.  Evaluation works for negative
-arguments through the same residue rule.
+Everything here is exact; no floats anywhere.  apply_shift works on
+integer numerators over a common denominator, read from a bounded table of
+shifted constituents per quasi-polynomial; the rest is Fraction
+arithmetic.  A quasi-polynomial of period p stores one constituent per
+residue class, 1-based, with the class of 0 stored last.  Evaluation works
+for negative arguments through the same residue rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from weylq.errors import InconsistencyError, ValidationError
 
@@ -291,17 +294,44 @@ class ShiftPolynomial:
         return f"ShiftPolynomial({list(self.terms)!r})"
 
 
+# A few quasi-polynomials at a time: a process shifts the closed-alcove
+# count of one or two systems (compat and deform both shift it).  An entry
+# holds the common denominator D of the coefficients and, per offset o,
+# the integer numerators over D of constituent_for(k - o).shift_arg(-o)
+# for k = 1..period, filled the first time o is asked for.
+@functools.lru_cache(maxsize=4)
+def _shift_table(qp: QuasiPolynomial) -> Tuple[int, Dict[int, Tuple[Tuple[int, ...], ...]]]:
+    den = math.lcm(*(c.denominator for p in qp.constituents for c in p.coeffs))
+    return den, {}
+
+
 def apply_shift(shift: ShiftPolynomial, qp: QuasiPolynomial) -> QuasiPolynomial:
-    """The quasi-polynomial q -> sum of coeff * qp(q - offset)."""
+    """The quasi-polynomial q -> sum of coeff * qp(q - offset).
+
+    Integer arithmetic over one denominator: the shifted constituents come
+    from the table of qp as numerators over D, the shift's coefficients
+    are cleared to numerators over s, and each output coefficient is built
+    once as a Fraction over D * s.
+    """
     p = qp.period
-    out = []
-    for k in range(1, p + 1):
-        acc = RationalPolynomial()
-        for offset, coeff in shift.terms:
-            piece = qp.constituent_for(k - offset).shift_arg(-offset)
-            acc = acc + coeff * piece
-        out.append(acc)
-    return QuasiPolynomial(p, tuple(out))
+    den, rows = _shift_table(qp)
+    s = math.lcm(*(c.denominator for _, c in shift.terms))
+    acc = [[0] * (qp.degree + 1) for _ in range(p)]
+    for offset, coeff in shift.terms:
+        shifted = rows.get(offset)
+        if shifted is None:
+            pieces = (qp.constituent_for(k - offset).shift_arg(-offset) for k in range(1, p + 1))
+            shifted = rows[offset] = tuple(
+                tuple(int(c * den) for c in piece.coeffs) for piece in pieces
+            )
+        weight = coeff.numerator * (s // coeff.denominator)
+        for out, row in zip(acc, shifted):
+            for i, n in enumerate(row):
+                out[i] += weight * n
+    scale = den * s
+    return QuasiPolynomial(
+        p, tuple(RationalPolynomial(Fraction(n, scale) for n in out) for out in acc)
+    )
 
 
 def lagrange_polynomial(

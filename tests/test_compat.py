@@ -4,10 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from weylq import compat, quasipoly
 from weylq.charquasi import char_quasi_subset
+from weylq.cli import main
 from weylq.compat import defect_qp, is_compatible, shift_formula_qp, verify_genfunc
 from weylq.errors import ValidationError
-from weylq.quasipoly import evaluate_qp, qp_equal
+from weylq.quasipoly import RationalPolynomial, evaluate_qp, qp_equal
 from weylq.rootsys import build_root_system, enumerate_ideals, is_ideal
 
 
@@ -105,12 +107,33 @@ def test_full_minus_one_root(family, rank):
         assert is_compatible(rs, subset).compatible
 
 
-@pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("B", 2), ("G", 2)])
+@pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("B", 2), ("G", 2), ("F", 4)])
 def test_ideals_are_compatible(family, rank):
     rs = build_root_system(family, rank)
     for ideal in enumerate_ideals(rs):
         result = is_compatible(rs, ideal)
         assert result.compatible, ideal
+
+
+def test_second_sweep_reuses_the_shift_table(monkeypatch, capsys):
+    """The Taylor shifts of the alcove count are computed once per process:
+    a second B4 sweep makes no shift_arg call."""
+    calls = []
+    shift_arg = RationalPolynomial.shift_arg
+
+    def counted(self, delta):
+        calls.append(delta)
+        return shift_arg(self, delta)
+
+    monkeypatch.setattr(RationalPolynomial, "shift_arg", counted)
+    quasipoly._shift_table.cache_clear()
+    compat._decide.cache_clear()
+    argv = ["compat", "--type", "B", "--rank", "4", "--subset", "ideal-all"]
+    assert main(argv) == 0
+    first = len(calls)
+    assert main(argv) == 0
+    assert first > 0 and len(calls) == first
+    assert "incompatible" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("family, rank", [("A", 2), ("B", 2), ("G", 2)])

@@ -8,7 +8,7 @@ counterexample test pins the failing polynomials themselves.
 
 import pytest
 
-from weylq import charquasi, compat, rootsys
+from weylq import charquasi, compat, eulerian, quasipoly, rootsys
 from weylq.charquasi import char_quasi, from_root_subset
 from weylq.deform import cqp_type1_formula, cqp_type2_formula, type1_spec, type2_spec, verify_deform
 from weylq.ehrhart import ehrhart_closed_qp, ehrhart_open_qp, open_face_qp
@@ -234,8 +234,8 @@ def test_formula_requires_compatible_subset(g2):
 
 def test_formulas_share_one_bounded_decision():
     """Two intervals on one subset decide its compatibility once; the
-    decision, counting, face-table, Weyl-group and alcove caches are
-    bounded."""
+    decision, counting, face-table, Weyl-group, image-table, alcove and
+    shift-table caches are bounded."""
     for cached in (
         compat._decide,
         char_quasi,
@@ -246,6 +246,8 @@ def test_formulas_share_one_bounded_decision():
         rootsys._weyl_elements,
         ehrhart_closed_qp,
         ehrhart_open_qp,
+        quasipoly._shift_table,
+        eulerian._image_bytes,
     ):
         assert cached.cache_info().maxsize is not None
     d4 = build_root_system("D", 4)

@@ -1,12 +1,15 @@
 """Mark-weighted descent statistics and the subset Eulerian polynomials."""
 
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylq import eulerian
+from weylq.cli import parse_subset
 from weylq.compat import is_compatible, verify_genfunc
 from weylq.deform import cqp_type1_formula
 from weylq.errors import ResourceCapError
@@ -275,6 +278,41 @@ def test_profile_counts_match_per_element_profiles(case):
     assert dict(hist) == Counter(descent_profile(rs, subset, w) for w in enumerate_weyl(rs))
     assert list(hist) == sorted(hist)
     assert sum(count for _, count in hist) == rs.weyl_order
+
+
+def _benchmark_subset(workload, seed):
+    """The --subset of the benchmark's first query for a workload and seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argv = workloads.make_queries(workload, seed)[0]["argv"]
+    return argv[argv.index("--subset") + 1]
+
+
+def _assert_per_element_histogram(rs, subset):
+    hist = profile_counts(rs, subset)
+    assert dict(hist) == Counter(descent_profile(rs, subset, w) for w in enumerate_weyl(rs))
+    assert list(hist) == sorted(hist)
+
+
+@pytest.mark.parametrize("family", "BC")
+def test_pattern_histogram_on_every_rank_4_ideal(family):
+    """Grouping the elements by image pattern gives the histogram of the
+    per-element classification on every ideal of the compat-sweep
+    benchmark's systems."""
+    rs = build_root_system(family, 4)
+    for psi in enumerate_ideals(rs):
+        _assert_per_element_histogram(rs, psi)
+
+
+def test_pattern_histogram_on_e6():
+    """The same on E6: the empty subset, the eulerian-e6 benchmark's seed-1
+    ideal and the full subset."""
+    rs = build_root_system("E", 6)
+    full = range(len(rs.positive_roots))
+    for subset in ((), parse_subset(rs, _benchmark_subset("eulerian-e6", 1)), full):
+        _assert_per_element_histogram(rs, tuple(subset))
 
 
 def test_word_and_table_profiles_agree():

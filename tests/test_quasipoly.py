@@ -205,6 +205,45 @@ def test_apply_shift_single_power(constituents, offset):
         assert out(q) == qp(q - offset)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    period=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+    shifts=st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-5, max_value=12),
+                st.fractions(min_value=-50, max_value=50, max_denominator=48),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+)
+def test_apply_shift_matches_its_definition(period, data, shifts):
+    """Whole shifts with Fraction coefficients, applied alternately to two
+    quasi-polynomials of one period, give sum of c * qp(q - o): the shifted
+    constituents are tabulated per quasi-polynomial, not per period, and
+    keep both denominators."""
+    constituent = st.lists(small_fractions, min_size=1, max_size=4)
+    qps = [
+        QuasiPolynomial(
+            period,
+            tuple(RationalPolynomial(c) for c in data.draw(st.lists(
+                constituent, min_size=period, max_size=period))),
+        )
+        for _ in range(2)
+    ]
+    for i, terms in enumerate(shifts):
+        qp = qps[i % 2]
+        out = apply_shift(ShiftPolynomial(terms), qp)
+        assert out.period == period
+        for q in range(-3, 10):
+            assert out(q) == sum((Fraction(c) * qp(q - o) for o, c in terms), Fraction(0))
+
+
 def test_interpolate_recovers_quasi_polynomial():
     target = QuasiPolynomial(3, (poly(1, 2), poly(0, 0, 1), poly(4)))
     seen = []

@@ -96,8 +96,8 @@ def descent_profile(rs: RootSystem, subset: Iterable[int], w: WeylElement) -> De
 
 # Two systems, like the Weyl group cache: every element's extended-base
 # images in enumerate_weyl order, rank + 1 bytes per element (a signed-root
-# index is below 2N <= 240).  Read after _profiles' enumerate_weyl call,
-# which checks the cap.
+# index is below 2N <= 256).  Read after _profiles' enumerate_weyl call,
+# which checks the cap and that byte width.
 @functools.lru_cache(maxsize=2)
 def _image_bytes(rs: RootSystem) -> bytes:
     return bytes(chain.from_iterable(w.base_images for w in _weyl_elements(rs)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
@@ -92,7 +93,7 @@ class RootSystem:
         return f"RootSystem({self.family}{self.rank})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylElement:
     """A Weyl group element, given by where it sends the extended base.
 
@@ -323,9 +324,12 @@ def _weyl_elements(rs: RootSystem) -> Tuple[WeylElement, ...]:
     the simple reflections, on extended-base images alone.
 
     s_j * w sends the extended base to P_j of w's images (P_j the
-    permutation of s_j on the signed roots), so the images are the whole
-    state and one dict from images to elements detects repeats.  Each level
-    is scanned generator by generator, and for each generator over the
+    permutation of s_j on the signed roots), so one bytes.translate by P_j
+    (2N <= 256, see check_weyl_cap) moves a whole level (one length), held
+    as one bytes table of rank + 1 images per element.  s_j * w is one
+    longer or one shorter than w, so it is new exactly when neither the
+    previous level nor the next one so far holds it.  Each level is
+    scanned generator by generator, and for each generator over the
     previous level in order.  An element u of length k + 1 is therefore
     first reached at its smallest left descent j, from s_j * u in level k.
     If level k lists its elements in the order of their lexicographically
@@ -333,35 +337,44 @@ def _weyl_elements(rs: RootSystem) -> Tuple[WeylElement, ...]:
     which is u's least reduced word (every reduced word of u begins with a
     left descent), and level k + 1 comes out in the order of those words.
     """
-    gens = _reflection_permutations(rs)
-    base = extended_base_indices(rs)
-    found: Dict[Tuple[int, ...], WeylElement] = {base: WeylElement(base, ())}
-    level = [found[base]]
+    chunks = struct.Struct(f"{rs.rank + 1}s").iter_unpack
+    gens = [bytes(perm).ljust(256, b"\0") for perm in _reflection_permutations(rs)]
+    elements = []
+    shorter, level = {}, {bytes(extended_base_indices(rs)): ()}
     while level:
-        nxt = []
+        elements += map(WeylElement, map(tuple, level), level.values())
+        table = b"".join(level)
+        # the previous level's images first, as entries that are never new
+        longer = dict.fromkeys(shorter)
         for j, gen in enumerate(gens, 1):
-            image_of = gen.__getitem__
-            for w in level:
-                images = tuple(map(image_of, w.base_images))
-                if images not in found:
-                    found[images] = child = WeylElement(images, (j,) + w.word)
-                    nxt.append(child)
-        level = nxt
-    if len(found) != rs.weyl_order:
+            for (images,), word in zip(chunks(table.translate(gen)), level.values()):
+                if images not in longer:
+                    longer[images] = (j,) + word
+        for images in shorter:
+            del longer[images]
+        shorter, level = level, longer
+    if len(elements) != rs.weyl_order:
         raise InconsistencyError(
-            f"closure found {len(found)} elements, expected {rs.weyl_order}"
+            f"closure found {len(elements)} elements, expected {rs.weyl_order}"
         )
-    return tuple(found.values())
+    return tuple(elements)
 
 
 def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:
-    """Refuse with ResourceCapError when the known group order exceeds the cap."""
-    if cap < 1:
-        raise ValidationError("cap must be a positive integer")
+    """Refuse with ResourceCapError when the known group order exceeds the
+    cap, or when the signed roots do not fit the one-byte indices of the
+    enumeration's translate tables."""
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        raise ValidationError(f"cap must be a positive integer, got {cap!r}")
     if rs.weyl_order > cap:
         raise ResourceCapError(
             f"Weyl group of {rs.family}{rs.rank} has order {rs.weyl_order}, "
             f"which exceeds the cap {cap}"
+        )
+    if 2 * len(rs.positive_roots) > 256:
+        raise ResourceCapError(
+            f"{rs.family}{rs.rank} has {2 * len(rs.positive_roots)} signed roots; "
+            "the Weyl group enumeration indexes at most 256"
         )
 
 
@@ -381,8 +394,8 @@ def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Product of simple reflections; word entries are 1-based."""
     w = tuple(word)
     for j in w:
-        if not 1 <= j <= rs.rank:
-            raise ValidationError(f"generator index {j} out of range 1..{rs.rank}")
+        if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= rs.rank:
+            raise ValidationError(f"generator index {j!r} out of range 1..{rs.rank}")
     gens = _reflection_permutations(rs)
     images = extended_base_indices(rs)
     # the last letter acts first

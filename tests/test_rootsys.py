@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylq import rootsys
-from weylq.errors import ResourceCapError, ValidationError
+from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
 from weylq.rootsys import (
     DEFAULT_WEYL_CAP,
     build_root_system,
+    check_weyl_cap,
     classify_length,
     enumerate_ideals,
     enumerate_weyl,
@@ -351,6 +352,10 @@ def test_weyl_from_word_validation(g2):
         weyl_from_word(g2, [0])
     with pytest.raises(ValidationError):
         weyl_from_word(g2, [3])
+    # True == 1 and 1.0 == 1, yet neither is a generator index
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(ValidationError, match="generator index"):
+            weyl_from_word(g2, [2, bad])
 
 
 def test_weyl_cap():
@@ -360,9 +365,52 @@ def test_weyl_cap():
     assert len(enumerate_weyl(d4, cap=192)) == 192
     with pytest.raises(ValidationError):
         enumerate_weyl(d4, cap=0)
+    for bad in (True, 2.5, 192.0, "10", None):
+        with pytest.raises(ValidationError, match="positive integer"):
+            check_weyl_cap(d4, bad)
     # the default cap refuses E7 (order 2,903,040) before enumerating
     with pytest.raises(ResourceCapError, match=str(DEFAULT_WEYL_CAP)):
         enumerate_weyl(build_root_system("E", 7))
+
+
+def test_weyl_byte_width_refused(monkeypatch):
+    """D12's 264 signed roots do not fit the closure's one-byte tables, so
+    a cap that admits its group is refused before anything is built."""
+    d12 = build_root_system("D", 12)
+
+    def no_closure(rs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(rootsys, "_weyl_elements", no_closure)
+    with pytest.raises(ResourceCapError, match="264 signed roots"):
+        enumerate_weyl(d12, cap=d12.weyl_order)
+
+
+def test_weyl_closure_order_check(monkeypatch):
+    """A generator list that does not generate the group fails the check of
+    the closure's size against the known order."""
+    b3 = build_root_system("B", 3)
+    perms = rootsys._reflection_permutations(b3)
+    rootsys._weyl_elements.cache_clear()
+    monkeypatch.setattr(
+        rootsys, "_reflection_permutations", lambda rs: (perms[0], perms[0], perms[2])
+    )
+    try:
+        with pytest.raises(InconsistencyError, match="closure found"):
+            enumerate_weyl(b3)
+    finally:
+        rootsys._weyl_elements.cache_clear()
+
+
+def test_weyl_element_layout(g2):
+    """Elements compare and hash on their images alone, hold no __dict__,
+    and refuse assignment."""
+    w = enumerate_weyl(g2)[3]
+    twin = rootsys.WeylElement(w.base_images, (9, 9))
+    assert twin == w and hash(twin) == hash(w)
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.word = ()
 
 
 def test_normalize_subset(g2):

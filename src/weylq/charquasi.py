@@ -287,14 +287,15 @@ def char_quasi(
     return qp
 
 
-FaceTable = Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, ...], Fraction], ...]], ...]
+FaceTable = Tuple[int, Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, ...], int], ...]], ...]]
 
 
 @functools.lru_cache(maxsize=4)
 def _face_table(rs: RootSystem) -> FaceTable:
     """The faces of the alcove grouped by the W-orbit of their root sets:
     per orbit, its member masks and, per multiset of off-face marks, the
-    weight |W| / (f * |orbit| * |W_J|) summed over the orbit's faces J."""
+    weight |W| / (f * |orbit| * |W_J|) summed over the orbit's faces J.
+    The weights are integers over one denominator, returned first."""
     walls = rs.rank + 1
     marks = (1,) + rs.marks
     orbit_of: Dict[int, int] = {}
@@ -315,7 +316,22 @@ def _face_table(rs: RootSystem) -> FaceTable:
             rs.index_of_connection * len(orbits[k]) * face_weyl_order(rs, face),
         )
         weights[k][key] = weights[k].get(key, 0) + weight
-    return tuple(zip(orbits, (tuple(sorted(w.items())) for w in weights)))
+    den = math.lcm(*(w.denominator for ws in weights for w in ws.values()))
+    return den, tuple(
+        (orbit, tuple((key, int(w * den)) for key, w in sorted(ws.items())))
+        for orbit, ws in zip(orbits, weights)
+    )
+
+
+# Keyed like open_face_qp, whose entries these rows are read from, and
+# filled only for the keys that some subset's sum reaches (E7 has 71).
+@functools.lru_cache(maxsize=256)
+def _face_rows(marks: Tuple[int, ...]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """The constituents of open_face_qp(marks) as integer coefficient rows
+    over one denominator, returned first."""
+    qp = open_face_qp(marks)
+    den = math.lcm(*(c.denominator for p in qp.constituents for c in p.coeffs))
+    return den, tuple(tuple(int(c * den) for c in p.coeffs) for p in qp.constituents)
 
 
 def char_quasi_subset(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
@@ -329,11 +345,11 @@ def char_quasi_subset(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
     which meets the counting route's vector cap instead.
     """
     psi = normalize_subset(rs, subset)
-    spec = from_root_subset(rs, psi)
-    if rs.weyl_order > MAX_FACE_WEYL_ORDER or (
-        COUNT_FIRST_SHARE << len(psi) <= rs.weyl_order and lcm_period(spec) == 1
-    ):
-        return fold_period(char_quasi(spec))
+    faces = rs.weyl_order <= MAX_FACE_WEYL_ORDER
+    if not faces or COUNT_FIRST_SHARE << len(psi) <= rs.weyl_order:
+        spec = from_root_subset(rs, psi)
+        if not faces or lcm_period(spec) == 1:
+            return fold_period(char_quasi(spec))
     return char_quasi_faces(rs, psi)
 
 
@@ -353,22 +369,34 @@ def char_quasi_faces(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
                  / |W_J| * F_J(q),
 
     with F_J the open-face count, which depends only on the off-face marks.
-    The sum has period lcm(marks), folded down to the minimal period.
+    The sum is an integer linear combination of the face counts' integer
+    rows, over the product of the weights' and the rows' denominators, so
+    each coefficient becomes a Fraction once.  It has period lcm(marks),
+    folded down to the minimal period.
     """
+    den, table = _face_table(rs)
     avoided = sum(1 << k for k in normalize_subset(rs, subset))
-    coeffs: Dict[Tuple[int, ...], Fraction] = {}
-    for orbit, weights in _face_table(rs):
+    # every weight is positive, so a key reached by a free orbit stays nonzero
+    coeffs: Dict[Tuple[int, ...], int] = {}
+    for orbit, weights in table:
         free = sum(1 for m in orbit if not m & avoided)
         if free:
             for key, weight in weights:
                 coeffs[key] = coeffs.get(key, 0) + free * weight
+    rows = {key: _face_rows(key) for key in coeffs}
+    scale = math.lcm(*(d for d, _ in rows.values()))
     period = math.lcm(*rs.marks)
-    sums = [[Fraction(0)] * (rs.rank + 1) for _ in range(period)]
-    for key, c in coeffs.items():
-        face = open_face_qp(key)
-        for k, row in enumerate(sums, 1):
-            for d, a in enumerate(face.constituent_for(k).coeffs):
-                row[d] += c * a
+    sums = [[0] * (rs.rank + 1) for _ in range(period)]
+    for key, (d, face) in rows.items():
+        c = coeffs[key] * (scale // d)
+        # residue k reads the face's constituent for k, as constituent_for does
+        for k, row in enumerate(sums):
+            for i, a in enumerate(face[k % len(face)]):
+                row[i] += c * a
+    den *= scale
     return fold_period(
-        QuasiPolynomial(period, tuple(RationalPolynomial(row) for row in sums))
+        QuasiPolynomial(
+            period,
+            tuple(RationalPolynomial(Fraction(n, den) for n in row) for row in sums),
+        )
     )

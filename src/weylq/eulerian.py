@@ -6,16 +6,20 @@ of the positive roots, a group element sorts each extended-base image into
 one of four classes: negative outside or inside the subset (descents), or
 positive outside or inside it (ascents), each weighted by the mark.
 
-A profile depends only on the class of each image, so profile_counts
-groups the elements by their pattern of classes over the extended base
-(one bytes.translate of a table of all images, then a count of the
-distinct patterns) and classifies one element per pattern.
+A profile is the sum, over the extended-base positions, of the position's
+mark in the field of its image's class, so profile_counts adds up the
+profiles of all elements at once: each position's images, one bytes column
+over the group, are translated to their class codes and then, per field,
+to the mark or 0; the columns of a field, read as integers, add up bytewise
+without carries (every field is at most the Coxeter number, below 256).
+The per-element sums are counted, and one element per distinct profile is
+classified by descent_profile, which must agree with them.
 """
 
 from __future__ import annotations
 
 import functools
-import struct
+from array import array
 from collections import Counter
 from itertools import chain
 from fractions import Fraction
@@ -94,13 +98,14 @@ def descent_profile(rs: RootSystem, subset: Iterable[int], w: WeylElement) -> De
     return DescentProfile(descent, descent_bar, ascent, ascent_bar)
 
 
-# Two systems, like the Weyl group cache: every element's extended-base
-# images in enumerate_weyl order, rank + 1 bytes per element (a signed-root
-# index is below 2N <= 256).  Read after _profiles' enumerate_weyl call,
-# which checks the cap and that byte width.
+# Two systems, like the Weyl group cache: per extended-base position, the
+# images of every element in enumerate_weyl order, one byte each (a
+# signed-root index is below 2N <= 256).  Read after _profiles'
+# enumerate_weyl call, which checks the cap and that byte width.
 @functools.lru_cache(maxsize=2)
-def _image_bytes(rs: RootSystem) -> bytes:
-    return bytes(chain.from_iterable(w.base_images for w in _weyl_elements(rs)))
+def _image_columns(rs: RootSystem) -> Tuple[bytes, ...]:
+    table = bytes(chain.from_iterable(w.base_images for w in _weyl_elements(rs)))
+    return tuple(table[i :: rs.rank + 1] for i in range(rs.rank + 1))
 
 
 def _class_codes(rs: RootSystem, psi: RootSubset) -> bytes:
@@ -116,22 +121,49 @@ def _class_codes(rs: RootSystem, psi: RootSubset) -> bytes:
     return bytes(codes)
 
 
+# Per field (descent, descent_bar, ascent) and mark, a bytes.translate
+# table sending that field's class code to the mark and the other codes to
+# 0.  Marks run up to 6 (E8).
+_LANES = tuple(
+    tuple(bytes(mark if code == field else 0 for code in range(256)) for mark in range(7))
+    for field in range(3)
+)
+
+
 # A few subsets at a time: e and m of one query, or one ideal of a sweep
 # with its deformation checks; an entry holds only the distinct profiles.
 # The cap is part of the key, so a hit means that cap already passed.
-# A profile reads only the class of each image, so the elements are
-# grouped by their pattern of classes over the extended base, and one
-# element per pattern is classified, weighted by the pattern's size.
+# The lane sums of descent, descent_bar and ascent (module docstring) are
+# interleaved into one 4-byte word per element and the words counted; the
+# first element of each distinct word is classified, and its profile must
+# read the word (its ascent_bar, h minus the other three, then agrees too).
 @functools.lru_cache(maxsize=4)
 def _profiles(rs: RootSystem, psi: RootSubset, cap: int) -> Histogram:
     elements = enumerate_weyl(rs, cap)
-    patterns = _image_bytes(rs).translate(_class_codes(rs, psi))
-    fmt = f"{rs.rank + 1}s"  # one element's pattern
-    # any element of a pattern will do: the dict keeps the last one's index
-    member = dict(zip(struct.iter_unpack(fmt, patterns), range(len(elements))))
-    hist = Counter()
-    for pattern, size in Counter(struct.iter_unpack(fmt, patterns)).items():
-        hist[descent_profile(rs, psi, elements[member[pattern]])] += size
+    size = len(elements)
+    codes = _class_codes(rs, psi)
+    classes = [column.translate(codes) for column in _image_columns(rs)]
+    words = bytearray(4 * size)
+    for field, lanes in enumerate(_LANES):
+        total = 0
+        for column, mark in zip(classes, (1,) + rs.marks):
+            total += int.from_bytes(column.translate(lanes[mark]), "little")
+        words[field::4] = total.to_bytes(size, "little")
+    keys = array("I", words)
+    hist = {}
+    index = -1
+    # the Counter lists the words in the order of their first elements, so
+    # each search for a word's first element starts after the previous one
+    for key, count in Counter(keys).items():
+        index = keys.index(key, index + 1)
+        profile = descent_profile(rs, psi, elements[index])
+        summed = tuple(words[4 * index : 4 * index + 3])
+        if profile[:3] != summed:
+            raise InconsistencyError(
+                f"element {index} has profile {tuple(profile)}, but its image "
+                f"columns sum to {summed}"
+            )
+        hist[profile] = count
     return tuple(sorted(hist.items()))
 
 

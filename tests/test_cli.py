@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -486,20 +487,35 @@ def test_byte_determinism():
     assert first.stdout == second.stdout
 
 
-def test_e6_full_char_quasi(capsys):
-    """E6 full answers in process, over period 6; on the residues prime to
-    6 its constituent is the product of (q - e) over the exponents."""
+def _assert_full_is_exponent_product(capsys, family, rank, period, exponents):
+    """The full subset answers in process, over period lcm(marks); on every
+    residue prime to it the constituent is the product of (q - e) over the
+    exponents."""
     code, out, err = run_main(
-        capsys, "char-quasi", "--type", "E", "--rank", "6", "--subset", "full", "--json"
+        capsys, "char-quasi", "--type", family, "--rank", str(rank), "--subset", "full", "--json"
     )
     assert (code, err) == (0, "")
     qp = qp_from_json(json.loads(out)["result"])
-    assert qp.period == 6
+    assert qp.period == period
     product = RationalPolynomial((1,))
-    for e in (1, 4, 5, 7, 8, 11):
+    for e in exponents:
         product = product * RationalPolynomial((-e, 1))
-    assert qp.constituents[0] == product
-    assert qp.constituents[4] == product
+    for k in range(1, period + 1):
+        if math.gcd(k, period) == 1:
+            assert qp.constituents[k - 1] == product
+
+
+def test_e6_full_char_quasi(capsys):
+    _assert_full_is_exponent_product(capsys, "E", 6, 6, (1, 4, 5, 7, 8, 11))
+
+
+@pytest.mark.parametrize(
+    "family, rank, exponents", [("F", 4, (1, 5, 7, 11)), ("E", 7, (1, 5, 7, 9, 11, 13, 17))]
+)
+def test_largest_face_route_full_char_quasi(capsys, family, rank, exponents):
+    """The same at F4 and at E7, the largest system on the face route; both
+    have period 12."""
+    _assert_full_is_exponent_product(capsys, family, rank, 12, exponents)
 
 
 REPO_DIR = os.path.dirname(SRC_DIR)

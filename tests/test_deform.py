@@ -234,8 +234,8 @@ def test_formula_requires_compatible_subset(g2):
 
 def test_formulas_share_one_bounded_decision():
     """Two intervals on one subset decide its compatibility once; the
-    decision, counting, face-table, Weyl-group, image-table, alcove and
-    shift-table caches are bounded."""
+    decision, counting, face-table, face-row, Weyl-group, image-column,
+    alcove and shift-table caches are bounded."""
     for cached in (
         compat._decide,
         char_quasi,
@@ -247,7 +247,8 @@ def test_formulas_share_one_bounded_decision():
         ehrhart_closed_qp,
         ehrhart_open_qp,
         quasipoly._shift_table,
-        eulerian._image_bytes,
+        charquasi._face_rows,
+        eulerian._image_columns,
     ):
         assert cached.cache_info().maxsize is not None
     d4 = build_root_system("D", 4)

@@ -12,7 +12,7 @@ from weylq import eulerian
 from weylq.cli import parse_subset
 from weylq.compat import is_compatible, verify_genfunc
 from weylq.deform import cqp_type1_formula
-from weylq.errors import ResourceCapError
+from weylq.errors import InconsistencyError, ResourceCapError
 from weylq.eulerian import (
     DescentProfile,
     descent_profile,
@@ -298,9 +298,9 @@ def _assert_per_element_histogram(rs, subset):
 
 @pytest.mark.parametrize("family", "BC")
 def test_pattern_histogram_on_every_rank_4_ideal(family):
-    """Grouping the elements by image pattern gives the histogram of the
-    per-element classification on every ideal of the compat-sweep
-    benchmark's systems."""
+    """The bytewise lane sums give the histogram of the per-element
+    classification on every ideal of the compat-sweep benchmark's
+    systems."""
     rs = build_root_system(family, 4)
     for psi in enumerate_ideals(rs):
         _assert_per_element_histogram(rs, psi)
@@ -313,6 +313,46 @@ def test_pattern_histogram_on_e6():
     full = range(len(rs.positive_roots))
     for subset in ((), parse_subset(rs, _benchmark_subset("eulerian-e6", 1)), full):
         _assert_per_element_histogram(rs, tuple(subset))
+
+
+@pytest.mark.parametrize("family, rank, step", [("F", 4, 1), ("D", 5, 1), ("E", 6, 40)])
+def test_lane_histogram_on_larger_marks_and_groups(family, rank, step):
+    """The same on every ideal of F4 (marks up to 4) and of D5, and on every
+    40th ideal of E6 (marks up to 3, 51,840 elements per lane)."""
+    rs = build_root_system(family, rank)
+    for psi in enumerate_ideals(rs)[::step]:
+        _assert_per_element_histogram(rs, psi)
+
+
+def test_one_classification_per_distinct_profile(monkeypatch):
+    """descent_profile runs once per distinct profile of a B4 ideal, not
+    once per element or per pattern of image classes."""
+    rs = build_root_system("B", 4)
+    psi = enumerate_ideals(rs)[30]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return descent_profile(*args)
+
+    eulerian._profiles.cache_clear()
+    monkeypatch.setattr(eulerian, "descent_profile", counted)
+    hist = profile_counts(rs, psi)
+    assert len(calls) == len(hist) < rs.weyl_order
+
+
+def test_lane_sums_cross_check_the_classification(monkeypatch):
+    """A classification that disagrees with the lane sums is refused."""
+    rs = build_root_system("B", 4)
+
+    def doctored(rs, subset, w):
+        p = descent_profile(rs, subset, w)
+        return DescentProfile(p.descent + 1, p.descent_bar, p.ascent, p.ascent_bar - 1)
+
+    eulerian._profiles.cache_clear()
+    monkeypatch.setattr(eulerian, "descent_profile", doctored)
+    with pytest.raises(InconsistencyError):
+        profile_counts(rs, (0, 1))
 
 
 def test_word_and_table_profiles_agree():

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 from array import array
 from collections import Counter
-from itertools import chain
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, NamedTuple, Tuple
 
@@ -98,14 +97,13 @@ def descent_profile(rs: RootSystem, subset: Iterable[int], w: WeylElement) -> De
     return DescentProfile(descent, descent_bar, ascent, ascent_bar)
 
 
-# Two systems, like the Weyl group cache: per extended-base position, the
-# images of every element in enumerate_weyl order, one byte each (a
-# signed-root index is below 2N <= 256).  Read after _profiles'
-# enumerate_weyl call, which checks the cap and that byte width.
+# Two systems, like the Weyl group cache: the group's image table sliced
+# into one bytes column per extended-base position.  Read after _profiles'
+# enumerate_weyl call, which checks the cap and the one-byte width.
 @functools.lru_cache(maxsize=2)
 def _image_columns(rs: RootSystem) -> Tuple[bytes, ...]:
-    table = bytes(chain.from_iterable(w.base_images for w in _weyl_elements(rs)))
-    return tuple(table[i :: rs.rank + 1] for i in range(rs.rank + 1))
+    group = _weyl_elements(rs)
+    return tuple(group.images[i :: group.width] for i in range(group.width))
 
 
 def _class_codes(rs: RootSystem, psi: RootSubset) -> bytes:
@@ -135,8 +133,9 @@ _LANES = tuple(
 # The cap is part of the key, so a hit means that cap already passed.
 # The lane sums of descent, descent_bar and ascent (module docstring) are
 # interleaved into one 4-byte word per element and the words counted; the
-# first element of each distinct word is classified, and its profile must
-# read the word (its ascent_bar, h minus the other three, then agrees too).
+# first element of each distinct word is read from the group (the only
+# elements built) and classified, and its profile must read the word (its
+# ascent_bar, h minus the other three, then agrees too).
 @functools.lru_cache(maxsize=4)
 def _profiles(rs: RootSystem, psi: RootSubset, cap: int) -> Histogram:
     elements = enumerate_weyl(rs, cap)
@@ -268,7 +267,8 @@ def omega_partition(
     the chosen root, fibered by the extended-base position.
 
     Keys are the positions whose root shares the chosen root's length
-    class; values follow enumerate_weyl order.
+    class; each value is a tuple of the elements read from enumerate_weyl's
+    sequence, in its order.
     """
     n = len(rs.positive_roots)
     if not isinstance(delta_index, int) or isinstance(delta_index, bool) or not 0 <= delta_index < n:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
 
@@ -316,10 +317,40 @@ def _reflection_permutations(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     return tuple(perms)
 
 
+class WeylGroup(Sequence):
+    """The Weyl group in enumerate_weyl order, held as one bytes table.
+
+    images lists every element's extended-base images, width (rank + 1)
+    bytes per element, and words their least reduced words.  A WeylElement
+    is built only when one is read: by index, by slice (a tuple) or while
+    iterating.
+    """
+
+    __slots__ = ("images", "words", "width")
+
+    def __init__(self, images: bytes, words: Tuple[Tuple[int, ...], ...], width: int) -> None:
+        self.images = images
+        self.words = words
+        self.width = width
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, index) -> WeylElement | Tuple[WeylElement, ...]:
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self.words))[index]))
+        word = self.words[index]
+        start = index % len(self.words) * self.width
+        return WeylElement(tuple(self.images[start : start + self.width]), word)
+
+    def __iter__(self) -> Iterator[WeylElement]:
+        return map(WeylElement, zip(*[iter(self.images)] * self.width), self.words)
+
+
 # Two groups: a sweep over two systems (B4, then C4) reuses each group
 # while it runs, and a lifted cap keeps at most two large groups resident.
 @functools.lru_cache(maxsize=2)
-def _weyl_elements(rs: RootSystem) -> Tuple[WeylElement, ...]:
+def _weyl_elements(rs: RootSystem) -> WeylGroup:
     """Breadth-first closure of the identity under left multiplication by
     the simple reflections, on extended-base images alone.
 
@@ -336,14 +367,16 @@ def _weyl_elements(rs: RootSystem) -> Tuple[WeylElement, ...]:
     least reduced words, u gets j followed by the least word of s_j * u,
     which is u's least reduced word (every reduced word of u begins with a
     left descent), and level k + 1 comes out in the order of those words.
+    The level tables, joined, are the group's image table.
     """
     chunks = struct.Struct(f"{rs.rank + 1}s").iter_unpack
     gens = [bytes(perm).ljust(256, b"\0") for perm in _reflection_permutations(rs)]
-    elements = []
+    tables, words = [], []
     shorter, level = {}, {bytes(extended_base_indices(rs)): ()}
     while level:
-        elements += map(WeylElement, map(tuple, level), level.values())
         table = b"".join(level)
+        tables.append(table)
+        words += level.values()
         # the previous level's images first, as entries that are never new
         longer = dict.fromkeys(shorter)
         for j, gen in enumerate(gens, 1):
@@ -353,11 +386,11 @@ def _weyl_elements(rs: RootSystem) -> Tuple[WeylElement, ...]:
         for images in shorter:
             del longer[images]
         shorter, level = level, longer
-    if len(elements) != rs.weyl_order:
+    if len(words) != rs.weyl_order:
         raise InconsistencyError(
-            f"closure found {len(elements)} elements, expected {rs.weyl_order}"
+            f"closure found {len(words)} elements, expected {rs.weyl_order}"
         )
-    return tuple(elements)
+    return WeylGroup(b"".join(tables), tuple(words), rs.rank + 1)
 
 
 def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:
@@ -378,8 +411,9 @@ def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:
         )
 
 
-def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> Tuple[WeylElement, ...]:
-    """All Weyl group elements, identity first, in breadth-first word order.
+def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
+    """All Weyl group elements, identity first, in breadth-first word order,
+    as a read-only sequence over one image table (see WeylGroup).
 
     Elements come by length, and within a length in lexicographic order of
     their words; each carries its lexicographically least reduced word and

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylq import eulerian
+from weylq import eulerian, rootsys
 from weylq.cli import parse_subset
 from weylq.compat import is_compatible, verify_genfunc
 from weylq.deform import cqp_type1_formula
@@ -339,6 +339,27 @@ def test_one_classification_per_distinct_profile(monkeypatch):
     monkeypatch.setattr(eulerian, "descent_profile", counted)
     hist = profile_counts(rs, psi)
     assert len(calls) == len(hist) < rs.weyl_order
+
+
+def test_statistics_build_one_element_per_distinct_profile(monkeypatch):
+    """e and m of an E6 ideal, from cleared caches, build a WeylElement
+    only for the one classified element of each distinct profile: the
+    enumeration and the image columns read the group's image table."""
+    rs = build_root_system("E", 6)
+    psi = enumerate_ideals(rs)[400]
+    built = []
+    element = rootsys.WeylElement
+
+    def counted(*args):
+        built.append(args)
+        return element(*args)
+
+    for cached in (rootsys._weyl_elements, eulerian._image_columns, eulerian._profiles):
+        cached.cache_clear()
+    monkeypatch.setattr(rootsys, "WeylElement", counted)
+    eulerian_poly(rs, psi)
+    m_poly(rs, psi)
+    assert 0 < len(built) <= len(profile_counts(rs, psi))
 
 
 def test_lane_sums_cross_check_the_classification(monkeypatch):

@@ -413,6 +413,33 @@ def test_weyl_element_layout(g2):
         w.word = ()
 
 
+@pytest.mark.parametrize("family, rank", SMALL + [("F", 4)])
+def test_weyl_group_view(family, rank):
+    """The enumeration is a slotted view over one image table, rank + 1
+    bytes per element, that builds on every read the element its word
+    multiplies out to, word included."""
+    rs = build_root_system(family, rank)
+    view = enumerate_weyl(rs)
+    expected = tuple(weyl_from_word(rs, word) for word in view.words)
+
+    def pairs(elements):
+        return [(w.base_images, w.word) for w in elements]
+
+    size = len(expected)
+    assert len(view) == size == rs.weyl_order
+    assert len(view.images) == (rank + 1) * size
+    assert not hasattr(view, "__dict__")
+    assert pairs(view) == pairs(expected)
+    for i in (0, 1, size // 2, size - 1, -1, -2, -size):
+        assert pairs([view[i]]) == pairs([expected[i]])
+    for part in (slice(None), slice(1, None, 3), slice(None, None, -2), slice(-5, -1), slice(size, None)):
+        assert isinstance(view[part], tuple)
+        assert pairs(view[part]) == pairs(expected[part])
+    for i in (size, -size - 1):
+        with pytest.raises(IndexError):
+            view[i]
+
+
 def test_normalize_subset(g2):
     assert normalize_subset(g2, [3, 1, 1, 0]) == (0, 1, 3)
     assert normalize_subset(g2, ()) == ()

@@ -38,11 +38,13 @@ Vector = Tuple[int, ...]
 # has 25 vectors.
 MAX_PERIOD_VECTORS = 24
 
-# The counting kernel holds about q^rank bits at its largest sample (q^(rank-k)
-# outer masks of q^k bits each), so counting is refused up front when that
-# passes 1 GiB: root subsets of E8, B8 and C8 from period 2 on (q up to 22),
-# and nonempty ones of rank-10 systems at any period.  The empty arrangement
-# is counted as q^rank without the kernel's masks.
+# A work bound: at modulus q the counting kernel ORs and popcounts q^rank
+# bits per table of outer coefficients (q^k block bits at each of the
+# q^(rank-k) outer prefixes), though it holds only q masks of q^k bits per
+# distinct coefficient tuple.  Counting is refused up front when q^rank
+# passes 2^33 at the largest sample: root subsets of E8, B8 and C8 from
+# period 2 on (q up to 22), and nonempty ones of rank-10 systems at any
+# period.  The empty arrangement is counted as q^rank without the kernel.
 MAX_COUNT_BITS = 2**33
 
 # The face table keeps every member of every face orbit, and their number

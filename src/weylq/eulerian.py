@@ -132,9 +132,9 @@ _LANES = tuple(
 # with its deformation checks; an entry holds only the distinct profiles.
 # The cap is part of the key, so a hit means that cap already passed.
 # The lane sums of descent, descent_bar and ascent (module docstring) are
-# interleaved into one 4-byte word per element and the words counted; the
-# first element of each distinct word is read from the group (the only
-# elements built) and classified, and its profile must read the word (its
+# interleaved into one 4-byte key per element and the keys counted; the
+# first element of each distinct key is read from the group (the only
+# elements built) and classified, and its profile must read the key (its
 # ascent_bar, h minus the other three, then agrees too).
 @functools.lru_cache(maxsize=4)
 def _profiles(rs: RootSystem, psi: RootSubset, cap: int) -> Histogram:
@@ -142,21 +142,21 @@ def _profiles(rs: RootSystem, psi: RootSubset, cap: int) -> Histogram:
     size = len(elements)
     codes = _class_codes(rs, psi)
     classes = [column.translate(codes) for column in _image_columns(rs)]
-    words = bytearray(4 * size)
+    packed = bytearray(4 * size)
     for field, lanes in enumerate(_LANES):
         total = 0
         for column, mark in zip(classes, (1,) + rs.marks):
             total += int.from_bytes(column.translate(lanes[mark]), "little")
-        words[field::4] = total.to_bytes(size, "little")
-    keys = array("I", words)
+        packed[field::4] = total.to_bytes(size, "little")
+    keys = array("I", packed)
     hist = {}
     index = -1
-    # the Counter lists the words in the order of their first elements, so
-    # each search for a word's first element starts after the previous one
+    # the Counter lists the keys in the order of their first elements, so
+    # each search for a key's first element starts after the previous one
     for key, count in Counter(keys).items():
         index = keys.index(key, index + 1)
         profile = descent_profile(rs, psi, elements[index])
-        summed = tuple(words[4 * index : 4 * index + 3])
+        summed = tuple(packed[4 * index : 4 * index + 3])
         if profile[:3] != summed:
             raise InconsistencyError(
                 f"element {index} has profile {tuple(profile)}, but its image "

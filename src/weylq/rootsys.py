@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
@@ -99,20 +101,11 @@ class WeylElement:
     """A Weyl group element, given by where it sends the extended base.
 
     base_images holds the signed-root indices (see signed_roots) of the
-    images of the extended base (see extended_base_indices); they determine
-    the element, so equality compares them alone.  The word is a generator
-    word (1-based indices) whose product is the element; enumerate_weyl
-    gives the lexicographically least reduced one.  It is carried for
-    display and testing only.
+    images of the extended base (see extended_base_indices).  They
+    determine the element, so they are all it holds.
     """
 
     base_images: Tuple[int, ...]
-    word: Tuple[int, ...] = field(compare=False)
-
-    def __repr__(self) -> str:
-        if not self.word:
-            return "WeylElement(e)"
-        return "WeylElement(" + "*".join(f"s{i}" for i in self.word) + ")"
 
 
 def height(root: Vector) -> int:
@@ -321,30 +314,28 @@ class WeylGroup(Sequence):
     """The Weyl group in enumerate_weyl order, held as one bytes table.
 
     images lists every element's extended-base images, width (rank + 1)
-    bytes per element, and words their least reduced words.  A WeylElement
-    is built only when one is read: by index, by slice (a tuple) or while
-    iterating.
+    bytes per element.  A WeylElement is built only when one is read: by
+    index, by slice (a tuple) or while iterating.
     """
 
-    __slots__ = ("images", "words", "width")
+    __slots__ = ("images", "width")
 
-    def __init__(self, images: bytes, words: Tuple[Tuple[int, ...], ...], width: int) -> None:
+    def __init__(self, images: bytes, width: int) -> None:
         self.images = images
-        self.words = words
         self.width = width
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.images) // self.width
 
     def __getitem__(self, index) -> WeylElement | Tuple[WeylElement, ...]:
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self.words))[index]))
-        word = self.words[index]
-        start = index % len(self.words) * self.width
-        return WeylElement(tuple(self.images[start : start + self.width]), word)
+        found = range(len(self))[index]
+        if isinstance(found, range):
+            return tuple(map(self.__getitem__, found))
+        start = found * self.width
+        return WeylElement(tuple(self.images[start : start + self.width]))
 
     def __iter__(self) -> Iterator[WeylElement]:
-        return map(WeylElement, zip(*[iter(self.images)] * self.width), self.words)
+        return map(WeylElement, zip(*[iter(self.images)] * self.width))
 
 
 # Two groups: a sweep over two systems (B4, then C4) reuses each group
@@ -359,38 +350,39 @@ def _weyl_elements(rs: RootSystem) -> WeylGroup:
     (2N <= 256, see check_weyl_cap) moves a whole level (one length), held
     as one bytes table of rank + 1 images per element.  s_j * w is one
     longer or one shorter than w, so it is new exactly when neither the
-    previous level nor the next one so far holds it.  Each level is
-    scanned generator by generator, and for each generator over the
-    previous level in order.  An element u of length k + 1 is therefore
-    first reached at its smallest left descent j, from s_j * u in level k.
-    If level k lists its elements in the order of their lexicographically
-    least reduced words, u gets j followed by the least word of s_j * u,
-    which is u's least reduced word (every reduced word of u begins with a
-    left descent), and level k + 1 comes out in the order of those words.
-    The level tables, joined, are the group's image table.
+    previous level nor the next one so far holds it.
+
+    Order contract: elements come by length, and within a length in the
+    lexicographic order of their least reduced words (1-based generator
+    indices).  Each level is scanned generator by generator, and for each
+    generator over the previous level in order, so an element u of length
+    k + 1 is first reached at its smallest left descent j, from s_j * u in
+    level k.  Every reduced word of u begins with a left descent, so u's
+    least reduced word is j followed by the least word of s_j * u.  If
+    level k is in the order of its least words, the first reach of each u
+    is therefore in the order of (j, least word of s_j * u), that is of
+    u's least word, and level k + 1 comes out in that order too.  The
+    level tables, joined, are the group's image table.
     """
-    chunks = struct.Struct(f"{rs.rank + 1}s").iter_unpack
+    width = rs.rank + 1
+    chunks = struct.Struct(f"{width}s").iter_unpack
+    first = operator.itemgetter(0)
     gens = [bytes(perm).ljust(256, b"\0") for perm in _reflection_permutations(rs)]
-    tables, words = [], []
-    shorter, level = {}, {bytes(extended_base_indices(rs)): ()}
+    tables = []
+    shorter, level = b"", bytes(extended_base_indices(rs))
     while level:
-        table = b"".join(level)
-        tables.append(table)
-        words += level.values()
-        # the previous level's images first, as entries that are never new
-        longer = dict.fromkeys(shorter)
-        for j, gen in enumerate(gens, 1):
-            for (images,), word in zip(chunks(table.translate(gen)), level.values()):
-                if images not in longer:
-                    longer[images] = (j,) + word
-        for images in shorter:
-            del longer[images]
-        shorter, level = level, longer
-    if len(words) != rs.weyl_order:
+        tables.append(level)
+        # the previous level's images come first, so they keep the front of
+        # the dict and are cut off as its first len(shorter) bytes
+        candidates = chain([shorter], (level.translate(gen) for gen in gens))
+        longer = dict.fromkeys(map(first, chain.from_iterable(map(chunks, candidates))))
+        shorter, level = level, b"".join(longer)[len(shorter) :]
+    images = b"".join(tables)
+    if len(images) != rs.weyl_order * width:
         raise InconsistencyError(
-            f"closure found {len(words)} elements, expected {rs.weyl_order}"
+            f"closure found {len(images) // width} elements, expected {rs.weyl_order}"
         )
-    return WeylGroup(b"".join(tables), tuple(words), rs.rank + 1)
+    return WeylGroup(images, width)
 
 
 def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:
@@ -412,13 +404,13 @@ def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:
 
 
 def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
-    """All Weyl group elements, identity first, in breadth-first word order,
-    as a read-only sequence over one image table (see WeylGroup).
+    """All Weyl group elements, identity first, as a read-only sequence
+    over one image table (see WeylGroup).
 
-    Elements come by length, and within a length in lexicographic order of
-    their words; each carries its lexicographically least reduced word and
-    its extended-base images.  Refuses upfront, on every call, when the
-    known group order exceeds the cap.
+    Elements come by length, and within a length in the lexicographic order
+    of their least reduced words (proved in _weyl_elements); each is given
+    by its extended-base images alone.  Refuses upfront, on every call,
+    when the known group order exceeds the cap.
     """
     check_weyl_cap(rs, cap)
     return _weyl_elements(rs)
@@ -435,7 +427,7 @@ def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     # the last letter acts first
     for j in reversed(w):
         images = tuple(map(gens[j - 1].__getitem__, images))
-    return WeylElement(images, w)
+    return WeylElement(images)
 
 
 def weyl_act(rs: RootSystem, w: WeylElement, v: Vector) -> Vector:

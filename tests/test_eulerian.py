@@ -35,7 +35,7 @@ from weylq.rootsys import (
     weyl_from_word,
 )
 
-from test_rootsys import mat_act, word_matrix
+from test_rootsys import least_word, mat_act, word_matrix
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +183,7 @@ def test_omega_partition_g2_long(g2):
     base = extended_base(g2)
     for position, ws in fibers.items():
         for w in ws:
-            assert mat_act(word_matrix(g2, w.word), base[position][0]) == minus_delta
+            assert mat_act(word_matrix(g2, least_word(g2, w)), base[position][0]) == minus_delta
 
 
 def test_omega_partition_g2_short(g2):
@@ -230,10 +230,11 @@ def test_omega_partition_counts(family, rank):
 
 
 def _reference_profile(rs, subset, w):
-    """Classify each extended-base image under the matrix of the word."""
+    """Classify each extended-base image under the matrix of the element's
+    least reduced word."""
     psi = set(subset)
     lookup = root_index(rs)
-    mat = word_matrix(rs, w.word)
+    mat = word_matrix(rs, least_word(rs, w))
     counts = {"descent": 0, "descent_bar": 0, "ascent": 0, "ascent_bar": 0}
     for root, mark in extended_base(rs):
         image = mat_act(mat, root)
@@ -377,11 +378,12 @@ def test_lane_sums_cross_check_the_classification(monkeypatch):
 
 
 def test_word_and_table_profiles_agree():
-    """An element built from its word classifies like its table entry."""
+    """An element built from its least reduced word classifies like its
+    table entry."""
     rs = build_root_system("B", 3)
     psi = (0, 2, 4, 5)
     for w in enumerate_weyl(rs):
-        bare = weyl_from_word(rs, w.word)
+        bare = weyl_from_word(rs, least_word(rs, w))
         assert bare.base_images == w.base_images and bare == w
         assert descent_profile(rs, psi, bare) == descent_profile(rs, psi, w)
 

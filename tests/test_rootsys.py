@@ -1,6 +1,7 @@
 """Root system construction, Weyl group enumeration and subset helpers."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -185,8 +186,8 @@ def test_weyl_enumeration(family, rank):
     assert len(elems) == rs.weyl_order
     assert len({w.base_images for w in elems}) == rs.weyl_order
     assert elems[0].base_images == extended_base_indices(rs)
-    assert elems[0].word == ()
-    lengths = [len(w.word) for w in elems]
+    assert least_word(rs, elems[0]) == ()
+    lengths = [len(least_word(rs, w)) for w in elems]
     assert lengths == sorted(lengths)
 
 
@@ -216,6 +217,30 @@ def word_matrix(rs, word):
     for j in word:
         mat = mat_mul(mat, gens[j - 1])
     return mat
+
+
+def least_word(rs, w):
+    """The lexicographically least reduced word (1-based) of an element,
+    from its simple-root images alone.
+
+    y = w(2 rho) pairs negatively with the coroot of alpha_j exactly when
+    j is a left descent of w (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.6-1.7), and the least reduced word begins with the smallest
+    one, j; the rest is the least reduced word of s_j * w, whose pairings
+    are those of s_j y: p_k - p_j * <alpha_j, alpha_k^vee>.
+    """
+    roots = signed_roots(rs)
+    rho2 = [sum(column) for column in zip(*rs.positive_roots)]
+    y = [sum(c * roots[b][k] for c, b in zip(rho2, w.base_images[1:])) for k in range(rs.rank)]
+    pairings = [sum(rs.cartan[i][j] * y[i] for i in range(rs.rank)) for j in range(rs.rank)]
+    word = []
+    while True:
+        j = next((j for j, p in enumerate(pairings) if p < 0), None)
+        if j is None:
+            return tuple(word)
+        word.append(j + 1)
+        p = pairings[j]
+        pairings = [pk - p * c for pk, c in zip(pairings, rs.cartan[j])]
 
 
 def mat_act(mat, v):
@@ -251,7 +276,7 @@ def test_enumeration_matches_matrix_closure(family, rank):
     rs = build_root_system(family, rank)
     roots = signed_roots(rs)
     got = [
-        (tuple(zip(*(roots[i] for i in w.base_images[1:]))), w.word)
+        (tuple(zip(*(roots[i] for i in w.base_images[1:]))), least_word(rs, w))
         for w in enumerate_weyl(rs)
     ]
     assert got == _reference_weyl(rs)
@@ -265,10 +290,11 @@ def test_enumeration_words_past_the_matrix_closure(family, rank, step):
     being the number of positive roots the element sends negative."""
     rs = build_root_system(family, rank)
     elements = enumerate_weyl(rs)
-    keys = [(len(w.word), w.word) for w in elements]
+    words = [least_word(rs, w) for w in elements]
+    keys = [(len(word), word) for word in words]
     assert all(a < b for a, b in zip(keys, keys[1:]))
-    for w in elements[::step]:
-        assert weyl_from_word(rs, w.word).base_images == w.base_images
+    for w, word in zip(elements[::step], words[::step]):
+        assert weyl_from_word(rs, word).base_images == w.base_images
     # w(root) has height sum_i c_i * ht(w(alpha_i)); each positive root is
     # a simple root or an earlier one plus a simple root, so the heights
     # follow from one addition per root
@@ -281,12 +307,12 @@ def test_enumeration_words_past_the_matrix_closure(family, rank, step):
                 steps.append((index.get(less), i))
                 break
     heights = [height(v) for v in signed_roots(rs)]
-    for w in elements:
+    for w, word in zip(elements, words):
         simple = [heights[b] for b in w.base_images[1:]]
         images = []
         for k, i in steps:
             images.append(simple[i] + (images[k] if k is not None else 0))
-        assert sum(h < 0 for h in images) == len(w.word)
+        assert sum(h < 0 for h in images) == len(word)
 
 
 @pytest.mark.parametrize("family, rank", SMALL + [("F", 4)])
@@ -299,7 +325,7 @@ def test_base_images_match_action(family, rank):
         tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)
     ]
     for w in enumerate_weyl(rs):
-        mat = word_matrix(rs, w.word)
+        mat = word_matrix(rs, least_word(rs, w))
         assert [roots[i] for i in w.base_images] == [mat_act(mat, v) for v in base]
 
 
@@ -403,41 +429,61 @@ def test_weyl_closure_order_check(monkeypatch):
 
 
 def test_weyl_element_layout(g2):
-    """Elements compare and hash on their images alone, hold no __dict__,
-    and refuse assignment."""
+    """Elements hold their images alone, compare and hash on them, hold no
+    __dict__, and refuse assignment."""
     w = enumerate_weyl(g2)[3]
-    twin = rootsys.WeylElement(w.base_images, (9, 9))
+    assert [f.name for f in dataclasses.fields(w)] == ["base_images"]
+    twin = rootsys.WeylElement(w.base_images)
     assert twin == w and hash(twin) == hash(w)
     assert not hasattr(w, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
-        w.word = ()
+        w.base_images = ()
 
 
 @pytest.mark.parametrize("family, rank", SMALL + [("F", 4)])
 def test_weyl_group_view(family, rank):
     """The enumeration is a slotted view over one image table, rank + 1
-    bytes per element, that builds on every read the element its word
-    multiplies out to, word included."""
+    bytes per element and nothing else, that builds on every read the
+    element the matrix closure's word at that position multiplies out to."""
     rs = build_root_system(family, rank)
     view = enumerate_weyl(rs)
-    expected = tuple(weyl_from_word(rs, word) for word in view.words)
+    expected = tuple(weyl_from_word(rs, word) for _, word in _reference_weyl(rs))
 
-    def pairs(elements):
-        return [(w.base_images, w.word) for w in elements]
+    def images(elements):
+        return [w.base_images for w in elements]
 
     size = len(expected)
     assert len(view) == size == rs.weyl_order
     assert len(view.images) == (rank + 1) * size
-    assert not hasattr(view, "__dict__")
-    assert pairs(view) == pairs(expected)
+    assert not hasattr(view, "__dict__") and not hasattr(view, "words")
+    assert images(view) == images(expected)
     for i in (0, 1, size // 2, size - 1, -1, -2, -size):
-        assert pairs([view[i]]) == pairs([expected[i]])
+        assert images([view[i]]) == images([expected[i]])
     for part in (slice(None), slice(1, None, 3), slice(None, None, -2), slice(-5, -1), slice(size, None)):
         assert isinstance(view[part], tuple)
-        assert pairs(view[part]) == pairs(expected[part])
+        assert images(view[part]) == images(expected[part])
     for i in (size, -size - 1):
         with pytest.raises(IndexError):
             view[i]
+
+
+def test_weyl_group_keeps_only_its_image_table():
+    """A freshly built group keeps, by traced memory, little more than its
+    image table: rank + 1 bytes per element, with no per-element objects."""
+    rs = build_root_system("D", 5)
+    rootsys._reflection_permutations(rs)
+    extended_base_indices(rs)
+    rootsys._weyl_elements.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = enumerate_weyl(rs)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        rootsys._weyl_elements.cache_clear()
+    assert len(group.images) == 6 * 1920
+    assert kept < 2 * len(group.images)
 
 
 def test_normalize_subset(g2):

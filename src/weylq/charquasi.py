@@ -245,7 +245,17 @@ def default_min_q(spec: ArrangementSpec) -> int:
     return (below + above + 3) * (ht + 1) + 1
 
 
-@functools.lru_cache(maxsize=4)
+def _mirror(spec: ArrangementSpec) -> ArrangementSpec:
+    """The arrangement with every offset negated.  x -> -x maps one
+    complement onto the other at every modulus, so both have the same
+    counts, periods (lcm_period reads the vectors alone) and sampling floor
+    (default_min_q is symmetric in the offsets)."""
+    return ArrangementSpec(
+        spec.rank,
+        tuple((vec, tuple(sorted(-m for m in offs))) for vec, offs in spec.items),
+    )
+
+
 def char_quasi(
     spec: ArrangementSpec, period_override: int | None = None
 ) -> QuasiPolynomial:
@@ -257,7 +267,15 @@ def char_quasi(
     produces a wrong result must fail inside that window.  Raises
     ResourceCapError before counting when the arrangement is not empty and
     the largest modulus q to count has q^rank above MAX_COUNT_BITS.
+
+    An arrangement and its mirror (_mirror) have the same answer, so the
+    memo is keyed on the smaller of the two: [-b, a] reuses [-a, b].
     """
+    return _char_quasi(min(spec, _mirror(spec), key=lambda s: s.items), period_override)
+
+
+@functools.lru_cache(maxsize=4)
+def _char_quasi(spec: ArrangementSpec, period_override: int | None) -> QuasiPolynomial:
     period = lcm_period(spec) if period_override is None else period_override
     if not isinstance(period, int) or isinstance(period, bool) or period < 1:
         raise ValidationError("period override must be a positive integer")
@@ -287,6 +305,11 @@ def char_quasi(
                     f"gives {qp(q)}"
                 )
     return qp
+
+
+# the memo is inspected and reset through char_quasi, like an lru_cache
+char_quasi.cache_info = _char_quasi.cache_info
+char_quasi.cache_clear = _char_quasi.cache_clear
 
 
 FaceTable = Tuple[int, Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, ...], int], ...]], ...]]

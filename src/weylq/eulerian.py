@@ -6,14 +6,17 @@ of the positive roots, a group element sorts each extended-base image into
 one of four classes: negative outside or inside the subset (descents), or
 positive outside or inside it (ascents), each weighted by the mark.
 
-A profile is the sum, over the extended-base positions, of the position's
-mark in the field of its image's class, so profile_counts adds up the
-profiles of all elements at once: each position's images, one bytes column
-over the group, are translated to their class codes and then, per field,
-to the mark or 0; the columns of a field, read as integers, add up bytewise
-without carries (every field is at most the Coxeter number, below 256).
-The per-element sums are counted, and one element per distinct profile is
-classified by descent_profile, which must agree with them.
+A statistic (one field of a profile) is the sum, over the extended-base
+positions, of the position's mark where its image's class is the field's,
+so it is added up over all elements at once: each position's images, one
+bytes column sliced from the group's image table, are translated to the
+mark or 0, and the columns, read as integers, add up bytewise without
+carries (every field is at most the Coxeter number, below 256).
+eulerian_poly reads the descent lane and m_poly the ascent_bar lane alone
+(_lane): each value's count is read off the summed lane, and one element
+per value is classified by descent_profile, which must agree.  Only deform
+reads the joint histogram of all four fields (profile_counts), whose
+shift statistic weighs them all.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from weylq.rootsys import (
     RootSubset,
     RootSystem,
     WeylElement,
-    _weyl_elements,
+    WeylGroup,
     check_weyl_cap,
     classify_length,
     enumerate_weyl,
@@ -97,15 +100,6 @@ def descent_profile(rs: RootSystem, subset: Iterable[int], w: WeylElement) -> De
     return DescentProfile(descent, descent_bar, ascent, ascent_bar)
 
 
-# Two systems, like the Weyl group cache: the group's image table sliced
-# into one bytes column per extended-base position.  Read after _profiles'
-# enumerate_weyl call, which checks the cap and the one-byte width.
-@functools.lru_cache(maxsize=2)
-def _image_columns(rs: RootSystem) -> Tuple[bytes, ...]:
-    group = _weyl_elements(rs)
-    return tuple(group.images[i :: group.width] for i in range(group.width))
-
-
 def _class_codes(rs: RootSystem, psi: RootSubset) -> bytes:
     """A bytes.translate table sending each signed-root index to its class
     against the subset, in DescentProfile field order: 0 descent,
@@ -119,35 +113,82 @@ def _class_codes(rs: RootSystem, psi: RootSubset) -> bytes:
     return bytes(codes)
 
 
-# Per field (descent, descent_bar, ascent) and mark, a bytes.translate
-# table sending that field's class code to the mark and the other codes to
-# 0.  Marks run up to 6 (E8).
+# Per field (DescentProfile order) and mark, a bytes.translate table
+# sending that field's class code to the mark and the other codes to 0.
+# Marks run up to 6 (E8).
 _LANES = tuple(
     tuple(bytes(mark if code == field else 0 for code in range(256)) for mark in range(7))
-    for field in range(3)
+    for field in range(4)
 )
 
 
-# A few subsets at a time: e and m of one query, or one ideal of a sweep
-# with its deformation checks; an entry holds only the distinct profiles.
-# The cap is part of the key, so a hit means that cap already passed.
-# The lane sums of descent, descent_bar and ascent (module docstring) are
-# interleaved into one 4-byte key per element and the keys counted; the
-# first element of each distinct key is read from the group (the only
-# elements built) and classified, and its profile must read the key (its
-# ascent_bar, h minus the other three, then agrees too).
+def _lane_sum(group: WeylGroup, tables: Iterable[bytes]) -> bytes:
+    """Per element, the sum over the extended-base positions of its image
+    translated by that position's table, one byte per element: each
+    position's column is sliced from the image table and the translated
+    columns are added as little-endian integers, so no byte may pass 255."""
+    total = 0
+    for i, table in enumerate(tables):
+        total += int.from_bytes(group.images[i :: group.width].translate(table), "little")
+    return total.to_bytes(len(group), "little")
+
+
+# One entry per statistic of a subset: e and m of one query, or the e of
+# each ideal of a sweep.  The cap is part of the key, so a hit means that
+# cap already passed.
+@functools.lru_cache(maxsize=4)
+def _lane(rs: RootSystem, psi: RootSubset, field: str, cap: int) -> Tuple[Tuple[int, int], ...]:
+    """Each value of one profile field (a DescentProfile field name) over
+    the group with its number of elements, in increasing order.  The first
+    element of each value (at most h + 1 of them, the only elements
+    built) is classified, and its profile must read that value."""
+    group = enumerate_weyl(rs, cap)
+    codes = _class_codes(rs, psi)
+    k = DescentProfile._fields.index(field)
+    lane = _lane_sum(group, (codes.translate(_LANES[k][mark]) for mark in (1,) + rs.marks))
+    counts = []
+    for value in range(rs.coxeter_number + 1):
+        count = lane.count(value)
+        if count:
+            index = lane.index(value)
+            profile = descent_profile(rs, psi, group[index])
+            if profile[k] != value:
+                raise InconsistencyError(
+                    f"element {index} has profile {tuple(profile)}, but its image "
+                    f"columns sum to {value} in field {field}"
+                )
+            counts.append((value, count))
+    return tuple(counts)
+
+
+def _statistic(
+    rs: RootSystem, subset: Iterable[int], field: str, cap: int
+) -> Tuple[Tuple[int, int], ...]:
+    """_lane for a raw subset; the Weyl cap is checked on every call, cache
+    hits included."""
+    check_weyl_cap(rs, cap)
+    return _lane(rs, normalize_subset(rs, subset), field, cap)
+
+
+# The joint histogram, which only deform reads (e and m read one lane
+# each).  A few subsets at a time: the deformation formulas of one query,
+# or one ideal with its deformation checks; an entry holds only the
+# distinct profiles.  The cap is part of the key, so a hit means that cap
+# already passed.  The lane sums of descent, descent_bar and ascent (module
+# docstring) are interleaved into one 4-byte key per element and the keys
+# counted; the first element of each distinct key is read from the group
+# (the only elements built) and classified, and its profile must read the
+# key (its ascent_bar, h minus the other three, then agrees too).
 @functools.lru_cache(maxsize=4)
 def _profiles(rs: RootSystem, psi: RootSubset, cap: int) -> Histogram:
     elements = enumerate_weyl(rs, cap)
     size = len(elements)
     codes = _class_codes(rs, psi)
-    classes = [column.translate(codes) for column in _image_columns(rs)]
+    marks = (1,) + rs.marks
     packed = bytearray(4 * size)
-    for field, lanes in enumerate(_LANES):
-        total = 0
-        for column, mark in zip(classes, (1,) + rs.marks):
-            total += int.from_bytes(column.translate(lanes[mark]), "little")
-        packed[field::4] = total.to_bytes(size, "little")
+    for field, lanes in enumerate(_LANES[:3]):
+        tables = [codes.translate(lanes[mark]) for mark in marks]
+        packed[field::4] = _lane_sum(elements, tables)
     keys = array("I", packed)
     hist = {}
     index = -1
@@ -170,7 +211,8 @@ def profile_counts(
     rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
 ) -> Histogram:
     """Histogram of the profiles over the group: each distinct profile with
-    the number of elements that have it, in increasing profile order.
+    the number of elements that have it, in increasing profile order.  The
+    deformation formulas read it; e and m read one lane each (_lane).
 
     The Weyl cap is checked on every call, cache hits included.
     """
@@ -201,9 +243,8 @@ def eulerian_poly(
     """Generating polynomial of h minus the descent statistic, scaled down
     by the index of connection; always has integer coefficients."""
     h = rs.coxeter_number
-    return _fiber_polynomial(
-        rs, ((h - p.descent, c) for p, c in profile_counts(rs, subset, cap))
-    )
+    fibers = _statistic(rs, subset, "descent", cap)
+    return _fiber_polynomial(rs, ((h - v, c) for v, c in fibers))
 
 
 def generalized_eulerian(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> RationalPolynomial:
@@ -217,9 +258,8 @@ def m_poly(
     """Generating polynomial of h plus the inside-ascent statistic, scaled
     down by the index of connection."""
     h = rs.coxeter_number
-    return _fiber_polynomial(
-        rs, ((h + p.ascent_bar, c) for p, c in profile_counts(rs, subset, cap))
-    )
+    fibers = _statistic(rs, subset, "ascent_bar", cap)
+    return _fiber_polynomial(rs, ((h + v, c) for v, c in fibers))
 
 
 def _length_class_size(rs: RootSystem, cls: str) -> int:

@@ -8,7 +8,7 @@ counterexample test pins the failing polynomials themselves.
 
 import pytest
 
-from weylq import charquasi, compat, eulerian, quasipoly, rootsys
+from weylq import charquasi, compat, eulerian, kernels, quasipoly, rootsys
 from weylq.charquasi import char_quasi, from_root_subset
 from weylq.deform import cqp_type1_formula, cqp_type2_formula, type1_spec, type2_spec, verify_deform
 from weylq.ehrhart import ehrhart_closed_qp, ehrhart_open_qp, open_face_qp
@@ -234,8 +234,8 @@ def test_formula_requires_compatible_subset(g2):
 
 def test_formulas_share_one_bounded_decision():
     """Two intervals on one subset decide its compatibility once; the
-    decision, counting, face-table, face-row, Weyl-group, image-column,
-    alcove and shift-table caches are bounded."""
+    decision, counting, face-table, face-row, Weyl-group, lane, alcove and
+    shift-table caches are bounded."""
     for cached in (
         compat._decide,
         char_quasi,
@@ -248,7 +248,7 @@ def test_formulas_share_one_bounded_decision():
         ehrhart_open_qp,
         quasipoly._shift_table,
         charquasi._face_rows,
-        eulerian._image_columns,
+        eulerian._lane,
     ):
         assert cached.cache_info().maxsize is not None
     d4 = build_root_system("D", 4)
@@ -277,6 +277,28 @@ def test_offsets_share_one_period_search():
     info = charquasi._vector_period.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert len(periods) == 1
+
+
+def test_mirrored_interval_reuses_the_count(monkeypatch):
+    """[-2, 1] is the mirror of [-1, 2] under x -> -x, so after D4 full
+    with [-1, 2] it is answered from the memo without counting, and the
+    answer equals the one counted for it directly."""
+    d4 = build_root_system("D", 4)
+    full = range(len(d4.positive_roots))
+    calls = []
+    count = kernels.complement_count
+    monkeypatch.setattr(
+        kernels, "complement_count", lambda *args: calls.append(args) or count(*args)
+    )
+    char_quasi.cache_clear()
+    first = char_quasi(type1_spec(d4, full, -1, 2))
+    counted = len(calls)
+    mirrored = char_quasi(type1_spec(d4, full, -2, 1))
+    assert counted > 0 and len(calls) == counted
+    assert mirrored == first
+    char_quasi.cache_clear()
+    assert charquasi._char_quasi(type1_spec(d4, full, -2, 1), None) == first
+    assert len(calls) == 2 * counted
 
 
 def test_formula_parameter_validation(g2):

@@ -1,7 +1,10 @@
 """Mark-weighted descent statistics and the subset Eulerian polynomials."""
 
+import gc
 import importlib.util
+import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -344,8 +347,8 @@ def test_one_classification_per_distinct_profile(monkeypatch):
 
 def test_statistics_build_one_element_per_distinct_profile(monkeypatch):
     """e and m of an E6 ideal, from cleared caches, build a WeylElement
-    only for the one classified element of each distinct profile: the
-    enumeration and the image columns read the group's image table."""
+    only for the one classified element of each distinct value of their
+    lanes: the enumeration and the lanes read the group's image table."""
     rs = build_root_system("E", 6)
     psi = enumerate_ideals(rs)[400]
     built = []
@@ -355,7 +358,7 @@ def test_statistics_build_one_element_per_distinct_profile(monkeypatch):
         built.append(args)
         return element(*args)
 
-    for cached in (rootsys._weyl_elements, eulerian._image_columns, eulerian._profiles):
+    for cached in (rootsys._weyl_elements, eulerian._lane, eulerian._profiles):
         cached.cache_clear()
     monkeypatch.setattr(rootsys, "WeylElement", counted)
     eulerian_poly(rs, psi)
@@ -409,13 +412,107 @@ def test_cap_holds_on_cached_profiles():
         omega_partition(rs, 0, cap=10)
 
 
-def test_e_then_m_share_the_profiles():
+def test_repeated_statistics_are_cache_hits(monkeypatch):
+    """A repeated e, or a repeated m, on one subset is a hit in the lane
+    cache; e and m from cleared caches together build at most 2(h + 1)
+    WeylElements, one per value of each lane."""
     rs = build_root_system("C", 3)
     psi = (0, 1, 3)
-    eulerian_poly(rs, psi)
-    before = eulerian._profiles.cache_info()
-    m_poly(rs, psi)
-    after = eulerian._profiles.cache_info()
-    assert after.hits == before.hits + 1
-    assert after.misses == before.misses
+    built = []
+    element = rootsys.WeylElement
+    for cached in (rootsys._weyl_elements, eulerian._lane):
+        cached.cache_clear()
+    monkeypatch.setattr(rootsys, "WeylElement", lambda *args: built.append(args) or element(*args))
+    for statistic in (eulerian_poly, m_poly):
+        first = statistic(rs, psi)
+        before = eulerian._lane.cache_info()
+        assert statistic(rs, psi) == first
+        after = eulerian._lane.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert after.maxsize is not None
+    assert 0 < len(built) <= 2 * (rs.coxeter_number + 1)
+
+
+def _marginal_polynomial(rs, exponents):
+    """Sum of t^e over the exponents, one per element, divided by the index
+    of connection."""
+    counts = Counter(exponents)
+    coeffs = [0] * (max(counts) + 1)
+    for e, c in counts.items():
+        coeffs[e] = Fraction(c, rs.index_of_connection)
+    return RationalPolynomial(coeffs)
+
+
+@pytest.mark.parametrize(
+    "family, rank, step",
+    [("B", 4, 1), ("C", 4, 1), ("D", 5, 1), ("F", 4, 1), ("G", 2, 1), ("E", 6, 40)],
+)
+def test_lanes_are_the_profile_marginals(family, rank, step):
+    """e and m, read from one lane each, are the descent and ascent_bar
+    marginals of the per-element classification on every ideal of B4, C4,
+    D5, F4 and G2, and on every 40th ideal of E6."""
+    rs = build_root_system(family, rank)
+    h = rs.coxeter_number
+    for psi in enumerate_ideals(rs)[::step]:
+        profiles = [descent_profile(rs, psi, w) for w in enumerate_weyl(rs)]
+        e = _marginal_polynomial(rs, (h - p.descent for p in profiles))
+        m = _marginal_polynomial(rs, (h + p.ascent_bar for p in profiles))
+        assert (eulerian_poly(rs, psi), m_poly(rs, psi)) == (e, m)
+
+
+@pytest.mark.parametrize("statistic", [eulerian_poly, m_poly])
+def test_lanes_cross_check_the_classification(monkeypatch, statistic):
+    """A classification that disagrees with a lane is refused by e and by
+    m alike."""
+    rs = build_root_system("B", 4)
+
+    def doctored(rs, subset, w):
+        p = descent_profile(rs, subset, w)
+        return DescentProfile(p.descent + 1, p.descent_bar, p.ascent, p.ascent_bar - 1)
+
+    eulerian._lane.cache_clear()
+    monkeypatch.setattr(eulerian, "descent_profile", doctored)
+    with pytest.raises(InconsistencyError):
+        statistic(rs, (0, 1))
+
+
+@pytest.mark.parametrize("family, rank", [("B", 4), ("F", 4), ("E", 6)])
+def test_each_lane_classifies_at_most_h_plus_one_elements(monkeypatch, family, rank):
+    """One descent_profile call per distinct value of a lane, which lies
+    in 0..h: on the empty subset, the full one and a middle ideal."""
+    rs = build_root_system(family, rank)
+    ideals = enumerate_ideals(rs)
+    calls = []
+    monkeypatch.setattr(
+        eulerian, "descent_profile", lambda *args: calls.append(args) or descent_profile(*args)
+    )
+    for psi in ((), ideals[len(ideals) // 2], range(len(rs.positive_roots))):
+        for statistic in (eulerian_poly, m_poly):
+            eulerian._lane.cache_clear()
+            calls.clear()
+            poly = statistic(rs, psi)
+            assert len(calls) == sum(1 for c in poly.coeffs if c) <= rs.coxeter_number + 1
+
+
+def test_lanes_keep_no_copy_of_the_image_table():
+    """e and m on D5 from cleared caches leave the eulerian caches holding
+    far less than the group's image table: the lanes slice its columns per
+    call and keep only their counts."""
+    rs = build_root_system("D", 5)
+    psi = enumerate_ideals(rs)[90]
+    images = enumerate_weyl(rs).images
+    for cached in (eulerian._lane, eulerian._profiles, eulerian._inside):
+        cached.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        eulerian_poly(rs, psi)
+        m_poly(rs, psi)
+        gc.collect()
+        kept = tracemalloc.take_snapshot().compare_to(before, "filename")
+    finally:
+        tracemalloc.stop()
+    held = sum(stat.size_diff for stat in kept if stat.traceback[0].filename == eulerian.__file__)
+    # a kept copy of the table would hold len(images) bytes or more
+    assert held < len(images) // 2

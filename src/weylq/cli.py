@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error (argparse shares this code),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -437,6 +438,9 @@ _HANDLERS = {
 # argument parsing
 
 
+# Built once per process: parse_args reads the parser and leaves it as it
+# was, so successive main calls share it.
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
@@ -116,17 +113,12 @@ def height(root: Vector) -> int:
 def _dynkin_edges(family: str, rank: int) -> Tuple[Tuple[int, int], ...]:
     """Edges of the Dynkin diagram on 0-based node indices."""
     chain = tuple((i, i + 1) for i in range(rank - 1))
-    if family in ("A", "B", "C", "F", "G"):
-        return chain
     if family == "D":
-        return tuple((i, i + 1) for i in range(rank - 2)) + ((rank - 3, rank - 1),)
-    # E: chain 1-3-4-5-6(-7-8) plus 2 attached to 4, converted to 0-based.
-    edges_1b = [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)]
-    if rank >= 7:
-        edges_1b.append((6, 7))
-    if rank == 8:
-        edges_1b.append((7, 8))
-    return tuple((a - 1, b - 1) for a, b in edges_1b)
+        return chain[:-1] + ((rank - 3, rank - 1),)
+    if family == "E":
+        # Bourbaki's 1-3-4-...-rank chain with 2 on 4, 0-based
+        return ((0, 2), (1, 3)) + chain[2:]
+    return chain
 
 
 def _simple_norms(family: str, rank: int) -> Tuple[Fraction, ...]:
@@ -286,11 +278,11 @@ def signed_roots(rs: RootSystem) -> Tuple[Vector, ...]:
 @functools.lru_cache(maxsize=None)
 def extended_base_indices(rs: RootSystem) -> Tuple[int, ...]:
     """Signed-root indices of the extended base: the negative of the
-    highest root, then the simple roots in coordinate order."""
-    lookup = root_index(rs)
+    highest root, then the simple roots in coordinate order.  The simple
+    roots have height 1, so the canonical order lists them first, the
+    last coordinate's first."""
     n = len(rs.positive_roots)
-    simples = (tuple(1 if k == i else 0 for k in range(rs.rank)) for i in range(rs.rank))
-    return (n + rs.highest_root_index,) + tuple(lookup[v] for v in simples)
+    return (n + rs.highest_root_index,) + tuple(range(rs.rank - 1, -1, -1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,15 +291,13 @@ def _reflection_permutations(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     entry i of the j-th tuple is the index of s_j applied to root i."""
     roots = signed_roots(rs)
     lookup = {v: i for i, v in enumerate(roots)}
-    perms = []
-    for j in range(rs.rank):
-        column = [rs.cartan[i][j] for i in range(rs.rank)]
-        perm = []
-        for v in roots:
-            pairing = sum(c * x for c, x in zip(column, v))
-            perm.append(lookup[v[:j] + (v[j] - pairing,) + v[j + 1:]])
-        perms.append(tuple(perm))
-    return tuple(perms)
+    return tuple(
+        tuple(
+            lookup[v[:j] + (v[j] - sum(row[j] * x for row, x in zip(rs.cartan, v)),) + v[j + 1:]]
+            for v in roots
+        )
+        for j in range(rs.rank)
+    )
 
 
 class WeylGroup(Sequence):
@@ -338,51 +328,115 @@ class WeylGroup(Sequence):
         return map(WeylElement, zip(*[iter(self.images)] * self.width))
 
 
+def _coset_representatives(gens, simple, n):
+    """The minimal coset representatives ^JW of W_J in W, for W generated by
+    gens and J all of them but the last: the elements with no left descent
+    in J, as (least reduced word, permutation) pairs, letters 0-based, in
+    the order of their words followed by an end marker above every letter.
+
+    A permutation is an element's action on the 2n signed roots as a
+    256-byte translate table (the identity past 2n), and simple[j] is the
+    signed-root index of alpha_j, the positive root that gens[j] negates.
+    s_j is a right descent of u when u(alpha_j) is negative, and a left
+    descent when u^-1(alpha_j) is, that is when alpha_j sits at a negative
+    root's position in u's table.
+
+    ^JW is closed under prefixes, so every u in it of length k + 1 is w * s_j
+    with w in ^JW of length k and s_j the smallest right descent of u; the
+    walk keeps u only when reached that way, so it finds each element once.
+    Least words are read by stripping the smallest left descent.  No element
+    is longer than n, which bounds both loops.
+    """
+    found, level = [], [bytes(range(256))]
+    for _ in range(n + 1):
+        found += level
+        level = [
+            longer
+            for perm in level
+            for j, gen in enumerate(gens)
+            if perm[simple[j]] < n
+            for longer in [gen.translate(perm)]
+            if all(longer[a] < n for a in simple[:j])
+            and all(longer.index(a) < n for a in simple[:-1])
+        ]
+    reps = []
+    for perm in found:
+        word, rest = (), perm
+        while len(word) < n:
+            left = [j for j, a in enumerate(simple) if rest.index(a) >= n]
+            if not left:
+                break
+            word += (left[0],)
+            rest = rest.translate(gens[left[0]])
+        reps.append((word, perm))
+    return sorted(reps, key=lambda rep: rep[0] + (len(gens),))
+
+
 # Two groups: a sweep over two systems (B4, then C4) reuses each group
 # while it runs, and a lifted cap keeps at most two large groups resident.
 @functools.lru_cache(maxsize=2)
 def _weyl_elements(rs: RootSystem) -> WeylGroup:
-    """Breadth-first closure of the identity under left multiplication by
-    the simple reflections, on extended-base images alone.
+    """The image table as the parabolic product W = W_J * ^JW, built by
+    bytes.translate alone; no element is hashed.
 
-    s_j * w sends the extended base to P_j of w's images (P_j the
-    permutation of s_j on the signed roots), so one bytes.translate by P_j
-    (2N <= 256, see check_weyl_cap) moves a whole level (one length), held
-    as one bytes table of rank + 1 images per element.  s_j * w is one
-    longer or one shorter than w, so it is new exactly when neither the
-    previous level nor the next one so far holds it.
+    J is the first rank - 1 generators and ^JW the elements with no left
+    descent in J (_coset_representatives).  Every w factors uniquely as
+    w = v * u with v in W_J, u in ^JW and l(w) = l(v) + l(u) (Bjorner and
+    Brenti, Combinatorics of Coxeter Groups, 2.4.4).  v * u sends the
+    extended base to P_v of u's images (P_v the permutation of v on the
+    signed roots), so one bytes.translate by P_v (2N <= 256, see
+    check_weyl_cap) moves a whole table of u's, rank + 1 images each.
 
     Order contract: elements come by length, and within a length in the
     lexicographic order of their least reduced words (1-based generator
-    indices).  Each level is scanned generator by generator, and for each
-    generator over the previous level in order, so an element u of length
-    k + 1 is first reached at its smallest left descent j, from s_j * u in
-    level k.  Every reduced word of u begins with a left descent, so u's
-    least reduced word is j followed by the least word of s_j * u.  If
-    level k is in the order of its least words, the first reach of each u
-    is therefore in the order of (j, least word of s_j * u), that is of
-    u's least word, and level k + 1 comes out in that order too.  The
-    level tables, joined, are the group's image table.
+    indices).  Order lemma: the least word of v * u is that of v followed
+    by that of u.  For s in J, s * v * u = (s * v) * u factors again, so
+    the left descents of v * u in J are those of v; the least word starts
+    with the smallest left descent, which lies in J (below the omitted
+    generator r) while v is not the identity, and goes on with the least
+    word of (s * v) * u; once v is used up it is u's.  Now compare v * u
+    and v' * u' of one length, a, a' the least words of v, v' and b, b'
+    those of u, u'.  The letters of a and a' lie below r, and b, b' are
+    empty or begin with r, the only left descent of an element of ^JW.  If
+    a is a proper prefix of a', then ab goes on with r where a' goes on
+    with a letter below r, so v' * u' comes first, as a' followed by an
+    end marker above every letter precedes a followed by it.  Otherwise
+    a and a' differ at a common position, or a = a' and b, b' decide.  So
+    a length lists, for v in W_J in this end-marker order, the u of the
+    remaining length in least-word order, moved by P_v.
+
+    The same argument, with the end marker appended on both sides, orders
+    W_m = <s_1, ..., s_m> as [v * u for v in W_(m-1) for u in ^JW_m], both
+    in end-marker order; within one length that is the least-word order.
+    Unrolled, length k lists the products u_1 * ... * u_r (u_m in ^JW_m,
+    lengths adding up to k) lexicographically in (u_1, ..., u_r), each
+    factor in end-marker order.  So the tables of u_m * ... * u_r by length
+    are, for each length k, the join over u_m of P_(u_m) applied to the
+    table of u_(m+1) * ... * u_r of length k - l(u_m), starting from the
+    identity's: one translate per representative and length, from the
+    last factor outwards.  The group generated has the product of the
+    coset counts as its order, checked before any table is built.
     """
-    width = rs.rank + 1
-    chunks = struct.Struct(f"{width}s").iter_unpack
-    first = operator.itemgetter(0)
-    gens = [bytes(perm).ljust(256, b"\0") for perm in _reflection_permutations(rs)]
-    tables = []
-    shorter, level = b"", bytes(extended_base_indices(rs))
-    while level:
-        tables.append(level)
-        # the previous level's images come first, so they keep the front of
-        # the dict and are cut off as its first len(shorter) bytes
-        candidates = chain([shorter], (level.translate(gen) for gen in gens))
-        longer = dict.fromkeys(map(first, chain.from_iterable(map(chunks, candidates))))
-        shorter, level = level, b"".join(longer)[len(shorter) :]
-    images = b"".join(tables)
-    if len(images) != rs.weyl_order * width:
+    n = len(rs.positive_roots)
+    gens = [bytes(perm) + bytes(range(2 * n, 256)) for perm in _reflection_permutations(rs)]
+    # each generator's simple root, the one positive root it maps a negative
+    # root to, read off the generator so the walks go by length whatever
+    # the generators
+    simple = bytes(min(gen[n:]) for gen in gens)
+    cosets = [_coset_representatives(gens[:m], simple[:m], n) for m in range(rs.rank, 0, -1)]
+    found = math.prod(map(len, cosets))
+    if found != rs.weyl_order:
         raise InconsistencyError(
-            f"closure found {len(images) // width} elements, expected {rs.weyl_order}"
+            f"closure found {found} elements, expected {rs.weyl_order}"
         )
-    return WeylGroup(images, width)
+    # tables[k] holds the images of the products of length k, at most N
+    tables = [bytes(extended_base_indices(rs))] + [b""] * n
+    for reps in cosets:
+        tables = [
+            b"".join(tables[k - len(word)].translate(perm) for word, perm in reps if len(word) <= k)
+            for k in range(n + 1)
+        ]
+    return WeylGroup(b"".join(tables), rs.rank + 1)
 
 
 def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:
@@ -428,18 +482,6 @@ def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     for j in reversed(w):
         images = tuple(map(gens[j - 1].__getitem__, images))
     return WeylElement(images)
-
-
-def weyl_act(rs: RootSystem, w: WeylElement, v: Vector) -> Vector:
-    """Apply a Weyl element to a vector of simple-root coordinates: the
-    sum of the simple roots' images weighted by the coordinates."""
-    if len(v) != rs.rank:
-        raise ValidationError("vector length does not match the rank")
-    roots = signed_roots(rs)
-    columns = [roots[i] for i in w.base_images[1:]]
-    return tuple(
-        sum(c * column[i] for c, column in zip(v, columns)) for i in range(rs.rank)
-    )
 
 
 def face_roots(rs: RootSystem, face: Iterable[int]) -> RootSubset:

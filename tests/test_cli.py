@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from weylq import charquasi
+from weylq import charquasi, cli
 from weylq.charquasi import char_quasi_subset
 from weylq.cli import main, parse_subset, qp_from_json, qp_to_json
 from weylq.ehrhart import ehrhart_closed_qp
@@ -275,6 +275,42 @@ def test_deform_two_intervals(capsys):
     )
     assert code == 0
     assert out.startswith("period:")
+
+
+def test_main_shares_one_parser(capsys):
+    """main parses with one parser per process, and successive calls on
+    different subcommands (a repeated option, a rejected command exiting 2
+    and the same subcommand with fewer options among them) print what a
+    fresh parser would."""
+    runs = [
+        ["info", "--type", "G", "--rank", "2"],
+        ["deform", "--type", "A", "--rank", "2", "--subset", "(1,0)",
+         "--variant", "ii", "--interval=0:0", "--interval=1:1"],
+        ["eulerian", "--type", "B", "--rank", "3", "--subset", "full", "--variant", "m", "--json"],
+        ["bogus", "--type", "G", "--rank", "2"],
+        ["deform", "--type", "A", "--rank", "2", "--subset", "full",
+         "--variant", "symmetric", "--interval=0:1"],
+        ["eulerian", "--type", "B", "--rank", "3", "--subset", "full"],
+        ["info", "--type", "G", "--rank", "2", "--json"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [outcome(argv) for argv in runs]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 0, 0]
+    assert "invalid choice: 'bogus'" in shared[3][2]
 
 
 def test_genfunc(capsys):

@@ -1,6 +1,7 @@
 """Root system construction, Weyl group enumeration and subset helpers."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import pytest
@@ -28,7 +29,6 @@ from weylq.rootsys import (
     signed_roots,
     subset_complement,
     subset_from_roots,
-    weyl_act,
     weyl_from_word,
 )
 
@@ -229,10 +229,7 @@ def least_word(rs, w):
     one, j; the rest is the least reduced word of s_j * w, whose pairings
     are those of s_j y: p_k - p_j * <alpha_j, alpha_k^vee>.
     """
-    roots = signed_roots(rs)
-    rho2 = [sum(column) for column in zip(*rs.positive_roots)]
-    y = [sum(c * roots[b][k] for c, b in zip(rho2, w.base_images[1:])) for k in range(rs.rank)]
-    pairings = [sum(rs.cartan[i][j] * y[i] for i in range(rs.rank)) for j in range(rs.rank)]
+    pairings = rho_pairings(rs, w)
     word = []
     while True:
         j = next((j for j, p in enumerate(pairings) if p < 0), None)
@@ -241,6 +238,44 @@ def least_word(rs, w):
         word.append(j + 1)
         p = pairings[j]
         pairings = [pk - p * c for pk, c in zip(pairings, rs.cartan[j])]
+
+
+def rho_pairings(rs, w):
+    """The pairings of w(2 rho) with the simple coroots, from w's images of
+    the simple roots; j is a left descent of w exactly when the j-th is
+    negative."""
+    roots = signed_roots(rs)
+    rho2 = [sum(column) for column in zip(*rs.positive_roots)]
+    y = [sum(c * roots[b][k] for c, b in zip(rho2, w.base_images[1:])) for k in range(rs.rank)]
+    return [sum(rs.cartan[i][j] * y[i] for i in range(rs.rank)) for j in range(rs.rank)]
+
+
+def parabolic_split(rs, w):
+    """w = v * u with v in the subgroup generated by the first rank - 1
+    simple reflections and u with no left descent among them, found by
+    stripping such descents off w: a reduced word of v (1-based) and u."""
+    perms = rootsys._reflection_permutations(rs)
+    pairings = rho_pairings(rs, w)
+    images = w.base_images
+    word = []
+    while True:
+        j = next((j for j, p in enumerate(pairings[:-1]) if p < 0), None)
+        if j is None:
+            return tuple(word), rootsys.WeylElement(images)
+        word.append(j + 1)
+        images = tuple(perms[j][i] for i in images)
+        p = pairings[j]
+        pairings = [pk - p * c for pk, c in zip(pairings, rs.cartan[j])]
+
+
+def weyl_act(rs, w, v):
+    """Apply a Weyl element to a vector of simple-root coordinates: the
+    sum of the simple roots' images weighted by the coordinates."""
+    roots = signed_roots(rs)
+    columns = [roots[i] for i in w.base_images[1:]]
+    return tuple(
+        sum(c * column[i] for c, column in zip(v, columns)) for i in range(rs.rank)
+    )
 
 
 def mat_act(mat, v):
@@ -426,6 +461,81 @@ def test_weyl_closure_order_check(monkeypatch):
             enumerate_weyl(b3)
     finally:
         rootsys._weyl_elements.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "family, rank, picks",
+    [
+        ("B", 3, (0, 1, 1)),
+        ("B", 3, (1, 1, 1)),
+        ("B", 3, (2, 2, 0)),
+        ("D", 4, (3, 3, 3, 0)),
+        ("D", 4, (0, 1, 1, 3)),
+        ("F", 4, (3, 2, 1, 1)),
+        ("E", 6, (0, 1, 2, 3, 4, 4)),
+    ],
+)
+def test_weyl_closure_rejects_repeated_generators(monkeypatch, family, rank, picks):
+    """Simple reflections listed with repeats generate a proper subgroup:
+    a coset walk then finds too few representatives (only the identity
+    when the last generator is already among the others), and the product
+    of their counts fails the order check.  The walks are walks by length
+    whatever the list, so each refusal comes at once."""
+    rs = build_root_system(family, rank)
+    perms = rootsys._reflection_permutations(rs)
+    rootsys._weyl_elements.cache_clear()
+    monkeypatch.setattr(
+        rootsys, "_reflection_permutations", lambda rs: tuple(perms[i] for i in picks)
+    )
+    try:
+        with pytest.raises(
+            InconsistencyError, match=rf"closure found \d+ elements, expected {rs.weyl_order}$"
+        ):
+            enumerate_weyl(rs)
+    finally:
+        rootsys._weyl_elements.cache_clear()
+
+
+# sha256 of each image table, as the breadth-first closure by left
+# multiplication (dict.fromkeys over each length's candidates) built it
+WEYL_TABLE_DIGESTS = {
+    ("B", 4): "f5a631a980683adbda69a8c4926742fa720db3d1919dc0fd7ba224bd06e13947",
+    ("C", 4): "1afc2fa2104ebdbd485229f8a9f94ccf93f0d2449bede1e474610dab35d80014",
+    ("D", 5): "eb259b6048a212ca2bbfca6a55d0cb338d4465eee0857807bd7e3f81271b120e",
+    ("F", 4): "1356375061eccd6e1e98144bf9695484734dfac6b56f63157b301ca3b71f6fa0",
+    ("E", 6): "34788b7354a7038b1f2a0aaa80975312ba3aac9e96aebbbb3cccf90ddc4f6411",
+    ("E", 7): "17ea7369ae7e2fa72fc9a964d03d752c01a06a48a80706ce0532e7b3c0d53eb4",
+}
+
+
+@pytest.mark.parametrize("family, rank", list(WEYL_TABLE_DIGESTS))
+def test_weyl_table_digest(family, rank):
+    """The parabolic product builds the same image table, byte for byte,
+    as the closure it replaced; E7 (23 MB) is built past the default cap
+    and dropped from the cache afterwards."""
+    rs = build_root_system(family, rank)
+    try:
+        images = enumerate_weyl(rs, cap=3_000_000).images
+        assert hashlib.sha256(images).hexdigest() == WEYL_TABLE_DIGESTS[family, rank]
+    finally:
+        if rs.weyl_order > DEFAULT_WEYL_CAP:
+            rootsys._weyl_elements.cache_clear()
+
+
+@pytest.mark.parametrize("family, rank, step", [("B", 4, 1), ("D", 5, 1), ("F", 4, 1), ("E", 6, 37)])
+def test_least_word_of_parabolic_product(family, rank, step):
+    """The order lemma behind the enumeration: w = v * u, with v in the
+    subgroup of the first rank - 1 generators and u free of left descents
+    among them, has v's least word followed by u's as its least word."""
+    rs = build_root_system(family, rank)
+    for w in enumerate_weyl(rs)[::step]:
+        v_word, u = parabolic_split(rs, w)
+        v_least = least_word(rs, weyl_from_word(rs, v_word))
+        u_least = least_word(rs, u)
+        assert rank not in v_least
+        assert u_least[:1] in ((), (rank,))
+        assert least_word(rs, w) == v_least + u_least
+        assert weyl_from_word(rs, v_least + u_least) == w
 
 
 def test_weyl_element_layout(g2):

@@ -3,7 +3,9 @@
 Parses root-system and subset descriptions, dispatches the library
 computations, and prints either human-readable text or a JSON document
 with exact rational coefficients.  All output is deterministic: identical
-invocations produce byte-identical bytes.
+invocations produce byte-identical bytes.  deform and verify hand their
+literal a:b intervals to the library as (a, b) pairs, and
+deform.check_intervals holds the rule for each variant's intervals.
 
 Exit codes: 0 success, 2 validation error (argparse shares this code),
 3 resource cap exceeded, 4 internal inconsistency detected.
@@ -16,11 +18,12 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from weylq.charquasi import char_quasi, char_quasi_subset, from_root_subset
 from weylq.compat import is_compatible, verify_genfunc
 from weylq.deform import (
+    check_intervals,
     cqp_type1_formula,
     cqp_type2_formula,
     type1_spec,
@@ -227,10 +230,6 @@ def _witness_json(res) -> Optional[dict]:
 # subcommand handlers; each returns (human lines, json result)
 
 
-def _get_system(args) -> RootSystem:
-    return build_root_system(args.type, args.rank)
-
-
 def _cmd_info(args, rs: RootSystem):
     alcoves = rs.weyl_order // rs.index_of_connection
     n = len(rs.positive_roots)
@@ -335,80 +334,25 @@ def _cmd_ideals(args, rs: RootSystem):
     return lines, result, {}
 
 
-def _deform_parameters(args, rs: RootSystem):
-    """Resolve subset, variant and literal intervals into formula arguments."""
-    psi = parse_subset(rs, args.subset)
-    intervals = [_parse_interval(t) for t in args.interval or []]
-    variant = args.variant
-    if variant in ("symmetric", "positive"):
-        if len(intervals) != 1:
-            raise ValidationError(f"variant {variant} needs exactly one --interval")
-    elif variant in ("i", "ii", "iii"):
-        if len(intervals) != 2:
-            raise ValidationError(f"variant {variant} needs exactly two --interval")
-    else:
-        raise ValidationError(
-            f"unknown variant {variant!r}; use symmetric, positive, i, ii or iii"
-        )
-    for pos, (lo, hi) in enumerate(intervals):
-        literal = f"{lo}:{hi}"
-        expect_low = variant == "positive" or (variant == "ii" and pos == 1) or variant == "iii"
-        if expect_low:
-            if lo != 1:
-                raise ValidationError(
-                    f"interval {literal} must start at 1 for variant {variant}"
-                )
-        elif lo > 0 or hi < 0:
-            raise ValidationError(
-                f"interval {literal} must contain 0 for variant {variant}"
-            )
-    return psi, variant, intervals
-
-
-def _deform_formula(rs: RootSystem, psi, variant, intervals, cap: int) -> QuasiPolynomial:
-    if variant == "symmetric":
-        (lo, hi) = intervals[0]
-        return cqp_type1_formula(rs, psi, "symmetric", a=-lo, b=hi, cap=cap)
-    if variant == "positive":
-        (lo, hi) = intervals[0]
-        return cqp_type1_formula(rs, psi, "positive", b=hi, cap=cap)
-    (lo1, hi1), (lo2, hi2) = intervals
-    if variant == "i":
-        return cqp_type2_formula(rs, psi, "i", a=-lo1, b=hi1, c=-lo2, d=hi2, cap=cap)
-    if variant == "ii":
-        return cqp_type2_formula(rs, psi, "ii", a=-lo1, b=hi1, d=hi2, cap=cap)
-    return cqp_type2_formula(rs, psi, "iii", b=hi1, d=hi2, cap=cap)
-
-
-def _deform_spec(rs: RootSystem, psi, variant, intervals):
-    if variant in ("symmetric", "positive"):
-        return type1_spec(rs, psi, *intervals[0])
-    return type2_spec(rs, psi, intervals[0], intervals[1])
-
-
 def _cmd_deform(args, rs: RootSystem):
-    psi, variant, intervals = _deform_parameters(args, rs)
-    qp = _deform_formula(rs, psi, variant, intervals, args.weyl_cap)
+    """deform prints the closed formula; verify compares it with the
+    deformed arrangement's counts."""
+    psi = parse_subset(rs, args.subset)
+    intervals = check_intervals(args.variant, [_parse_interval(t) for t in args.interval or []])
+    type1 = len(intervals) == 1
+    formula = (cqp_type1_formula if type1 else cqp_type2_formula)(
+        rs, psi, args.variant, *intervals, cap=args.weyl_cap
+    )
     echo = {
         "subset": args.subset,
-        "variant": variant,
+        "variant": args.variant,
         "intervals": [f"{lo}:{hi}" for lo, hi in intervals],
     }
-    return _qp_lines(qp), qp_to_json(qp), echo
-
-
-def _cmd_verify(args, rs: RootSystem):
-    psi, variant, intervals = _deform_parameters(args, rs)
-    formula = _deform_formula(rs, psi, variant, intervals, args.weyl_cap)
-    spec = _deform_spec(rs, psi, variant, intervals)
+    if args.command == "deform":
+        return _qp_lines(formula), qp_to_json(formula), echo
+    spec = (type1_spec if type1 else type2_spec)(rs, psi, *intervals)
     ok = verify_deform(rs, spec, formula)
-    echo = {
-        "subset": args.subset,
-        "variant": variant,
-        "intervals": [f"{lo}:{hi}" for lo, hi in intervals],
-    }
-    lines = ["equal" if ok else "different"]
-    return lines, {"equal": ok}, echo
+    return ["equal" if ok else "different"], {"equal": ok}, echo
 
 
 def _cmd_genfunc(args, rs: RootSystem):
@@ -429,7 +373,7 @@ _HANDLERS = {
     "compat": _cmd_compat,
     "ideals": _cmd_ideals,
     "deform": _cmd_deform,
-    "verify": _cmd_verify,
+    "verify": _cmd_deform,
     "genfunc": _cmd_genfunc,
 }
 
@@ -549,7 +493,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.weyl_cap < 1:
             raise ValidationError("--weyl-cap must be a positive integer")
-        rs = _get_system(args)
+        rs = build_root_system(args.type, args.rank)
         lines, result, echo = _HANDLERS[args.command](args, rs)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,13 @@ interval.  For compatible subsets the characteristic quasi-polynomial of
 either kind is a mark-weighted sum of shifted closed-alcove counts over the
 Weyl group; each element's shift blends its four descent statistics with
 weights read off the interval bounds by one rule (see _interval_formula).
+
+An interval is a literal (lo, hi) pair of integers, the CLI's lo:hi.  The
+five variants differ only in the shape of each interval, and one table
+holds it (_STARTS_AT_ONE): symmetric takes one interval containing 0,
+positive one starting at 1; the Type II cases take the subset's interval
+and then the complement's, both containing 0 (i), the first containing 0
+and the second starting at 1 (ii), or both starting at 1 (iii).
 """
 
 from __future__ import annotations
@@ -27,19 +34,57 @@ from weylq.rootsys import (
 )
 
 
+# Per variant, whether each interval (the subset's, then the complement's)
+# must start at 1 rather than contain 0.
+_STARTS_AT_ONE = {
+    "symmetric": (False,),
+    "positive": (True,),
+    "i": (False, False),
+    "ii": (False, True),
+    "iii": (True, True),
+}
+
+
+def _ordered(interval: Sequence[int]) -> Tuple[int, int]:
+    """The bounds of an interval, checked to be ordered integers."""
+    lo, hi = int_pair(interval)
+    if lo > hi:
+        raise ValidationError(f"interval bounds must be ordered, got [{lo}, {hi}]")
+    return lo, hi
+
+
+def check_intervals(
+    variant: str, intervals: Sequence[Sequence[int]]
+) -> Tuple[Tuple[int, int], ...]:
+    """The literal (lo, hi) intervals of a variant, checked against its
+    entry in the variant table before any work."""
+    shapes = _STARTS_AT_ONE.get(variant)
+    if shapes is None:
+        raise ValidationError(
+            f"unknown variant {variant!r}; use symmetric, positive, i, ii or iii"
+        )
+    if len(intervals) != len(shapes):
+        count = ("one", "two")[len(shapes) - 1]
+        raise ValidationError(f"variant {variant} needs exactly {count} --interval")
+    pairs = tuple(_ordered(interval) for interval in intervals)
+    for (lo, hi), at_one in zip(pairs, shapes):
+        if at_one and lo != 1:
+            raise ValidationError(f"interval {lo}:{hi} must start at 1 for variant {variant}")
+        if not at_one and (lo > 0 or hi < 0):
+            raise ValidationError(f"interval {lo}:{hi} must contain 0 for variant {variant}")
+    return pairs
+
+
 def _interval_items(rs: RootSystem, roots: Iterable[int], interval: Sequence[int]):
-    """Items attaching the offsets of an interval, an ordered pair of
-    integers, to each of the roots."""
-    a, b = int_pair(interval)
-    if a > b:
-        raise ValidationError(f"interval bounds must be ordered, got [{a}, {b}]")
-    offs = tuple(range(a, b + 1))
+    """Items attaching the offsets of an interval to each of the roots."""
+    lo, hi = _ordered(interval)
+    offs = tuple(range(lo, hi + 1))
     return [(rs.positive_roots[i], offs) for i in roots]
 
 
-def type1_spec(rs: RootSystem, subset: Iterable[int], a: int, b: int) -> ArrangementSpec:
-    """Attach offsets a..b to every root of the subset."""
-    return make_spec(rs.rank, _interval_items(rs, normalize_subset(rs, subset), (a, b)))
+def type1_spec(rs: RootSystem, subset: Iterable[int], interval: Sequence[int]) -> ArrangementSpec:
+    """The interval's offsets on every root of the subset."""
+    return make_spec(rs.rank, _interval_items(rs, normalize_subset(rs, subset), interval))
 
 
 def type2_spec(
@@ -91,68 +136,28 @@ def cqp_type1_formula(
     rs: RootSystem,
     subset: Iterable[int],
     variant: str,
-    a: int | None = None,
-    b: int | None = None,
+    interval: Sequence[int],
     cap: int = DEFAULT_WEYL_CAP,
 ) -> QuasiPolynomial:
-    """Closed formula for a Type I deformation of a compatible subset.
-
-    variant "symmetric" takes a, b >= 0 and means the interval [-a, b];
-    variant "positive" takes b >= 1 and means the interval [1, b].
-    """
-    psi = normalize_subset(rs, subset)
-    if variant == "symmetric":
-        if a is None or b is None or a < 0 or b < 0:
-            raise ValidationError("symmetric variant needs a >= 0 and b >= 0")
-        inside = (-a, b)
-    elif variant == "positive":
-        if b is None or b < 1:
-            raise ValidationError("positive variant needs b >= 1")
-        if a is not None:
-            raise ValidationError("positive variant takes no lower bound")
-        inside = (1, b)
-    else:
-        raise ValidationError(f"unknown variant {variant!r}; use symmetric or positive")
-    return _interval_formula(rs, psi, inside, (1, 0), cap)
+    """Closed formula for a Type I deformation of a compatible subset;
+    variant "symmetric" or "positive" (see check_intervals)."""
+    (inside,) = check_intervals(variant, (interval,))
+    return _interval_formula(rs, normalize_subset(rs, subset), inside, (1, 0), cap)
 
 
 def cqp_type2_formula(
     rs: RootSystem,
     subset: Iterable[int],
-    case: str,
-    a: int | None = None,
-    b: int | None = None,
-    c: int | None = None,
-    d: int | None = None,
+    variant: str,
+    interval1: Sequence[int],
+    interval2: Sequence[int],
     cap: int = DEFAULT_WEYL_CAP,
 ) -> QuasiPolynomial:
-    """Closed formula for a Type II deformation of a compatible subset.
-
-    case "i" takes a, b, c, d >= 0 and means intervals [-a, b] on the
-    subset and [-c, d] on the complement; case "ii" takes a, b >= 0 and
-    d >= 1 meaning [-a, b] and [1, d]; case "iii" takes b, d >= 1 meaning
-    [1, b] and [1, d].
-    """
-    psi = normalize_subset(rs, subset)
-    if case == "i":
-        if any(x is None or x < 0 for x in (a, b, c, d)):
-            raise ValidationError("case i needs a, b, c, d >= 0")
-        inside, outside = (-a, b), (-c, d)
-    elif case == "ii":
-        if a is None or b is None or a < 0 or b < 0 or d is None or d < 1:
-            raise ValidationError("case ii needs a, b >= 0 and d >= 1")
-        if c is not None:
-            raise ValidationError("case ii takes no lower bound on the complement")
-        inside, outside = (-a, b), (1, d)
-    elif case == "iii":
-        if b is None or b < 1 or d is None or d < 1:
-            raise ValidationError("case iii needs b >= 1 and d >= 1")
-        if a is not None or c is not None:
-            raise ValidationError("case iii takes no lower bounds")
-        inside, outside = (1, b), (1, d)
-    else:
-        raise ValidationError(f"unknown case {case!r}; use i, ii or iii")
-    return _interval_formula(rs, psi, inside, outside, cap)
+    """Closed formula for a Type II deformation of a compatible subset:
+    interval1 on the subset, interval2 on its complement; variant "i",
+    "ii" or "iii" (see check_intervals)."""
+    inside, outside = check_intervals(variant, (interval1, interval2))
+    return _interval_formula(rs, normalize_subset(rs, subset), inside, outside, cap)
 
 
 def verify_deform(

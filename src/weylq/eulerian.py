@@ -247,11 +247,6 @@ def eulerian_poly(
     return _fiber_polynomial(rs, ((h - v, c) for v, c in fibers))
 
 
-def generalized_eulerian(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> RationalPolynomial:
-    """The subset-free special case, against the empty subset."""
-    return eulerian_poly(rs, (), cap)
-
-
 def m_poly(
     rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
 ) -> RationalPolynomial:

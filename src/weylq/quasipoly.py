@@ -189,15 +189,6 @@ def from_polynomial(p: RationalPolynomial) -> QuasiPolynomial:
     return QuasiPolynomial(1, (p,))
 
 
-def evaluate_qp(qp: QuasiPolynomial, q: int) -> Fraction:
-    return qp(q)
-
-
-def first_constituent(qp: QuasiPolynomial) -> RationalPolynomial:
-    """The constituent attached to the residue class of 1."""
-    return qp.constituents[0]
-
-
 def normalize_period(qp: QuasiPolynomial, new_period: int) -> QuasiPolynomial:
     """Rewrite with a larger period that the current one divides."""
     if new_period < 1 or new_period % qp.period:

@@ -154,7 +154,6 @@ def _order_from_heights(heights: Iterable[int]) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _build(family: str, rank: int) -> RootSystem:
-    spec = RootSystemSpec(family, rank)
     norms = _simple_norms(family, rank)
     gram = [[Fraction(0)] * rank for _ in range(rank)]
     for i in range(rank):
@@ -225,15 +224,9 @@ def _build(family: str, rank: int) -> RootSystem:
     )
 
 
-def build_root_system(family, rank: int | None = None) -> RootSystem:
-    """Build the root system for a family letter and rank.
-
-    Accepts either a RootSystemSpec or the (family, rank) pair directly.
-    """
-    if isinstance(family, RootSystemSpec):
-        spec = family
-    else:
-        spec = RootSystemSpec(str(family), rank)
+def build_root_system(family: str, rank: int) -> RootSystem:
+    """Build the root system for a family letter and rank."""
+    spec = RootSystemSpec(str(family), rank)
     return _build(spec.family, spec.rank)
 
 

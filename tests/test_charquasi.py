@@ -21,7 +21,7 @@ from weylq.charquasi import (
     smith_invariants,
 )
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
-from weylq.quasipoly import RationalPolynomial, evaluate_qp, from_polynomial, qp_equal
+from weylq.quasipoly import RationalPolynomial, from_polynomial, qp_equal
 from weylq.rootsys import build_root_system, enumerate_ideals
 
 
@@ -256,7 +256,7 @@ def test_char_quasi_matches_counts(g2):
     qp = char_quasi_subset(g2, range(6))
     assert qp.period == 6
     for q in range(1, 21):
-        assert evaluate_qp(qp, q) == count_complement(from_root_subset(g2, range(6)), q)
+        assert qp(q) == count_complement(from_root_subset(g2, range(6)), q)
 
 
 def test_char_quasi_empty_subset(g2):
@@ -330,7 +330,7 @@ def test_char_quasi_random_subsets_match_counts(subset):
     qp = char_quasi_subset(rs, tuple(subset))
     spec = from_root_subset(rs, tuple(subset))
     for q in range(1, 13):
-        assert evaluate_qp(qp, q) == count_complement(spec, q)
+        assert qp(q) == count_complement(spec, q)
 
 
 # The face formula against counting: two independent routes to chi.

@@ -13,6 +13,7 @@ import pytest
 from weylq import charquasi, cli
 from weylq.charquasi import char_quasi_subset
 from weylq.cli import main, parse_subset, qp_from_json, qp_to_json
+from weylq.deform import cqp_type1_formula, cqp_type2_formula
 from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import ValidationError
 from weylq.quasipoly import QuasiPolynomial, RationalPolynomial, qp_equal
@@ -275,6 +276,63 @@ def test_deform_two_intervals(capsys):
     )
     assert code == 0
     assert out.startswith("period:")
+
+
+# One valid choice of literal intervals per variant, and shape violations
+# (wrong shape, wrong interval count, unknown variant).
+DEFORM_CASES = {
+    "symmetric": [(-1, 2)],
+    "positive": [(1, 2)],
+    "i": [(-1, 1), (0, 1)],
+    "ii": [(0, 1), (1, 2)],
+    "iii": [(1, 2), (1, 1)],
+}
+SHAPE_VIOLATIONS = [
+    ("symmetric", [(1, 2)]),
+    ("symmetric", [(-2, -1)]),
+    ("positive", [(0, 2)]),
+    ("i", [(0, 1), (1, 2)]),
+    ("ii", [(0, 1), (0, 1)]),
+    ("ii", [(1, 1), (1, 1)]),
+    ("iii", [(1, 1), (0, 1)]),
+    ("symmetric", [(0, 1), (0, 1)]),
+    ("i", [(0, 1)]),
+    ("iv", [(0, 1)]),
+]
+
+
+def _deform_argv(family, rank, subset, variant, intervals):
+    return [
+        "deform", "--type", family, "--rank", str(rank), "--subset", subset,
+        "--variant", variant, *(f"--interval={lo}:{hi}" for lo, hi in intervals),
+    ]
+
+
+def _library_formula(rs, psi, variant, intervals):
+    formula = (cqp_type1_formula, cqp_type2_formula)[len(intervals) - 1]
+    return formula(rs, psi, variant, *intervals)
+
+
+@pytest.mark.parametrize(
+    "family, rank, subset",
+    [("A", 2, "full"), ("G", 2, "full"), ("B", 3, "full"), ("B", 3, "ideal:(1,1,0)")],
+)
+def test_cli_and_library_agree_on_deformations(capsys, family, rank, subset):
+    """deform --json prints the library's formula for the same literal
+    intervals, and each refusal prints the library's message."""
+    rs = build_root_system(family, rank)
+    psi = parse_subset(rs, subset)
+    for variant, intervals in DEFORM_CASES.items():
+        argv = _deform_argv(family, rank, subset, variant, intervals)
+        code, out, err = run_main(capsys, *argv, "--json")
+        assert (code, err) == (0, ""), argv
+        expected = qp_to_json(_library_formula(rs, psi, variant, intervals))
+        assert json.loads(out)["result"] == expected, argv
+    for variant, intervals in SHAPE_VIOLATIONS:
+        argv = _deform_argv(family, rank, subset, variant, intervals)
+        with pytest.raises(ValidationError) as exc:
+            _library_formula(rs, psi, variant, intervals)
+        assert run_main(capsys, *argv) == (2, "", f"error: {exc.value}\n"), argv
 
 
 def test_main_shares_one_parser(capsys):

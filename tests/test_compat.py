@@ -9,7 +9,7 @@ from weylq.charquasi import char_quasi_subset
 from weylq.cli import main
 from weylq.compat import defect_qp, is_compatible, shift_formula_qp, verify_genfunc
 from weylq.errors import ValidationError
-from weylq.quasipoly import RationalPolynomial, evaluate_qp, qp_equal
+from weylq.quasipoly import RationalPolynomial, qp_equal
 from weylq.rootsys import build_root_system, enumerate_ideals, is_ideal
 
 
@@ -45,7 +45,7 @@ def test_g2_three_root_subset_incompatible(g2):
 def test_g2_three_root_subset_values(g2):
     chi = char_quasi_subset(g2, (1, 2, 5))
     formula = shift_formula_qp(g2, (1, 2, 5))
-    assert evaluate_qp(chi, 7) == 30
+    assert chi(7) == 30
     for q in range(1, 25):
         expected = {
             1: (q - 1) * (q - 2),
@@ -55,17 +55,17 @@ def test_g2_three_root_subset_values(g2):
             3: q * q - 3 * q + 4,
             0: q * q - 3 * q + 5,
         }[q % 6]
-        assert evaluate_qp(formula, q) == expected
+        assert formula(q) == expected
         if q % 6 in (1, 2, 4, 5):
-            assert evaluate_qp(chi, q) == expected
+            assert chi(q) == expected
         else:
-            assert evaluate_qp(chi, q) == expected - 2
+            assert chi(q) == expected - 2
 
 
 def test_g2_three_root_subset_defect(g2):
     defect = defect_qp(g2, (1, 2, 5))
     for q in range(1, 25):
-        assert evaluate_qp(defect, q) == (2 if q % 6 in (0, 3) else 0)
+        assert defect(q) == (2 if q % 6 in (0, 3) else 0)
 
 
 def test_g2_middle_root_defect(g2):
@@ -74,9 +74,9 @@ def test_g2_middle_root_defect(g2):
     formula = shift_formula_qp(g2, (2,))
     defect = defect_qp(g2, (2,))
     for q in range(1, 25):
-        assert evaluate_qp(chi, q) == q * (q - 1)
-        assert evaluate_qp(formula, q) == q * (q - 1) + 1
-        assert evaluate_qp(defect, q) == 1
+        assert chi(q) == q * (q - 1)
+        assert formula(q) == q * (q - 1) + 1
+        assert defect(q) == 1
     result = is_compatible(g2, (2,))
     assert not result.compatible
     assert result.witness.q == 1
@@ -167,4 +167,4 @@ def test_genfunc_order_floor(g2):
 def test_defect_vanishes_exactly_for_compatible(g2):
     for subset in [(), (0,), (0, 1), (0, 1, 2, 3, 4), (0, 4)]:
         defect = defect_qp(g2, subset)
-        assert all(evaluate_qp(defect, q) == 0 for q in range(1, 19))
+        assert all(defect(q) == 0 for q in range(1, 19))

@@ -18,15 +18,13 @@ from weylq.quasipoly import (
     RationalPolynomial,
     ShiftPolynomial,
     apply_shift,
-    evaluate_qp,
-    first_constituent,
     from_polynomial,
     qp_equal,
 )
 from weylq.rootsys import build_root_system, enumerate_ideals, subset_complement
 
-INTERVALS = [(0, 0), (0, 1), (1, 1)]  # (a, b) meaning [-a, b]
-POSITIVE_B = [1, 2]
+INTERVALS = [(0, 0), (0, 1), (-1, 1)]  # intervals containing 0
+POSITIVE = [(1, 1), (1, 2)]  # intervals starting at 1
 
 # subset/interval combinations where the closed formula provably differs
 # from the true quasi-polynomial (always by a positive constant)
@@ -52,9 +50,9 @@ def poly(*coeffs):
 
 
 def test_type1_spec_offsets(g2):
-    spec = type1_spec(g2, (0, 1), -1, 2)
+    spec = type1_spec(g2, (0, 1), (-1, 2))
     assert spec.items == (((0, 1), (-1, 0, 1, 2)), ((1, 0), (-1, 0, 1, 2)))
-    assert type1_spec(g2, (0, 1), 0, 0) == from_root_subset(g2, (0, 1))
+    assert type1_spec(g2, (0, 1), (0, 0)) == from_root_subset(g2, (0, 1))
 
 
 def test_type2_spec_offsets(g2):
@@ -67,9 +65,9 @@ def test_type2_spec_offsets(g2):
 
 def test_interval_validation(g2):
     with pytest.raises(ValidationError):
-        type1_spec(g2, (0,), 2, 1)
+        type1_spec(g2, (0,), (2, 1))
     with pytest.raises(ValidationError):
-        type1_spec(g2, (0,), 0, True)
+        type1_spec(g2, (0,), (0, True))
     with pytest.raises(ValidationError):
         type2_spec(g2, (0,), (0,), (0, 1))
 
@@ -86,14 +84,14 @@ def test_type2_duality(g2):
 def test_type1_full_is_type2_with_equal_intervals(g2):
     full = tuple(range(6))
     for subset in [(), (0, 1), (1, 2, 5)]:
-        assert type2_spec(g2, subset, (0, 1), (0, 1)) == type1_spec(g2, full, 0, 1)
+        assert type2_spec(g2, subset, (0, 1), (0, 1)) == type1_spec(g2, full, (0, 1))
 
 
 def test_empty_subset_deformation(a2):
-    spec = type1_spec(a2, (), -3, 3)
+    spec = type1_spec(a2, (), (-3, 3))
     qp = char_quasi(spec)
     assert qp.period == 1
-    assert first_constituent(qp) == poly(0, 0, 1)
+    assert qp.constituents[0] == poly(0, 0, 1)
     assert verify_deform(a2, spec, from_polynomial(poly(0, 0, 1)))
 
 
@@ -103,10 +101,10 @@ def test_shi_deformation(family, rank):
     rs = build_root_system(family, rank)
     full = tuple(range(len(rs.positive_roots)))
     h = rs.coxeter_number
-    qp = char_quasi(type1_spec(rs, full, 0, 1))
+    qp = char_quasi(type1_spec(rs, full, (0, 1)))
     for q in range(1, 3 * h + 1):
-        assert evaluate_qp(qp, q) == (q - h) ** rs.rank
-    formula = cqp_type1_formula(rs, full, "symmetric", a=0, b=1)
+        assert qp(q) == (q - h) ** rs.rank
+    formula = cqp_type1_formula(rs, full, "symmetric", (0, 1))
     assert qp_equal(formula, qp)
 
 
@@ -114,8 +112,8 @@ def test_closed_formula_verdict_grid():
     """Exact pass/fail table of the five closed formulas on every ideal.
 
     Interval grid per the module contract: symmetric and two-sided cases
-    run over [-a, b] with (a, b) in {(0,0), (0,1), (1,1)}; one-sided cases
-    run over [1, b] with b in {1, 2}.  The symmetric single-interval
+    run over [0, 0], [0, 1] and [-1, 1]; one-sided cases run over [1, 1]
+    and [1, 2].  The symmetric single-interval
     formula is exact only for the undeformed interval or for the empty
     set, the full set and the full set minus its highest root; one-sided
     deformations of a proper nonempty subset are never exact; the fully
@@ -131,53 +129,53 @@ def test_closed_formula_verdict_grid():
         mixed_failures = TYPE2_MIXED_FAILURES[(family, rank)]
         for ideal in enumerate_ideals(rs):
             proper = ideal not in ((), full)
-            for a, b in INTERVALS:
+            for inside in INTERVALS:
                 ok = verify_deform(
                     rs,
-                    type1_spec(rs, ideal, -a, b),
-                    cqp_type1_formula(rs, ideal, "symmetric", a=a, b=b),
+                    type1_spec(rs, ideal, inside),
+                    cqp_type1_formula(rs, ideal, "symmetric", inside),
                 )
-                assert ok == ((a, b) == (0, 0) or ideal in special), (
-                    family, rank, ideal, "symmetric", a, b,
+                assert ok == (inside == (0, 0) or ideal in special), (
+                    family, rank, ideal, "symmetric", inside,
                 )
                 failures += not ok
-            for b in POSITIVE_B:
+            for inside in POSITIVE:
                 ok = verify_deform(
                     rs,
-                    type1_spec(rs, ideal, 1, b),
-                    cqp_type1_formula(rs, ideal, "positive", b=b),
+                    type1_spec(rs, ideal, inside),
+                    cqp_type1_formula(rs, ideal, "positive", inside),
                 )
-                assert ok == (not proper), (family, rank, ideal, "positive", b)
+                assert ok == (not proper), (family, rank, ideal, "positive", inside)
                 failures += not ok
-            for a, b in INTERVALS:
-                for c, d in INTERVALS:
+            for inside in INTERVALS:
+                for outside in INTERVALS:
                     ok = verify_deform(
                         rs,
-                        type2_spec(rs, ideal, (-a, b), (-c, d)),
-                        cqp_type2_formula(rs, ideal, "i", a=a, b=b, c=c, d=d),
+                        type2_spec(rs, ideal, inside, outside),
+                        cqp_type2_formula(rs, ideal, "i", inside, outside),
                     )
-                    assert ok, (family, rank, ideal, "i", a, b, c, d)
-            for a, b in INTERVALS:
-                for d in POSITIVE_B:
+                    assert ok, (family, rank, ideal, "i", inside, outside)
+            for inside in INTERVALS:
+                for outside in POSITIVE:
                     ok = verify_deform(
                         rs,
-                        type2_spec(rs, ideal, (-a, b), (1, d)),
-                        cqp_type2_formula(rs, ideal, "ii", a=a, b=b, d=d),
+                        type2_spec(rs, ideal, inside, outside),
+                        cqp_type2_formula(rs, ideal, "ii", inside, outside),
                     )
                     expected = not (
-                        (a, b, d) == (0, 0, 2) and ideal in mixed_failures
+                        (inside, outside) == ((0, 0), (1, 2)) and ideal in mixed_failures
                     )
-                    assert ok == expected, (family, rank, ideal, "ii", a, b, d)
+                    assert ok == expected, (family, rank, ideal, "ii", inside, outside)
                     failures += not ok
-            for b in POSITIVE_B:
-                for d in POSITIVE_B:
+            for inside in POSITIVE:
+                for outside in POSITIVE:
                     ok = verify_deform(
                         rs,
-                        type2_spec(rs, ideal, (1, b), (1, d)),
-                        cqp_type2_formula(rs, ideal, "iii", b=b, d=d),
+                        type2_spec(rs, ideal, inside, outside),
+                        cqp_type2_formula(rs, ideal, "iii", inside, outside),
                     )
-                    assert ok == ((b, d) != (2, 1) or not proper), (
-                        family, rank, ideal, "iii", b, d,
+                    assert ok == ((inside, outside) != ((1, 2), (1, 1)) or not proper), (
+                        family, rank, ideal, "iii", inside, outside,
                     )
                     failures += not ok
     assert failures == 108
@@ -186,15 +184,15 @@ def test_closed_formula_verdict_grid():
 def test_counterexample_polynomials(a2):
     """The simplest failing cases, with both sides pinned exactly."""
     subset = (1,)  # one simple root
-    positive = char_quasi(type1_spec(a2, subset, 1, 1))
+    positive = char_quasi(type1_spec(a2, subset, (1, 1)))
     assert positive.period == 1
-    assert first_constituent(positive) == poly(0, -1, 1)
-    formula = cqp_type1_formula(a2, subset, "positive", b=1)
+    assert positive.constituents[0] == poly(0, -1, 1)
+    formula = cqp_type1_formula(a2, subset, "positive", (1, 1))
     assert qp_equal(formula, from_polynomial(poly(1, -1, 1)))
 
-    symmetric = char_quasi(type1_spec(a2, subset, 0, 1))
-    assert first_constituent(symmetric) == poly(0, -2, 1)
-    formula01 = cqp_type1_formula(a2, subset, "symmetric", a=0, b=1)
+    symmetric = char_quasi(type1_spec(a2, subset, (0, 1)))
+    assert symmetric.constituents[0] == poly(0, -2, 1)
+    formula01 = cqp_type1_formula(a2, subset, "symmetric", (0, 1))
     assert qp_equal(formula01, from_polynomial(poly(1, -2, 1)))
 
 
@@ -205,7 +203,7 @@ def test_mixed_unit_interval_formula(family, rank):
     rs = build_root_system(family, rank)
     alcove = ehrhart_closed_qp(rs)
     for ideal in enumerate_ideals(rs):
-        formula = cqp_type2_formula(rs, ideal, "i", a=0, b=1, c=0, d=0)
+        formula = cqp_type2_formula(rs, ideal, "i", (0, 1), (0, 0))
         via_m = apply_shift(ShiftPolynomial.from_polynomial(m_poly(rs, ideal)), alcove)
         brute = char_quasi(type2_spec(rs, ideal, (0, 1), (0, 0)))
         assert qp_equal(formula, via_m)
@@ -221,15 +219,15 @@ def test_compatibility_formula_is_the_zero_interval(family, rank):
     assert compatible
     for psi in compatible:
         via_e = compat.shift_formula_qp(rs, psi)
-        via_rule = cqp_type1_formula(rs, psi, "symmetric", a=0, b=0)
+        via_rule = cqp_type1_formula(rs, psi, "symmetric", (0, 0))
         assert qp_equal(via_e, via_rule)
 
 
 def test_formula_requires_compatible_subset(g2):
     with pytest.raises(ValidationError, match="not compatible"):
-        cqp_type1_formula(g2, (1, 2, 5), "symmetric", a=0, b=0)
+        cqp_type1_formula(g2, (1, 2, 5), "symmetric", (0, 0))
     with pytest.raises(ValidationError, match="not compatible"):
-        cqp_type2_formula(g2, (2,), "i", a=0, b=0, c=0, d=0)
+        cqp_type2_formula(g2, (2,), "i", (0, 0), (0, 0))
 
 
 def test_formulas_share_one_bounded_decision():
@@ -254,8 +252,8 @@ def test_formulas_share_one_bounded_decision():
     d4 = build_root_system("D", 4)
     full = range(len(d4.positive_roots))
     compat._decide.cache_clear()
-    cqp_type1_formula(d4, full, "symmetric", a=1, b=2)
-    cqp_type1_formula(d4, full, "symmetric", a=2, b=1)
+    cqp_type1_formula(d4, full, "symmetric", (-1, 2))
+    cqp_type1_formula(d4, full, "symmetric", (-2, 1))
     info = compat._decide.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
@@ -269,8 +267,8 @@ def test_offsets_share_one_period_search():
     periods = {
         charquasi.lcm_period(spec)
         for spec in (
-            type1_spec(d4, full, -1, 2),
-            type1_spec(d4, full, -2, 1),
+            type1_spec(d4, full, (-1, 2)),
+            type1_spec(d4, full, (-2, 1)),
             type2_spec(d4, full, (-1, 1), (0, 1)),
         )
     }
@@ -291,38 +289,47 @@ def test_mirrored_interval_reuses_the_count(monkeypatch):
         kernels, "complement_count", lambda *args: calls.append(args) or count(*args)
     )
     char_quasi.cache_clear()
-    first = char_quasi(type1_spec(d4, full, -1, 2))
+    first = char_quasi(type1_spec(d4, full, (-1, 2)))
     counted = len(calls)
-    mirrored = char_quasi(type1_spec(d4, full, -2, 1))
+    mirrored = char_quasi(type1_spec(d4, full, (-2, 1)))
     assert counted > 0 and len(calls) == counted
     assert mirrored == first
     char_quasi.cache_clear()
-    assert charquasi._char_quasi(type1_spec(d4, full, -2, 1), None) == first
+    assert charquasi._char_quasi(type1_spec(d4, full, (-2, 1)), None) == first
     assert len(calls) == 2 * counted
 
 
 def test_formula_parameter_validation(g2):
     with pytest.raises(ValidationError):
-        cqp_type1_formula(g2, (0,), "diagonal", a=0, b=0)
+        cqp_type1_formula(g2, (0,), "diagonal", (0, 0))
     with pytest.raises(ValidationError):
-        cqp_type1_formula(g2, (0,), "symmetric", a=0)
+        cqp_type1_formula(g2, (0,), "symmetric", (0, None))
     with pytest.raises(ValidationError):
-        cqp_type1_formula(g2, (0,), "symmetric", a=-1, b=0)
+        cqp_type1_formula(g2, (0,), "symmetric", (1, 0))
     with pytest.raises(ValidationError):
-        cqp_type1_formula(g2, (0,), "positive", a=1, b=2)
+        cqp_type1_formula(g2, (0,), "positive", (-1, 2))
     with pytest.raises(ValidationError):
-        cqp_type1_formula(g2, (0,), "positive", b=0)
+        cqp_type1_formula(g2, (0,), "positive", (1, 0))
     with pytest.raises(ValidationError):
-        cqp_type2_formula(g2, (0,), "ii", a=0, b=0, c=1, d=2)
+        cqp_type2_formula(g2, (0,), "ii", (0, 0), (-1, 2))
     with pytest.raises(ValidationError):
-        cqp_type2_formula(g2, (0,), "iii", b=1, d=0)
+        cqp_type2_formula(g2, (0,), "iii", (1, 1), (1, 0))
     with pytest.raises(ValidationError):
-        cqp_type2_formula(g2, (0,), "iv", a=0, b=0, c=0, d=0)
+        cqp_type2_formula(g2, (0,), "iv", (0, 0), (0, 0))
+    with pytest.raises(ValidationError, match="needs exactly two"):
+        cqp_type1_formula(g2, (0,), "i", (0, 0))
+    # bounds are checked to be integers before any work: the subset is
+    # incompatible, so a later check would report that instead
+    for bad in ((True, 1), (0, True), (0.5, 1), (-1, 1.0)):
+        with pytest.raises(ValidationError, match="must be integers"):
+            cqp_type1_formula(g2, (1, 2, 5), "symmetric", bad)
+        with pytest.raises(ValidationError, match="must be integers"):
+            cqp_type2_formula(g2, (1, 2, 5), "i", (0, 0), bad)
 
 
 def test_verify_deform_rank_mismatch(g2):
     a3 = build_root_system("A", 3)
-    spec = type1_spec(a3, (0,), 0, 0)
+    spec = type1_spec(a3, (0,), (0, 0))
     with pytest.raises(ValidationError):
         verify_deform(g2, spec, ehrhart_closed_qp(g2))
 
@@ -331,6 +338,6 @@ def test_verify_deform_detects_wrong_formula(g2):
     """The undeformed three-root subset against its (wrong) closed formula."""
     from weylq.compat import shift_formula_qp
 
-    spec = type1_spec(g2, (1, 2, 5), 0, 0)
+    spec = type1_spec(g2, (1, 2, 5), (0, 0))
     assert not verify_deform(g2, spec, shift_formula_qp(g2, (1, 2, 5)))
     assert verify_deform(g2, spec, char_quasi(spec))

@@ -18,7 +18,7 @@ from weylq.ehrhart import (
     ehrhart_open_qp,
     open_face_qp,
 )
-from weylq.quasipoly import RationalPolynomial, evaluate_qp, expand_rational_series, series_of_qp
+from weylq.quasipoly import RationalPolynomial, expand_rational_series, series_of_qp
 from weylq.rootsys import build_root_system
 
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2)]
@@ -62,8 +62,8 @@ def test_quasi_polynomials_match_counts(family, rank):
     closed = ehrhart_closed_qp(rs)
     opened = ehrhart_open_qp(rs)
     for q in range(1, 31):
-        assert evaluate_qp(closed, q) == count_closed(rs, q)
-        assert evaluate_qp(opened, q) == count_open(rs, q)
+        assert closed(q) == count_closed(rs, q)
+        assert opened(q) == count_open(rs, q)
     assert closed.degree == rs.rank
     assert opened.degree == rs.rank
 
@@ -101,7 +101,7 @@ def test_reciprocity(family, rank):
     opened = ehrhart_open_qp(rs)
     sign = (-1) ** rs.rank
     for q in range(1, 31):
-        assert evaluate_qp(closed, -q) == sign * evaluate_qp(opened, q)
+        assert closed(-q) == sign * opened(q)
 
 
 @pytest.mark.parametrize("family, rank", TYPES)
@@ -110,7 +110,7 @@ def test_open_is_translated_closed(family, rank):
     closed = ehrhart_closed_qp(rs)
     h = rs.coxeter_number
     for q in range(1, 31):
-        assert count_open(rs, q) == evaluate_qp(closed, q - h)
+        assert count_open(rs, q) == closed(q - h)
 
 
 @pytest.mark.parametrize("family, rank", TYPES)
@@ -275,7 +275,7 @@ def test_open_face_qp_matches_direct_count(marks):
             for z in product(*(range(1, q // m + 1) for m in marks))
             if sum(m * zi for m, zi in zip(marks, z)) == q
         )
-        assert evaluate_qp(qp, q) == direct, (marks, q)
+        assert qp(q) == direct, (marks, q)
 
 
 def test_open_face_of_the_whole_alcove_is_the_open_count():
@@ -284,4 +284,4 @@ def test_open_face_of_the_whole_alcove_is_the_open_count():
         rs = build_root_system(family, rank)
         face = open_face_qp(tuple(sorted((1,) + rs.marks)))
         for q in range(1, 16):
-            assert evaluate_qp(face, q) == count_open(rs, q)
+            assert face(q) == count_open(rs, q)

@@ -126,7 +126,7 @@ def test_d4_deformation_matches_brute_force(q):
     D4 with offsets -1..2, so each item forbids four residues.  At even q
     the outer coefficient 2 of the highest root is not a unit."""
     d4 = build_root_system("D", 4)
-    spec = type1_spec(d4, range(len(d4.positive_roots)), -1, 2)
+    spec = type1_spec(d4, range(len(d4.positive_roots)), (-1, 2))
     expected = brute_complement(q, spec.rank, spec.items)
     assert kernels.complement_count(q, spec.rank, spec.items) == expected
 
@@ -175,7 +175,7 @@ def test_d4_deformation_counts_at_workload_moduli():
     counts, since x -> -x maps one complement onto the other."""
     d4 = build_root_system("D", 4)
     roots = range(len(d4.positive_roots))
-    for a, b in ((-1, 2), (-2, 1)):
-        spec = type1_spec(d4, roots, a, b)
+    for interval in ((-1, 2), (-2, 1)):
+        spec = type1_spec(d4, roots, interval)
         counts = [kernels.complement_count(q, 4, spec.items) for q in range(37, 51)]
         assert counts == D4_FULL_COUNTS

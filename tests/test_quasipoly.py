@@ -13,9 +13,7 @@ from weylq.quasipoly import (
     SeriesTruncation,
     ShiftPolynomial,
     apply_shift,
-    evaluate_qp,
     expand_rational_series,
-    first_constituent,
     fold_period,
     from_polynomial,
     interpolate_qp,
@@ -125,7 +123,7 @@ def test_quasi_polynomial_residues():
     assert qp.constituent_for(0) == poly(3)
     assert qp.constituent_for(-2) == poly(1)
     assert qp(4) == 1
-    assert evaluate_qp(qp, 6) == 3
+    assert qp(6) == 3
 
 
 def test_quasi_polynomial_validation():
@@ -138,7 +136,7 @@ def test_quasi_polynomial_validation():
 def test_from_polynomial():
     qp = from_polynomial(poly(1, 1))
     assert qp.period == 1
-    assert first_constituent(qp) == poly(1, 1)
+    assert qp.constituents[0] == poly(1, 1)
     assert qp.degree == 1
 
 

@@ -23,7 +23,6 @@ cli
 """
 
 from weylq.errors import (
-    DomainError,
     InconsistencyError,
     ResourceCapError,
     ValidationError,
@@ -31,7 +30,6 @@ from weylq.errors import (
 )
 
 __all__ = [
-    "DomainError",
     "InconsistencyError",
     "ResourceCapError",
     "ValidationError",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional
 
 from weylq.charquasi import char_quasi_subset
 from weylq.ehrhart import ehrhart_closed_qp
@@ -18,12 +18,10 @@ from weylq.errors import InconsistencyError, ValidationError
 from weylq.eulerian import eulerian_poly
 from weylq.quasipoly import (
     QuasiPolynomial,
-    SeriesTruncation,
     ShiftPolynomial,
     apply_shift,
     expand_rational_series,
     qp_equal,
-    qp_sub,
     series_of_qp,
 )
 from weylq.rootsys import (
@@ -79,14 +77,6 @@ def is_compatible(
     on failure include the smallest witness."""
     check_weyl_cap(rs, cap)
     return _decide(rs, normalize_subset(rs, subset), cap)
-
-
-def defect_qp(
-    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
-) -> QuasiPolynomial:
-    """Shift formula minus characteristic quasi-polynomial."""
-    psi = normalize_subset(rs, subset)
-    return qp_sub(shift_formula_qp(rs, psi, cap), char_quasi_subset(rs, psi))
 
 
 def verify_genfunc(

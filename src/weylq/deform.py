@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, Tuple
 
 from weylq.charquasi import ArrangementSpec, char_quasi, make_spec
 from weylq.compat import is_compatible
-from weylq.ehrhart import ehrhart_closed_qp, int_pair
+from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import ValidationError
 from weylq.eulerian import profile_counts
 from weylq.quasipoly import QuasiPolynomial, ShiftPolynomial, apply_shift, qp_equal
@@ -43,6 +43,17 @@ _STARTS_AT_ONE = {
     "ii": (False, True),
     "iii": (True, True),
 }
+
+
+def int_pair(interval: Sequence[int]) -> Tuple[int, int]:
+    """The bounds of an interval, checked to be a pair of integers."""
+    try:
+        a, b = interval
+    except (TypeError, ValueError):
+        raise ValidationError(f"interval must be a pair, got {interval!r}") from None
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (a, b)):
+        raise ValidationError(f"interval bounds must be integers, got {interval!r}")
+    return a, b
 
 
 def _ordered(interval: Sequence[int]) -> Tuple[int, int]:

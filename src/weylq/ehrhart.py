@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from weylq.errors import DomainError, ValidationError
+from weylq.errors import ValidationError
 from weylq.quasipoly import QuasiPolynomial, interpolate_qp
 from weylq.rootsys import RootSystem
 
@@ -95,101 +95,6 @@ def open_face_qp(marks: Tuple[int, ...]) -> QuasiPolynomial:
     return interpolate_qp(counts.__getitem__, period, degree)
 
 
-def int_pair(interval: Sequence[int]) -> Tuple[int, int]:
-    """The bounds of an interval, checked to be a pair of integers."""
-    try:
-        a, b = interval
-    except (TypeError, ValueError):
-        raise ValidationError(f"interval must be a pair, got {interval!r}") from None
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (a, b)):
-        raise ValidationError(f"interval bounds must be integers, got {interval!r}")
-    return a, b
-
-
 def _facet_marks(rs: RootSystem) -> Tuple[int, ...]:
     """Mark of each wall 0..rank; the affine wall counts 1."""
     return (1,) + tuple(rs.marks)
-
-
-def _normalize_facets(rs: RootSystem, facet_indices: Iterable[int]) -> Tuple[int, ...]:
-    out = sorted(set(facet_indices))
-    for i in out:
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= rs.rank:
-            raise ValidationError(f"facet index {i!r} out of range 0..{rs.rank}")
-    return tuple(out)
-
-
-def count_minus_facets(rs: RootSystem, q: int, facet_indices: Iterable[int]) -> int:
-    """Points of the q-dilated closed alcove off the selected walls.
-
-    Only asserted above the removal threshold: q must exceed the sum of the
-    selected walls' marks.
-    """
-    _check_q(q, 0)
-    facets = _normalize_facets(rs, facet_indices)
-    cmarks = _facet_marks(rs)
-    threshold = sum(cmarks[i] for i in facets)
-    if q <= threshold:
-        raise DomainError(
-            f"removal needs q > {threshold} (sum of selected marks), got {q}"
-        )
-    lows = [1 if (i + 1) in facets else 0 for i in range(rs.rank)]
-    limit = q - 1 if 0 in facets else q
-    return _sum_counts(rs.marks, lows, limit)
-
-
-def count_minus_bands(
-    rs: RootSystem, q: int, bands: Mapping[int, Sequence[int]]
-) -> int:
-    """Points of the closed alcove off a band [0..b_i] of parallel walls at
-    each selected facet; each band must start at 0."""
-    _check_q(q, 0)
-    widths: Dict[int, int] = {}
-    for i, interval in bands.items():
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= rs.rank:
-            raise ValidationError(f"facet index {i!r} out of range 0..{rs.rank}")
-        a, b = int_pair(interval)
-        if a != 0:
-            raise ValidationError(
-                "bands here start at 0; use count_minus_band_general for [a,b] with a >= 1"
-            )
-        if b < 0:
-            raise ValidationError(f"band width must be a nonnegative integer, got {b!r}")
-        widths[i] = b
-    cmarks = _facet_marks(rs)
-    threshold = sum((b + 1) * cmarks[i] for i, b in widths.items())
-    if q <= threshold:
-        raise DomainError(
-            f"band removal needs q > {threshold}, got {q}"
-        )
-    lows = [widths[i + 1] + 1 if (i + 1) in widths else 0 for i in range(rs.rank)]
-    limit = q - (widths[0] + 1) if 0 in widths else q
-    return _sum_counts(rs.marks, lows, limit)
-
-
-def count_minus_band_general(
-    rs: RootSystem, q: int, facet: int, interval: Sequence[int]
-) -> int:
-    """Points of the closed alcove off the walls a..b parallel to one facet,
-    for a band not touching the facet itself (a >= 1)."""
-    _check_q(q, 0)
-    if not isinstance(facet, int) or isinstance(facet, bool) or not 0 <= facet <= rs.rank:
-        raise ValidationError(f"facet index {facet!r} out of range 0..{rs.rank}")
-    a, b = int_pair(interval)
-    if a < 1 or b < a:
-        raise ValidationError("interval must be integers 1 <= a <= b")
-    c = _facet_marks(rs)[facet]
-    threshold = (b + 1) * c
-    if q <= threshold:
-        raise DomainError(f"band removal needs q > {threshold}, got {q}")
-
-    def at_least(t: int) -> int:
-        # points whose facet coordinate (for wall 0, whose slack) is >= t
-        if facet == 0:
-            return _sum_counts(rs.marks, (0,) * rs.rank, q - t)
-        lows = [0] * rs.rank
-        lows[facet - 1] = t
-        return _sum_counts(rs.marks, lows, q)
-
-    # all points minus those whose facet coordinate lies in a..b
-    return count_closed(rs, q) - at_least(a) + at_least(b + 1)

@@ -15,11 +15,6 @@ class ValidationError(WeylqError):
     """Malformed or out-of-range input: bad rank, unknown root, bad subset."""
 
 
-class DomainError(ValidationError):
-    """Input is well formed but outside the domain where a result is asserted,
-    for example a dilation below a removal threshold."""
-
-
 class ResourceCapError(WeylqError):
     """A configured enumeration cap would be exceeded."""
 

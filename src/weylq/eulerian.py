@@ -24,10 +24,9 @@ from __future__ import annotations
 import functools
 from array import array
 from collections import Counter
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, NamedTuple, Tuple
 
-from weylq.errors import InconsistencyError, ValidationError
+from weylq.errors import InconsistencyError
 from weylq.quasipoly import RationalPolynomial
 from weylq.rootsys import (
     DEFAULT_WEYL_CAP,
@@ -36,14 +35,9 @@ from weylq.rootsys import (
     WeylElement,
     WeylGroup,
     check_weyl_cap,
-    classify_length,
     enumerate_weyl,
-    extended_base_indices,
     normalize_subset,
-    signed_roots,
 )
-
-Vector = Tuple[int, ...]
 
 
 class DescentProfile(NamedTuple):
@@ -60,19 +54,8 @@ class DescentProfile(NamedTuple):
     ascent: int
     ascent_bar: int
 
-    @property
-    def total(self) -> int:
-        return self.descent + self.descent_bar + self.ascent + self.ascent_bar
-
 
 Histogram = Tuple[Tuple[DescentProfile, int], ...]
-
-
-def extended_base(rs: RootSystem) -> Tuple[Tuple[Vector, int], ...]:
-    """Pairs (root, mark) for positions 0..rank of the extended base."""
-    roots = signed_roots(rs)
-    base = map(roots.__getitem__, extended_base_indices(rs))
-    return tuple(zip(base, (1,) + rs.marks))
 
 
 @functools.lru_cache(maxsize=4)
@@ -255,72 +238,3 @@ def m_poly(
     h = rs.coxeter_number
     fibers = _statistic(rs, subset, "ascent_bar", cap)
     return _fiber_polynomial(rs, ((h + v, c) for v, c in fibers))
-
-
-def _length_class_size(rs: RootSystem, cls: str) -> int:
-    """Number of roots (both signs) in a length class."""
-    n = sum(1 for r in rs.positive_roots if classify_length(rs, r) == cls)
-    return 2 * n
-
-
-def eulerian_delta_complement(rs: RootSystem, delta_index: int) -> RationalPolynomial:
-    """Closed form for the subset missing exactly one root.
-
-    Only the length class of the removed root matters: each extended-base
-    root of that class contributes a fiber of equal size below the top
-    exponent, everything else lands at the top.
-    """
-    n = len(rs.positive_roots)
-    if not isinstance(delta_index, int) or isinstance(delta_index, bool) or not 0 <= delta_index < n:
-        raise ValidationError(f"root index {delta_index!r} out of range 0..{n - 1}")
-    delta = rs.positive_roots[delta_index]
-    cls = classify_length(rs, delta)
-    h = rs.coxeter_number
-    f = rs.index_of_connection
-    w_order = rs.weyl_order
-    class_size = _length_class_size(rs, cls)
-    base = [
-        (root, mark)
-        for root, mark in extended_base(rs)
-        if classify_length(rs, root) == cls
-    ]
-    coeffs = [Fraction(0)] * (h + 1)
-    unit = Fraction(w_order, f * class_size)
-    for _, mark in base:
-        coeffs[h - mark] += unit
-    coeffs[h] += Fraction(w_order * (class_size - len(base)), f * class_size)
-    poly = RationalPolynomial(coeffs)
-    if not poly.is_integral:
-        raise InconsistencyError("single-root closed form is not integral")
-    return poly
-
-
-def omega_partition(
-    rs: RootSystem, delta_index: int, cap: int = DEFAULT_WEYL_CAP
-) -> Dict[int, Tuple[WeylElement, ...]]:
-    """Group elements sending some extended-base root onto the negative of
-    the chosen root, fibered by the extended-base position.
-
-    Keys are the positions whose root shares the chosen root's length
-    class; each value is a tuple of the elements read from enumerate_weyl's
-    sequence, in its order.
-    """
-    n = len(rs.positive_roots)
-    if not isinstance(delta_index, int) or isinstance(delta_index, bool) or not 0 <= delta_index < n:
-        raise ValidationError(f"root index {delta_index!r} out of range 0..{n - 1}")
-    cls = classify_length(rs, rs.positive_roots[delta_index])
-    target = len(rs.positive_roots) + delta_index
-    fibers: Dict[int, list] = {
-        i: []
-        for i, (root, _) in enumerate(extended_base(rs))
-        if classify_length(rs, root) == cls
-    }
-    for w in enumerate_weyl(rs, cap):
-        for i, image in enumerate(w.base_images):
-            if image == target:
-                if i not in fibers:
-                    raise InconsistencyError(
-                        "length classes are not preserved by the action"
-                    )
-                fibers[i].append(w)
-    return {i: tuple(ws) for i, ws in fibers.items()}

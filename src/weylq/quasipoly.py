@@ -18,8 +18,6 @@ from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from weylq.errors import InconsistencyError, ValidationError
 
-Rational = Fraction
-
 
 class RationalPolynomial:
     """Immutable polynomial with Fraction coefficients, ascending order."""
@@ -184,11 +182,6 @@ class QuasiPolynomial:
         return max(p.degree for p in self.constituents)
 
 
-def from_polynomial(p: RationalPolynomial) -> QuasiPolynomial:
-    """A polynomial seen as a quasi-polynomial of period 1."""
-    return QuasiPolynomial(1, (p,))
-
-
 def normalize_period(qp: QuasiPolynomial, new_period: int) -> QuasiPolynomial:
     """Rewrite with a larger period that the current one divides."""
     if new_period < 1 or new_period % qp.period:
@@ -224,26 +217,6 @@ def qp_equal(a: QuasiPolynomial, b: QuasiPolynomial) -> bool:
         normalize_period(a, common).constituents
         == normalize_period(b, common).constituents
     )
-
-
-def qp_add(a: QuasiPolynomial, b: QuasiPolynomial) -> QuasiPolynomial:
-    common = math.lcm(a.period, b.period)
-    aa = normalize_period(a, common)
-    bb = normalize_period(b, common)
-    return QuasiPolynomial(
-        common,
-        tuple(x + y for x, y in zip(aa.constituents, bb.constituents)),
-    )
-
-
-def qp_scale(qp: QuasiPolynomial, factor) -> QuasiPolynomial:
-    return QuasiPolynomial(
-        qp.period, tuple(factor * p for p in qp.constituents)
-    )
-
-
-def qp_sub(a: QuasiPolynomial, b: QuasiPolynomial) -> QuasiPolynomial:
-    return qp_add(a, qp_scale(b, -1))
 
 
 class ShiftPolynomial:
@@ -386,34 +359,20 @@ def interpolate_qp(
     return QuasiPolynomial(period, tuple(constituents))
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Power series coefficients t^0 .. t^order, exact."""
-
-    order: int
-    coeffs: Tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValidationError("order must be nonnegative")
-        if len(self.coeffs) != self.order + 1:
-            raise ValidationError("need order + 1 coefficients")
-
-
-def series_of_qp(qp: QuasiPolynomial, order: int) -> SeriesTruncation:
-    """Ordinary generating series of the qp values at q = 1..order."""
+def series_of_qp(qp: QuasiPolynomial, order: int) -> Tuple[Fraction, ...]:
+    """Coefficients t^0 .. t^order of the ordinary generating series of the
+    qp values at q = 1..order."""
     if order < 0:
         raise ValidationError("order must be nonnegative")
-    coeffs = [Fraction(0)] + [Fraction(qp(q)) for q in range(1, order + 1)]
-    return SeriesTruncation(order, tuple(coeffs))
+    return (Fraction(0),) + tuple(Fraction(qp(q)) for q in range(1, order + 1))
 
 
 def expand_rational_series(
     numerator: RationalPolynomial,
     denominator_exponents: Sequence[int],
     order: int,
-) -> SeriesTruncation:
-    """Expand numerator / product of (1 - t^c) to the requested order."""
+) -> Tuple[Fraction, ...]:
+    """Coefficients t^0 .. t^order of numerator / product of (1 - t^c)."""
     if order < 0:
         raise ValidationError("order must be nonnegative")
     coeffs = [Fraction(numerator.coeff(n)) for n in range(order + 1)]
@@ -423,4 +382,4 @@ def expand_rational_series(
         # multiply by the geometric series of t^c, i.e. divide by 1 - t^c
         for n in range(c, order + 1):
             coeffs[n] += coeffs[n - c]
-    return SeriesTruncation(order, tuple(coeffs))
+    return tuple(coeffs)

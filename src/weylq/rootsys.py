@@ -33,31 +33,6 @@ DEFAULT_WEYL_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
-class RootSystemSpec:
-    """A family letter plus a rank, validated on construction."""
-
-    family: str
-    rank: int
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValidationError(
-                f"unknown family {self.family!r}; expected one of {', '.join(FAMILIES)}"
-            )
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
-            raise ValidationError(f"rank must be an integer, got {self.rank!r}")
-        if self.family == "E":
-            if self.rank not in _E_RANKS:
-                raise ValidationError("family E requires rank 6, 7 or 8")
-            return
-        lo = _MIN_RANK[self.family]
-        hi = _EXACT_RANK.get(self.family)
-        if self.rank < lo or (hi is not None and self.rank != hi):
-            bound = f"exactly {hi}" if hi is not None else f"at least {lo}"
-            raise ValidationError(f"family {self.family} requires rank {bound}")
-
-
-@dataclass(frozen=True)
 class RootSystem:
     """An immutable root system with its classical numeric invariants.
 
@@ -225,38 +200,30 @@ def _build(family: str, rank: int) -> RootSystem:
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Build the root system for a family letter and rank."""
-    spec = RootSystemSpec(str(family), rank)
-    return _build(spec.family, spec.rank)
+    """Build the root system for a family letter and rank, validated first."""
+    family = str(family)
+    if family not in FAMILIES:
+        raise ValidationError(
+            f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}"
+        )
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise ValidationError(f"rank must be an integer, got {rank!r}")
+    if family == "E":
+        if rank not in _E_RANKS:
+            raise ValidationError("family E requires rank 6, 7 or 8")
+    else:
+        lo = _MIN_RANK[family]
+        hi = _EXACT_RANK.get(family)
+        if rank < lo or (hi is not None and rank != hi):
+            bound = f"exactly {hi}" if hi is not None else f"at least {lo}"
+            raise ValidationError(f"family {family} requires rank {bound}")
+    return _build(family, rank)
 
 
 @functools.lru_cache(maxsize=None)
 def root_index(rs: RootSystem) -> Dict[Vector, int]:
     """Map each positive root to its index in the canonical order."""
     return {v: i for i, v in enumerate(rs.positive_roots)}
-
-
-def root_norm2(rs: RootSystem, v: Vector) -> Fraction:
-    total = Fraction(0)
-    for i, vi in enumerate(v):
-        if not vi:
-            continue
-        for j, vj in enumerate(v):
-            if vj:
-                total += vi * vj * rs.gram[i][j]
-    return total
-
-
-def classify_length(rs: RootSystem, v: Vector) -> str:
-    """Classify a root (given by coordinates, either sign) as long or short.
-
-    The highest root is long, and in a simply laced system every root has
-    its norm, so one comparison decides.
-    """
-    vv = tuple(v)
-    if vv not in root_index(rs) and tuple(-c for c in vv) not in root_index(rs):
-        raise ValidationError(f"{vv} is not a root of {rs.family}{rs.rank}")
-    return "long" if root_norm2(rs, vv) == root_norm2(rs, rs.highest_root) else "short"
 
 
 @functools.lru_cache(maxsize=None)
@@ -463,20 +430,6 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
     return _weyl_elements(rs)
 
 
-def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
-    """Product of simple reflections; word entries are 1-based."""
-    w = tuple(word)
-    for j in w:
-        if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= rs.rank:
-            raise ValidationError(f"generator index {j!r} out of range 1..{rs.rank}")
-    gens = _reflection_permutations(rs)
-    images = extended_base_indices(rs)
-    # the last letter acts first
-    for j in reversed(w):
-        images = tuple(map(gens[j - 1].__getitem__, images))
-    return WeylElement(images)
-
-
 def face_roots(rs: RootSystem, face: Iterable[int]) -> RootSubset:
     """Positive roots that take integer values on the open face of the
     alcove cut out by the given walls (wall 0 is the affine one): those
@@ -602,12 +555,6 @@ def lower_closure(rs: RootSystem, indices: Iterable[int]) -> RootSubset:
         if any(poset_leq(roots[j], roots[i]) for i in base)
     }
     return tuple(sorted(out))
-
-
-def is_ideal(rs: RootSystem, indices: Iterable[int]) -> bool:
-    """True when the subset is downward closed in the root poset."""
-    subset = normalize_subset(rs, indices)
-    return subset == lower_closure(rs, subset)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,0 +1,329 @@
+"""Independent routes to the package's answers, for the tests only.
+
+These are identities of the paper and closed forms from its literature
+that no query computes: root lengths, Weyl elements from words, the
+Eulerian polynomial with one root removed and its Omega-fibers, the
+counts of the dilated alcove with walls or bands of walls removed, the
+compatibility defect, quasi-polynomial arithmetic, and the Shi and
+Catalan closed forms that check deformations where counting refuses.
+The tests compare each with what the package computes another way.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from fractions import Fraction
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
+
+from weylq.charquasi import char_quasi_subset
+from weylq.compat import shift_formula_qp
+from weylq.deform import int_pair
+from weylq.ehrhart import _check_q, _facet_marks, _sum_counts, count_closed
+from weylq.errors import InconsistencyError, ValidationError
+from weylq.quasipoly import QuasiPolynomial, RationalPolynomial, normalize_period
+from weylq.rootsys import (
+    DEFAULT_WEYL_CAP,
+    RootSystem,
+    Vector,
+    WeylElement,
+    _reflection_permutations,
+    enumerate_weyl,
+    extended_base_indices,
+    height,
+    lower_closure,
+    normalize_subset,
+    root_index,
+    signed_roots,
+)
+
+
+class DomainError(ValidationError):
+    """Input is well formed but outside the domain where a result is asserted,
+    for example a dilation below a removal threshold."""
+
+
+# ---------------------------------------------------------------------------
+# roots, words and ideals
+
+
+def root_norm2(rs: RootSystem, v: Vector) -> Fraction:
+    total = Fraction(0)
+    for i, vi in enumerate(v):
+        if not vi:
+            continue
+        for j, vj in enumerate(v):
+            if vj:
+                total += vi * vj * rs.gram[i][j]
+    return total
+
+
+def classify_length(rs: RootSystem, v: Vector) -> str:
+    """Classify a root (given by coordinates, either sign) as long or short.
+
+    The highest root is long, and in a simply laced system every root has
+    its norm, so one comparison decides.
+    """
+    vv = tuple(v)
+    if vv not in root_index(rs) and tuple(-c for c in vv) not in root_index(rs):
+        raise ValidationError(f"{vv} is not a root of {rs.family}{rs.rank}")
+    return "long" if root_norm2(rs, vv) == root_norm2(rs, rs.highest_root) else "short"
+
+
+def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
+    """Product of simple reflections; word entries are 1-based."""
+    w = tuple(word)
+    for j in w:
+        if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= rs.rank:
+            raise ValidationError(f"generator index {j!r} out of range 1..{rs.rank}")
+    gens = _reflection_permutations(rs)
+    images = extended_base_indices(rs)
+    # the last letter acts first
+    for j in reversed(w):
+        images = tuple(map(gens[j - 1].__getitem__, images))
+    return WeylElement(images)
+
+
+def is_ideal(rs: RootSystem, indices: Iterable[int]) -> bool:
+    """True when the subset is downward closed in the root poset."""
+    subset = normalize_subset(rs, indices)
+    return subset == lower_closure(rs, subset)
+
+
+# ---------------------------------------------------------------------------
+# quasi-polynomial arithmetic
+
+
+def from_polynomial(p: RationalPolynomial) -> QuasiPolynomial:
+    """A polynomial seen as a quasi-polynomial of period 1."""
+    return QuasiPolynomial(1, (p,))
+
+
+def qp_add(a: QuasiPolynomial, b: QuasiPolynomial) -> QuasiPolynomial:
+    common = math.lcm(a.period, b.period)
+    aa = normalize_period(a, common)
+    bb = normalize_period(b, common)
+    return QuasiPolynomial(
+        common,
+        tuple(x + y for x, y in zip(aa.constituents, bb.constituents)),
+    )
+
+
+def qp_scale(qp: QuasiPolynomial, factor) -> QuasiPolynomial:
+    return QuasiPolynomial(
+        qp.period, tuple(factor * p for p in qp.constituents)
+    )
+
+
+def qp_sub(a: QuasiPolynomial, b: QuasiPolynomial) -> QuasiPolynomial:
+    return qp_add(a, qp_scale(b, -1))
+
+
+def defect_qp(
+    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
+) -> QuasiPolynomial:
+    """Shift formula minus characteristic quasi-polynomial."""
+    psi = normalize_subset(rs, subset)
+    return qp_sub(shift_formula_qp(rs, psi, cap), char_quasi_subset(rs, psi))
+
+
+# ---------------------------------------------------------------------------
+# the positive system without one root
+
+
+def extended_base(rs: RootSystem) -> Tuple[Tuple[Vector, int], ...]:
+    """Pairs (root, mark) for positions 0..rank of the extended base."""
+    roots = signed_roots(rs)
+    base = map(roots.__getitem__, extended_base_indices(rs))
+    return tuple(zip(base, (1,) + rs.marks))
+
+
+def _length_class_size(rs: RootSystem, cls: str) -> int:
+    """Number of roots (both signs) in a length class."""
+    n = sum(1 for r in rs.positive_roots if classify_length(rs, r) == cls)
+    return 2 * n
+
+
+def eulerian_delta_complement(rs: RootSystem, delta_index: int) -> RationalPolynomial:
+    """Closed form for the subset missing exactly one root.
+
+    Only the length class of the removed root matters: each extended-base
+    root of that class contributes a fiber of equal size below the top
+    exponent, everything else lands at the top.
+    """
+    n = len(rs.positive_roots)
+    if not isinstance(delta_index, int) or isinstance(delta_index, bool) or not 0 <= delta_index < n:
+        raise ValidationError(f"root index {delta_index!r} out of range 0..{n - 1}")
+    delta = rs.positive_roots[delta_index]
+    cls = classify_length(rs, delta)
+    h = rs.coxeter_number
+    f = rs.index_of_connection
+    w_order = rs.weyl_order
+    class_size = _length_class_size(rs, cls)
+    base = [
+        (root, mark)
+        for root, mark in extended_base(rs)
+        if classify_length(rs, root) == cls
+    ]
+    coeffs = [Fraction(0)] * (h + 1)
+    unit = Fraction(w_order, f * class_size)
+    for _, mark in base:
+        coeffs[h - mark] += unit
+    coeffs[h] += Fraction(w_order * (class_size - len(base)), f * class_size)
+    poly = RationalPolynomial(coeffs)
+    if not poly.is_integral:
+        raise InconsistencyError("single-root closed form is not integral")
+    return poly
+
+
+def omega_partition(
+    rs: RootSystem, delta_index: int, cap: int = DEFAULT_WEYL_CAP
+) -> Dict[int, Tuple[WeylElement, ...]]:
+    """Group elements sending some extended-base root onto the negative of
+    the chosen root, fibered by the extended-base position.
+
+    Keys are the positions whose root shares the chosen root's length
+    class; each value is a tuple of the elements read from enumerate_weyl's
+    sequence, in its order.
+    """
+    n = len(rs.positive_roots)
+    if not isinstance(delta_index, int) or isinstance(delta_index, bool) or not 0 <= delta_index < n:
+        raise ValidationError(f"root index {delta_index!r} out of range 0..{n - 1}")
+    cls = classify_length(rs, rs.positive_roots[delta_index])
+    target = len(rs.positive_roots) + delta_index
+    fibers: Dict[int, list] = {
+        i: []
+        for i, (root, _) in enumerate(extended_base(rs))
+        if classify_length(rs, root) == cls
+    }
+    for w in enumerate_weyl(rs, cap):
+        for i, image in enumerate(w.base_images):
+            if image == target:
+                if i not in fibers:
+                    raise InconsistencyError(
+                        "length classes are not preserved by the action"
+                    )
+                fibers[i].append(w)
+    return {i: tuple(ws) for i, ws in fibers.items()}
+
+
+# ---------------------------------------------------------------------------
+# the dilated closed alcove with walls removed (walls numbered as in ehrhart)
+
+
+def _normalize_facets(rs: RootSystem, facet_indices: Iterable[int]) -> Tuple[int, ...]:
+    out = sorted(set(facet_indices))
+    for i in out:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= rs.rank:
+            raise ValidationError(f"facet index {i!r} out of range 0..{rs.rank}")
+    return tuple(out)
+
+
+def count_minus_facets(rs: RootSystem, q: int, facet_indices: Iterable[int]) -> int:
+    """Points of the q-dilated closed alcove off the selected walls.
+
+    Only asserted above the removal threshold: q must exceed the sum of the
+    selected walls' marks.
+    """
+    _check_q(q, 0)
+    facets = _normalize_facets(rs, facet_indices)
+    cmarks = _facet_marks(rs)
+    threshold = sum(cmarks[i] for i in facets)
+    if q <= threshold:
+        raise DomainError(
+            f"removal needs q > {threshold} (sum of selected marks), got {q}"
+        )
+    lows = [1 if (i + 1) in facets else 0 for i in range(rs.rank)]
+    limit = q - 1 if 0 in facets else q
+    return _sum_counts(rs.marks, lows, limit)
+
+
+def count_minus_bands(
+    rs: RootSystem, q: int, bands: Mapping[int, Sequence[int]]
+) -> int:
+    """Points of the closed alcove off a band [0..b_i] of parallel walls at
+    each selected facet; each band must start at 0."""
+    _check_q(q, 0)
+    widths: Dict[int, int] = {}
+    for i, interval in bands.items():
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= rs.rank:
+            raise ValidationError(f"facet index {i!r} out of range 0..{rs.rank}")
+        a, b = int_pair(interval)
+        if a != 0:
+            raise ValidationError(
+                "bands here start at 0; use count_minus_band_general for [a,b] with a >= 1"
+            )
+        if b < 0:
+            raise ValidationError(f"band width must be a nonnegative integer, got {b!r}")
+        widths[i] = b
+    cmarks = _facet_marks(rs)
+    threshold = sum((b + 1) * cmarks[i] for i, b in widths.items())
+    if q <= threshold:
+        raise DomainError(
+            f"band removal needs q > {threshold}, got {q}"
+        )
+    lows = [widths[i + 1] + 1 if (i + 1) in widths else 0 for i in range(rs.rank)]
+    limit = q - (widths[0] + 1) if 0 in widths else q
+    return _sum_counts(rs.marks, lows, limit)
+
+
+def count_minus_band_general(
+    rs: RootSystem, q: int, facet: int, interval: Sequence[int]
+) -> int:
+    """Points of the closed alcove off the walls a..b parallel to one facet,
+    for a band not touching the facet itself (a >= 1)."""
+    _check_q(q, 0)
+    if not isinstance(facet, int) or isinstance(facet, bool) or not 0 <= facet <= rs.rank:
+        raise ValidationError(f"facet index {facet!r} out of range 0..{rs.rank}")
+    a, b = int_pair(interval)
+    if a < 1 or b < a:
+        raise ValidationError("interval must be integers 1 <= a <= b")
+    c = _facet_marks(rs)[facet]
+    threshold = (b + 1) * c
+    if q <= threshold:
+        raise DomainError(f"band removal needs q > {threshold}, got {q}")
+
+    def at_least(t: int) -> int:
+        # points whose facet coordinate (for wall 0, whose slack) is >= t
+        if facet == 0:
+            return _sum_counts(rs.marks, (0,) * rs.rank, q - t)
+        lows = [0] * rs.rank
+        lows[facet - 1] = t
+        return _sum_counts(rs.marks, lows, q)
+
+    # all points minus those whose facet coordinate lies in a..b
+    return count_closed(rs, q) - at_least(a) + at_least(b + 1)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the full system's Shi and Catalan deformations
+
+
+def exponents(rs: RootSystem) -> Tuple[int, ...]:
+    """The exponents e_1 <= ... <= e_rank, read off the root heights: the
+    partition dual to the numbers of positive roots of each height
+    (Kostant; Humphreys, Reflection Groups and Coxeter Groups, 3.20)."""
+    per_height = Counter(map(height, rs.positive_roots)).values()
+    return tuple(sorted(
+        sum(1 for count in per_height if count >= i) for i in range(1, rs.rank + 1)
+    ))
+
+
+def shi_closed_form(rs: RootSystem, m: int) -> RationalPolynomial:
+    """(q - mh)^rank: the characteristic quasi-polynomial of Shi^m, the
+    offsets 1 - m..m on every positive root, on every residue (Yoshinaga,
+    Tohoku Math. J. 2018, settling Kamiya-Takemura-Terao's conjecture)."""
+    factor = RationalPolynomial((-m * rs.coxeter_number, 1))
+    return math.prod((factor,) * rs.rank, start=RationalPolynomial((1,)))
+
+
+def catalan_closed_form(rs: RootSystem, m: int) -> RationalPolynomial:
+    """prod (q - mh - e_i): the characteristic quasi-polynomial of
+    Catalan^m, the offsets -m..m on every positive root, on the residues
+    prime to the period (Athanasiadis, Bull. LMS 2004; Yoshinaga, Invent.
+    Math. 2004)."""
+    h = rs.coxeter_number
+    return math.prod(
+        (RationalPolynomial((-m * h - e, 1)) for e in exponents(rs)),
+        start=RationalPolynomial((1,)),
+    )

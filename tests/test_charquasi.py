@@ -21,8 +21,10 @@ from weylq.charquasi import (
     smith_invariants,
 )
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
-from weylq.quasipoly import RationalPolynomial, from_polynomial, qp_equal
+from weylq.quasipoly import RationalPolynomial, qp_equal
 from weylq.rootsys import build_root_system, enumerate_ideals
+
+from oracles import from_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +178,19 @@ def test_lcm_period_values(g2):
         assert lcm_period(from_root_subset(a3, subset)) == 1
     f4 = build_root_system("F", 4)
     assert lcm_period(from_root_subset(f4, range(24))) == 12
+
+
+@pytest.mark.parametrize(
+    "family, rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
+     ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4)],
+)
+def test_lcm_period_of_the_positive_system_is_the_lcm_of_the_marks(family, rank):
+    """lcm period of Phi+ = lcm(marks) (Kamiya-Takemura-Terao), on every
+    system with at most 24 positive roots, the period search's cap."""
+    rs = build_root_system(family, rank)
+    full = from_root_subset(rs, range(len(rs.positive_roots)))
+    assert lcm_period(full) == math.lcm(*rs.marks)
 
 
 def definition_lcm_period(spec):

@@ -422,6 +422,27 @@ def test_qp_from_json_validation():
         qp_from_json({"period": 2, "degree": 0, "constituents": [
             {"residue": 1, "coeffs_ascending": ["1"]},
         ]})
+    # one case per malformed shape; each used to escape as another
+    # exception or to be read as some quasi-polynomial
+    def one(coeffs, degree=0, residue=1, period=1):
+        return {"period": period, "degree": degree,
+                "constituents": [{"residue": residue, "coeffs_ascending": coeffs}]}
+
+    malformed = [
+        {"period": 1},  # no constituents
+        one(["x"]),  # not a rational
+        [one(["1"])],  # not an object
+        one(["1"], period=True),  # a bool period
+        one("12", degree=1),  # a string read digit by digit
+        one(["1"], residue=True),  # a bool residue
+        one([1]),  # a number, not a string
+        one([0.5]),
+        one(["1", "2"]),  # degree 0 against a linear constituent
+    ]
+    for doc in malformed:
+        with pytest.raises(ValidationError):
+            qp_from_json(doc)
+    assert qp_from_json(one(["1", "2"], degree=1)) == QuasiPolynomial(1, (RationalPolynomial((1, 2)),))
 
 
 def test_exit_code_validation_error():

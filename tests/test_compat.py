@@ -7,10 +7,12 @@ import pytest
 from weylq import compat, quasipoly
 from weylq.charquasi import char_quasi_subset
 from weylq.cli import main
-from weylq.compat import defect_qp, is_compatible, shift_formula_qp, verify_genfunc
+from weylq.compat import is_compatible, shift_formula_qp, verify_genfunc
 from weylq.errors import ValidationError
 from weylq.quasipoly import RationalPolynomial, qp_equal
-from weylq.rootsys import build_root_system, enumerate_ideals, is_ideal
+from weylq.rootsys import build_root_system, enumerate_ideals
+
+from oracles import defect_qp, is_ideal
 
 
 @pytest.fixture(scope="module")

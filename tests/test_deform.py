@@ -6,10 +6,14 @@ verdict table for every ideal of the three smallest systems, and the
 counterexample test pins the failing polynomials themselves.
 """
 
+import json
+import math
+
 import pytest
 
 from weylq import charquasi, compat, eulerian, kernels, quasipoly, rootsys
 from weylq.charquasi import char_quasi, from_root_subset
+from weylq.cli import main, qp_from_json
 from weylq.deform import cqp_type1_formula, cqp_type2_formula, type1_spec, type2_spec, verify_deform
 from weylq.ehrhart import ehrhart_closed_qp, ehrhart_open_qp, open_face_qp
 from weylq.errors import ValidationError
@@ -18,10 +22,11 @@ from weylq.quasipoly import (
     RationalPolynomial,
     ShiftPolynomial,
     apply_shift,
-    from_polynomial,
     qp_equal,
 )
 from weylq.rootsys import build_root_system, enumerate_ideals, subset_complement
+
+from oracles import catalan_closed_form, exponents, from_polynomial, shi_closed_form
 
 INTERVALS = [(0, 0), (0, 1), (-1, 1)]  # intervals containing 0
 POSITIVE = [(1, 1), (1, 2)]  # intervals starting at 1
@@ -106,6 +111,54 @@ def test_shi_deformation(family, rank):
         assert qp(q) == (q - h) ** rs.rank
     formula = cqp_type1_formula(rs, full, "symmetric", (0, 1))
     assert qp_equal(formula, qp)
+
+
+# the paper's specialisations on the full system, the second route where
+# counting refuses (E6 and F4 at these intervals)
+CLOSED_FORM_SYSTEMS = [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6)]
+
+
+@pytest.mark.parametrize("family, rank", CLOSED_FORM_SYSTEMS)
+def test_exponents_from_root_heights(family, rank):
+    """The exponents read off the heights have the product of (e_i + 1)
+    equal to |W| and add up to the number of positive roots."""
+    rs = build_root_system(family, rank)
+    es = exponents(rs)
+    assert len(es) == rank and es[0] == 1 and es[-1] == rs.coxeter_number - 1
+    assert math.prod(e + 1 for e in es) == rs.weyl_order
+    assert sum(es) == len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("family, rank", CLOSED_FORM_SYSTEMS)
+def test_shi_closed_form(family, rank, m):
+    """Shi^m, the offsets 1 - m..m: (q - mh)^rank on every residue."""
+    rs = build_root_system(family, rank)
+    formula = cqp_type1_formula(rs, range(len(rs.positive_roots)), "symmetric", (1 - m, m))
+    assert set(formula.constituents) == {shi_closed_form(rs, m)}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("family, rank", CLOSED_FORM_SYSTEMS)
+def test_catalan_closed_form(family, rank, m):
+    """Catalan^m, the offsets -m..m: the product of (q - mh - e_i) on the
+    residues prime to the period."""
+    rs = build_root_system(family, rank)
+    formula = cqp_type1_formula(rs, range(len(rs.positive_roots)), "symmetric", (-m, m))
+    closed = catalan_closed_form(rs, m)
+    for k, constituent in enumerate(formula.constituents, start=1):
+        if math.gcd(k, formula.period) == 1:
+            assert constituent == closed, k
+
+
+def test_shi_closed_form_through_the_cli(capsys):
+    """deform --json on E6, where verify's counting is refused, prints
+    (q - 12)^6 on every residue."""
+    code = main(["deform", "--type", "E", "--rank", "6", "--subset", "full",
+                 "--variant", "symmetric", "--interval=0:1", "--json"])
+    assert code == 0
+    qp = qp_from_json(json.loads(capsys.readouterr().out)["result"])
+    assert set(qp.constituents) == {shi_closed_form(build_root_system("E", 6), 1)}
 
 
 def test_closed_formula_verdict_grid():

@@ -7,12 +7,9 @@ from itertools import product
 
 import pytest
 
-from weylq.errors import DomainError, ValidationError
+from weylq.errors import ValidationError
 from weylq.ehrhart import (
     count_closed,
-    count_minus_band_general,
-    count_minus_bands,
-    count_minus_facets,
     count_open,
     ehrhart_closed_qp,
     ehrhart_open_qp,
@@ -20,6 +17,8 @@ from weylq.ehrhart import (
 )
 from weylq.quasipoly import RationalPolynomial, expand_rational_series, series_of_qp
 from weylq.rootsys import build_root_system
+
+from oracles import DomainError, count_minus_band_general, count_minus_bands, count_minus_facets
 
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2)]
 

@@ -1,0 +1,67 @@
+"""src/ keeps only what something reaches.
+
+Every public module-level function, class or constant of weylq must be
+referenced somewhere other than its own definition: by name, import or
+attribute in src/, or in the benchmark, whose tracing binds functions by
+name strings.  Names that only the tests use belong in tests/oracles.py.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# public names that nothing in src/ or perfbench/ refers to, with the reason
+# each stays
+EXCEPTIONS = {
+    "cli.qp_from_json": "README's JSON contract: qp_to_json and qp_from_json round-trip --json results",
+}
+
+
+def _public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id
+
+
+def _references(tree, strings):
+    """Names loaded, attributes read and names imported; with strings, also
+    every string constant (the benchmark binds layers by name)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def unreached_names(root=ROOT):
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted((root / "src" / "weylq").glob("*.py"))}
+    reached = set()
+    for tree in modules.values():
+        reached.update(_references(tree, strings=False))
+    for path in sorted((root / "perfbench").glob("*.py")):
+        reached.update(_references(ast.parse(path.read_text()), strings=True))
+    return [
+        f"{module}.{name}"
+        for module, tree in modules.items()
+        for name in _public_definitions(tree)
+        if not name.startswith("_") and name not in reached
+    ]
+
+
+def test_every_public_name_is_reached():
+    unreached = [name for name in unreached_names() if name not in EXCEPTIONS]
+    assert not unreached, f"referenced by nothing in src/ or perfbench/: {', '.join(unreached)}"
+
+
+def test_every_exception_is_still_needed():
+    assert set(EXCEPTIONS) <= set(unreached_names())

@@ -5,23 +5,25 @@ set of forbidden offsets.  For a modulus q the complement count is the
 number of points of (Z/q)^rank avoiding every congruence; interpolating
 that count over a verified period yields the characteristic
 quasi-polynomial.  Subsets of a positive system mostly need no counting:
-their quasi-polynomial is a combination of the alcove's open-face counts,
-with weights read from Weyl orbits of the faces' root sets
-(char_quasi_faces); char_quasi_subset picks that route or counting.
+their generating function is N(t)/D(t), N read from Weyl orbits of the
+alcove's faces, so their quasi-polynomial is the closed alcove's shifted
+by N (char_quasi_faces); char_quasi_subset picks that route or counting.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from weylq import kernels
-from weylq.ehrhart import open_face_qp
+from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
-from weylq.quasipoly import QuasiPolynomial, RationalPolynomial, fold_period, interpolate_qp
+from weylq.quasipoly import QuasiPolynomial, RationalPolynomial, ShiftPolynomial
+from weylq.quasipoly import apply_shift, fold_period, interpolate_qp
 from weylq.rootsys import (
     RootSystem,
     face_roots,
@@ -48,18 +50,18 @@ MAX_PERIOD_VECTORS = 24
 MAX_COUNT_BITS = 2**33
 
 # The face table keeps every member of every face orbit, and their number
-# grows with |W|: D8 (|W| = 5,160,960) has 156,645 members, built in about
-# 1.4 s, and E7 106,516, while B8 (|W| = 10,321,920) passes 250,000 and E8
+# grows with |W|: D8 (|W| = 5,160,960) has 156,645 members, built in
+# 1.2-1.5 s, and E7 106,516, while B8 (|W| = 10,321,920) passes 250,000 and E8
 # has about 7.3 million.  Root subsets of systems whose Weyl group is
 # larger are counted, as arrangements with offsets are.
 MAX_FACE_WEYL_ORDER = 6_000_000
 
-# Building the face table, with its open-face interpolations, takes about
-# as long as a period search over |W| / 50 sublists (E6 0.08 s, E7 1.7 s),
-# and a search over n vectors visits at most 2^n of them.  A subset with
-# 2^n <= |W| / COUNT_FIRST_SHARE has its period searched first and is
-# counted when that period is 1: the count is then a polynomial, read
-# from the samples q = 1..rank + 1.
+# Building the face table, with its shifts of the closed alcove, takes as
+# long as a period search over |W| / 24 (E6, 0.06 s) to |W| / 106 sublists
+# (E7, 0.9 s), and a search over n vectors visits at most 2^n of them.  A
+# subset with 2^n <= |W| / COUNT_FIRST_SHARE has its period searched first
+# and is counted when that period is 1: the count is then a polynomial,
+# read from the samples q = 1..rank + 1.
 COUNT_FIRST_SHARE = 100
 
 
@@ -312,20 +314,21 @@ char_quasi.cache_info = _char_quasi.cache_info
 char_quasi.cache_clear = _char_quasi.cache_clear
 
 
-FaceTable = Tuple[int, Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, ...], int], ...]], ...]]
+FaceTable = Tuple[int, Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]]
 
 
 @functools.lru_cache(maxsize=4)
 def _face_table(rs: RootSystem) -> FaceTable:
     """The faces of the alcove grouped by the W-orbit of their root sets:
-    per orbit, its member masks and, per multiset of off-face marks, the
-    weight |W| / (f * |orbit| * |W_J|) summed over the orbit's faces J.
-    The weights are integers over one denominator, returned first."""
+    per orbit, its member masks and its term of the face formula
+    (char_quasi_faces), the closed alcove shifted by the orbit's numerator,
+    as rank + 1 coefficients per residue 1..lcm(marks), flattened, over
+    one denominator returned first."""
     walls = rs.rank + 1
     marks = (1,) + rs.marks
     orbit_of: Dict[int, int] = {}
     orbits: List[Tuple[int, ...]] = []
-    weights: List[Dict[Tuple[int, ...], Fraction]] = []
+    numerators: List[Counter] = []  # each f * |orbit| times the orbit's N
     for bits in range((1 << walls) - 1):
         face = [i for i in range(walls) if bits >> i & 1]
         mask = sum(1 << k for k in face_roots(rs, face))
@@ -333,30 +336,24 @@ def _face_table(rs: RootSystem) -> FaceTable:
             orbit = root_set_orbit(rs, mask)
             orbit_of.update((m, len(orbits)) for m in orbit)
             orbits.append(orbit)
-            weights.append({})
-        k = orbit_of[mask]
-        key = tuple(sorted(marks[i] for i in range(walls) if not bits >> i & 1))
-        weight = Fraction(
-            rs.weyl_order,
-            rs.index_of_connection * len(orbits[k]) * face_weyl_order(rs, face),
-        )
-        weights[k][key] = weights[k].get(key, 0) + weight
-    den = math.lcm(*(w.denominator for ws in weights for w in ws.values()))
+            numerators.append(Counter())
+        # |W| / |W_J| * t^(off-face marks) * prod over the face of (1 - t^c),
+        # the marks of all walls summing to h
+        off = rs.coxeter_number - sum(marks[i] for i in face)
+        term = Counter({off: rs.weyl_order // face_weyl_order(rs, face)})
+        for i in face:
+            term.subtract({e + marks[i]: c for e, c in term.items()})
+        numerators[orbit_of[mask]].update(term)
+    f, closed = rs.index_of_connection, ehrhart_closed_qp(rs)
+    shifted = [
+        apply_shift(ShiftPolynomial((e, Fraction(c, f * len(o))) for e, c in n.items()), closed)
+        for o, n in zip(orbits, numerators)
+    ]
+    den = math.lcm(*(c.denominator for qp in shifted for p in qp.constituents for c in p.coeffs))
     return den, tuple(
-        (orbit, tuple((key, int(w * den)) for key, w in sorted(ws.items())))
-        for orbit, ws in zip(orbits, weights)
+        (o, tuple(int(p.coeff(i) * den) for p in qp.constituents for i in range(walls)))
+        for o, qp in zip(orbits, shifted)
     )
-
-
-# Keyed like open_face_qp, whose entries these rows are read from, and
-# filled only for the keys that some subset's sum reaches (E7 has 71).
-@functools.lru_cache(maxsize=256)
-def _face_rows(marks: Tuple[int, ...]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """The constituents of open_face_qp(marks) as integer coefficient rows
-    over one denominator, returned first."""
-    qp = open_face_qp(marks)
-    den = math.lcm(*(c.denominator for p in qp.constituents for c in p.coeffs))
-    return den, tuple(tuple(int(c * den) for c in p.coeffs) for p in qp.constituents)
 
 
 def char_quasi_subset(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
@@ -393,35 +390,28 @@ def char_quasi_faces(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
         chi(q) = (1/f) sum_J (|W| / |O_J|) #{S in O_J : S misses the subset}
                  / |W_J| * F_J(q),
 
-    with F_J the open-face count, which depends only on the off-face marks.
-    The sum is an integer linear combination of the face counts' integer
-    rows, over the product of the weights' and the rows' denominators, so
-    each coefficient becomes a Fraction once.  It has period lcm(marks),
-    folded down to the minimal period.
+    with F_J the points of the open face J: the z >= 0 with sum c_i z_i = q
+    over the walls i = 0..rank (c_0 = 1, z_0 the slack of the affine wall)
+    that vanish on J alone.  With D(t) = prod_i (1 - t^(c_i)), the closed
+    alcove's count L has generating function 1/D(t), and F_J has
+    t^(sum of c_i off J) * prod_{i in J} (1 - t^(c_i)) / D(t).  So the sum
+    is N(t)/D(t), and chi(q) = sum_k n_k L(q - k) for N = sum_k n_k t^k,
+    L counting nothing below 0.  Every face omits a wall and the c_i sum
+    to h, so N has degrees 1..h; the closed quasi-polynomial vanishes on
+    -h < m < 0 by Ehrhart reciprocity (the open m-dilate has no point
+    before m = h).  So the shift of it by N is exact at every q >= 1, and
+    therefore as a quasi-polynomial.  _face_table shifts once per orbit
+    and system, so a subset costs the mask tests and one integer linear
+    combination; the sum has period lcm(marks), folded to the minimal one.
     """
     den, table = _face_table(rs)
     avoided = sum(1 << k for k in normalize_subset(rs, subset))
-    # every weight is positive, so a key reached by a free orbit stays nonzero
-    coeffs: Dict[Tuple[int, ...], int] = {}
-    for orbit, weights in table:
+    sums = [0] * len(table[0][1])
+    for orbit, row in table:
         free = sum(1 for m in orbit if not m & avoided)
         if free:
-            for key, weight in weights:
-                coeffs[key] = coeffs.get(key, 0) + free * weight
-    rows = {key: _face_rows(key) for key in coeffs}
-    scale = math.lcm(*(d for d, _ in rows.values()))
-    period = math.lcm(*rs.marks)
-    sums = [[0] * (rs.rank + 1) for _ in range(period)]
-    for key, (d, face) in rows.items():
-        c = coeffs[key] * (scale // d)
-        # residue k reads the face's constituent for k, as constituent_for does
-        for k, row in enumerate(sums):
-            for i, a in enumerate(face[k % len(face)]):
-                row[i] += c * a
-    den *= scale
-    return fold_period(
-        QuasiPolynomial(
-            period,
-            tuple(RationalPolynomial(Fraction(n, den) for n in row) for row in sums),
-        )
-    )
+            sums = [a + free * b for a, b in zip(sums, row)]
+    walls = rs.rank + 1
+    rows = [sums[k : k + walls] for k in range(0, len(sums), walls)]
+    constituents = tuple(RationalPolynomial(Fraction(n, den) for n in r) for r in rows)
+    return fold_period(QuasiPolynomial(len(rows), constituents))

@@ -8,7 +8,8 @@ literal a:b intervals to the library as (a, b) pairs, and
 deform.check_intervals holds the rule for each variant's intervals.
 
 Exit codes: 0 success, 2 validation error (argparse shares this code),
-3 resource cap exceeded, 4 internal inconsistency detected.
+3 resource cap exceeded, 4 internal inconsistency detected, 141 standard
+output closed by its reader before the answer was written.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -535,12 +537,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     if args.json:
-        query = {"command": args.command}
-        query.update(echo)
+        query = {"command": args.command, **echo}
         payload = {"system": _system_block(rs), "query": query, "result": result}
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(lines))
+        lines = [json.dumps(payload, indent=2)]
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader went away (| head): stdout goes to the null device, so
+        # that the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

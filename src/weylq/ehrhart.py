@@ -4,17 +4,18 @@ In fundamental-coweight coordinates the q-dilated closed alcove is the set
 of integer vectors z >= 0 with sum of marks[i] * z[i] at most q, so every
 count here is a one-dimensional knapsack recursion over that weighted sum.
 Walls are numbered 0..rank: wall i >= 1 is z[i-1] = 0 with mark marks[i-1],
-and wall 0 is the affine one, weighted sum = q, with mark 1.
+and wall 0 is the affine one, weighted sum = q, with mark 1.  The open
+quasi-polynomial is the closed one shifted by the Coxeter number h.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from weylq.errors import ValidationError
-from weylq.quasipoly import QuasiPolynomial, interpolate_qp
+from weylq.quasipoly import QuasiPolynomial, ShiftPolynomial, apply_shift, interpolate_qp
 from weylq.rootsys import RootSystem
 
 
@@ -69,32 +70,8 @@ def ehrhart_closed_qp(rs: RootSystem) -> QuasiPolynomial:
     return interpolate_qp(lambda q: count_closed(rs, q), math.lcm(*rs.marks), rs.rank)
 
 
-@functools.lru_cache(maxsize=4)
 def ehrhart_open_qp(rs: RootSystem) -> QuasiPolynomial:
-    """Quasi-polynomial of count_open, period lcm of the marks: the open
-    face of the alcove with every wall off it."""
-    return open_face_qp(tuple(sorted(_facet_marks(rs))))
-
-
-# Keyed by a sorted tuple of marks, so systems with equal extended marks
-# (B4 and C4) share entries.  E8 never takes the face route; E7, the largest
-# system that does, uses 71 distinct keys.
-@functools.lru_cache(maxsize=256)
-def open_face_qp(marks: Tuple[int, ...]) -> QuasiPolynomial:
-    """Points of an open face of the q-dilated alcove whose off-face walls
-    carry these marks (the affine wall carries 1): the vectors z >= 1 with
-    sum marks[i] * z[i] == q.
-
-    The count depends only on the multiset of marks, has period their lcm
-    and degree one less than their number, and is read from one knapsack
-    table that reaches every interpolation sample.
-    """
-    period = math.lcm(*marks)
-    degree = len(marks) - 1
-    counts = _exact_counts(marks, (1,) * len(marks), (degree + 3) * period)
-    return interpolate_qp(counts.__getitem__, period, degree)
-
-
-def _facet_marks(rs: RootSystem) -> Tuple[int, ...]:
-    """Mark of each wall 0..rank; the affine wall counts 1."""
-    return (1,) + tuple(rs.marks)
+    """Quasi-polynomial of count_open: the closed one shifted by h.  The
+    open alcove is the face with every wall off it, so its series is
+    t^h / D(t) (charquasi.char_quasi_faces proves the shift exact)."""
+    return apply_shift(ShiftPolynomial(((rs.coxeter_number, 1),)), ehrhart_closed_qp(rs))

@@ -1,9 +1,9 @@
 """Exact univariate polynomials, quasi-polynomials and shift operators.
 
-Everything here is exact; no floats anywhere.  apply_shift works on
-integer numerators over a common denominator, read from a bounded table of
-shifted constituents per quasi-polynomial; the rest is Fraction
-arithmetic.  A quasi-polynomial of period p stores one constituent per
+Everything here is exact; no floats anywhere.  shift_arg and apply_shift
+work on integer numerators over a common denominator, apply_shift reading
+a bounded table of shifted constituents per quasi-polynomial; the rest is
+Fraction arithmetic.  A quasi-polynomial of period p stores one constituent per
 residue class, 1-based, with the class of 0 stored last.  Evaluation works
 for negative arguments through the same residue rule.
 """
@@ -100,18 +100,19 @@ class RationalPolynomial:
 
     __rmul__ = __mul__
 
-    def shift_arg(self, delta) -> "RationalPolynomial":
-        """The polynomial t -> p(t + delta), computed exactly."""
-        d = Fraction(delta)
-        out = [Fraction(0)] * len(self.coeffs)
-        for power, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            # binomial expansion of (t + d)^power
-            term = c
-            for k in range(power, -1, -1):
-                out[k] += term * math.comb(power, k) * d ** (power - k)
-        return RationalPolynomial(out)
+    def shift_arg(self, delta: int) -> "RationalPolynomial":
+        """The polynomial t -> p(t + delta) for an integer delta, by
+        Horner's rule on the integer numerators over the coefficients'
+        common denominator."""
+        if not isinstance(delta, int) or isinstance(delta, bool):
+            raise ValidationError(f"argument shifts must be integers, got {delta!r}")
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        acc: list = []
+        for c in reversed(self.coeffs):
+            # acc <- acc * (t + delta) + c, highest power first
+            acc = [a + delta * b for a, b in zip([0] + acc, acc + [0])]
+            acc[0] += c.numerator * (den // c.denominator)
+        return RationalPolynomial(Fraction(n, den) for n in acc)
 
     def __eq__(self, other) -> bool:
         return (

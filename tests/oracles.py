@@ -4,6 +4,7 @@ These are identities of the paper and closed forms from its literature
 that no query computes: root lengths, Weyl elements from words, the
 Eulerian polynomial with one root removed and its Omega-fibers, the
 counts of the dilated alcove with walls or bands of walls removed, the
+open-face counts and the face formula summed face by face, the
 compatibility defect, quasi-polynomial arithmetic, and the Shi and
 Catalan closed forms that check deformations where counting refuses.
 The tests compare each with what the package computes another way.
@@ -11,6 +12,7 @@ The tests compare each with what the package computes another way.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -19,9 +21,15 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 from weylq.charquasi import char_quasi_subset
 from weylq.compat import shift_formula_qp
 from weylq.deform import int_pair
-from weylq.ehrhart import _check_q, _facet_marks, _sum_counts, count_closed
+from weylq.ehrhart import _check_q, _exact_counts, _sum_counts, count_closed
 from weylq.errors import InconsistencyError, ValidationError
-from weylq.quasipoly import QuasiPolynomial, RationalPolynomial, normalize_period
+from weylq.quasipoly import (
+    QuasiPolynomial,
+    RationalPolynomial,
+    fold_period,
+    interpolate_qp,
+    normalize_period,
+)
 from weylq.rootsys import (
     DEFAULT_WEYL_CAP,
     RootSystem,
@@ -30,10 +38,13 @@ from weylq.rootsys import (
     _reflection_permutations,
     enumerate_weyl,
     extended_base_indices,
+    face_roots,
+    face_weyl_order,
     height,
     lower_closure,
     normalize_subset,
     root_index,
+    root_set_orbit,
     signed_roots,
 )
 
@@ -211,6 +222,11 @@ def omega_partition(
 # the dilated closed alcove with walls removed (walls numbered as in ehrhart)
 
 
+def _facet_marks(rs: RootSystem) -> Tuple[int, ...]:
+    """Mark of each wall 0..rank; the affine wall counts 1."""
+    return (1,) + tuple(rs.marks)
+
+
 def _normalize_facets(rs: RootSystem, facet_indices: Iterable[int]) -> Tuple[int, ...]:
     out = sorted(set(facet_indices))
     for i in out:
@@ -293,6 +309,58 @@ def count_minus_band_general(
 
     # all points minus those whose facet coordinate lies in a..b
     return count_closed(rs, q) - at_least(a) + at_least(b + 1)
+
+
+# ---------------------------------------------------------------------------
+# open faces of the alcove and the face formula, one face at a time
+
+
+@functools.lru_cache(maxsize=256)
+def open_face_qp(marks: Tuple[int, ...]) -> QuasiPolynomial:
+    """Points of an open face of the q-dilated alcove whose off-face walls
+    carry these marks (the affine wall carries 1): the vectors z >= 1 with
+    sum marks[i] * z[i] == q.
+
+    The count depends only on the multiset of marks, has period their lcm
+    and degree one less than their number, and is read from one knapsack
+    table that reaches every interpolation sample.
+    """
+    period = math.lcm(*marks)
+    degree = len(marks) - 1
+    counts = _exact_counts(marks, (1,) * len(marks), (degree + 3) * period)
+    return interpolate_qp(counts.__getitem__, period, degree)
+
+
+@functools.lru_cache(maxsize=4)
+def _faces(rs: RootSystem) -> Tuple[Tuple[Fraction, Tuple[int, ...], Tuple[int, ...]], ...]:
+    """Per face J of the alcove: |W| / (f * |O_J| * |W_J|), the W-orbit
+    O_J of its root set as bitmasks, and the marks of the walls off J."""
+    walls = rs.rank + 1
+    marks = _facet_marks(rs)
+    out = []
+    for bits in range((1 << walls) - 1):
+        face = [i for i in range(walls) if bits >> i & 1]
+        orbit = root_set_orbit(rs, sum(1 << k for k in face_roots(rs, face)))
+        weight = Fraction(
+            rs.weyl_order,
+            rs.index_of_connection * len(orbit) * face_weyl_order(rs, face),
+        )
+        key = tuple(sorted(marks[i] for i in range(walls) if i not in face))
+        out.append((weight, orbit, key))
+    return tuple(out)
+
+
+def char_quasi_face_sum(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
+    """The face formula as README states it, summed face by face:
+    weight_J times the members of O_J that miss the subset times the
+    open-face count of J's off-face marks, folded to the minimal period."""
+    avoided = sum(1 << k for k in normalize_subset(rs, subset))
+    total = from_polynomial(RationalPolynomial())
+    for weight, orbit, key in _faces(rs):
+        free = sum(1 for m in orbit if not m & avoided)
+        if free:
+            total = qp_add(total, qp_scale(open_face_qp(key), weight * free))
+    return fold_period(total)
 
 
 # ---------------------------------------------------------------------------

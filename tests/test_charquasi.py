@@ -24,7 +24,7 @@ from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
 from weylq.quasipoly import RationalPolynomial, qp_equal
 from weylq.rootsys import build_root_system, enumerate_ideals
 
-from oracles import from_polynomial
+from oracles import char_quasi_face_sum, from_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +380,36 @@ def test_face_formula_matches_counting_f4(subset):
     counted = char_quasi(from_root_subset(rs, subset))
     assert qp_equal(faces, counted)
     assert faces.period == counted.period
+
+
+# The face formula as shifts of the closed alcove against the same formula
+# summed face by face over open-face interpolations (oracles).
+
+
+@pytest.mark.parametrize("family, rank", [("B", 4), ("C", 4), ("D", 5), ("F", 4)])
+def test_shifted_faces_match_the_face_sum_on_every_ideal(family, rank):
+    rs = build_root_system(family, rank)
+    for ideal in enumerate_ideals(rs):
+        assert char_quasi_faces(rs, ideal) == char_quasi_face_sum(rs, ideal), ideal
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shifted_faces_match_the_face_sum_on_subsets(data):
+    family, rank = data.draw(
+        st.sampled_from([("G", 2), ("A", 3), ("B", 3), ("C", 3), ("A", 4), ("D", 4)])
+    )
+    rs = build_root_system(family, rank)
+    n = len(rs.positive_roots)
+    subset = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
+    assert char_quasi_faces(rs, subset) == char_quasi_face_sum(rs, subset)
+
+
+def test_shifted_faces_match_the_face_sum_on_e6_ideals():
+    """Every 29th of the 833 E6 ideals."""
+    rs = build_root_system("E", 6)
+    for ideal in enumerate_ideals(rs)[::29]:
+        assert char_quasi_faces(rs, ideal) == char_quasi_face_sum(rs, ideal), ideal
 
 
 @pytest.mark.parametrize("family, rank", FACE_SYSTEMS)

@@ -445,6 +445,28 @@ def test_qp_from_json_validation():
     assert qp_from_json(one(["1", "2"], degree=1)) == QuasiPolynomial(1, (RationalPolynomial((1, 2)),))
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    """The E6 ideal listing (145 KB, more than a pipe buffer holds) read
+    one line at a time by a reader that then goes away, as `| head -1`
+    does: exit 141 and nothing on standard error."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylq.cli", "ideals", "--type", "E", "--rank", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"ideals: 833\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
+
+
 def test_exit_code_validation_error():
     proc = run_proc("char-quasi", "--type", "G", "--rank", "2", "--subset", "(9,9)")
     assert proc.returncode == 2

@@ -15,7 +15,7 @@ from weylq import charquasi, compat, eulerian, kernels, quasipoly, rootsys
 from weylq.charquasi import char_quasi, from_root_subset
 from weylq.cli import main, qp_from_json
 from weylq.deform import cqp_type1_formula, cqp_type2_formula, type1_spec, type2_spec, verify_deform
-from weylq.ehrhart import ehrhart_closed_qp, ehrhart_open_qp, open_face_qp
+from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import ValidationError
 from weylq.eulerian import m_poly
 from weylq.quasipoly import (
@@ -285,20 +285,17 @@ def test_formula_requires_compatible_subset(g2):
 
 def test_formulas_share_one_bounded_decision():
     """Two intervals on one subset decide its compatibility once; the
-    decision, counting, face-table, face-row, Weyl-group, lane, alcove and
+    decision, counting, face-table, Weyl-group, lane, alcove and
     shift-table caches are bounded."""
     for cached in (
         compat._decide,
         char_quasi,
         charquasi._vector_period,
         charquasi._face_table,
-        open_face_qp,
         rootsys._mask_reflections,
         rootsys._weyl_elements,
         ehrhart_closed_qp,
-        ehrhart_open_qp,
         quasipoly._shift_table,
-        charquasi._face_rows,
         eulerian._lane,
     ):
         assert cached.cache_info().maxsize is not None

@@ -13,12 +13,17 @@ from weylq.ehrhart import (
     count_open,
     ehrhart_closed_qp,
     ehrhart_open_qp,
-    open_face_qp,
 )
 from weylq.quasipoly import RationalPolynomial, expand_rational_series, series_of_qp
 from weylq.rootsys import build_root_system
 
-from oracles import DomainError, count_minus_band_general, count_minus_bands, count_minus_facets
+from oracles import (
+    DomainError,
+    count_minus_band_general,
+    count_minus_bands,
+    count_minus_facets,
+    open_face_qp,
+)
 
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2)]
 
@@ -284,3 +289,18 @@ def test_open_face_of_the_whole_alcove_is_the_open_count():
         face = open_face_qp(tuple(sorted((1,) + rs.marks)))
         for q in range(1, 16):
             assert face(q) == count_open(rs, q)
+
+
+@pytest.mark.parametrize(
+    "family, rank",
+    [("F", 4), ("E", 6), ("E", 7), ("E", 8), ("B", 8), ("C", 8), ("D", 8)],
+)
+def test_open_quasi_polynomial_is_the_open_count_past_the_small_types(family, rank):
+    """The open quasi-polynomial, a shift of the closed one by h, against
+    the knapsack count of the open alcove, which does not shift, for
+    q = 1 .. h + 2 * period."""
+    rs = build_root_system(family, rank)
+    opened = ehrhart_open_qp(rs)
+    assert opened.period == math.lcm(*rs.marks)
+    for q in range(1, rs.coxeter_number + 2 * opened.period + 1):
+        assert opened(q) == count_open(rs, q), q

@@ -79,6 +79,17 @@ def test_shift_arg():
     assert shifted == poly(9, 6, 1)
     for x in range(-4, 5):
         assert shifted(x) == p(x + 3)
+    # Fraction coefficients, negative shifts and the zero polynomial; a
+    # non-integer shift is refused
+    p = poly(Fraction(1, 3), Fraction(-1, 2), 0, Fraction(5, 6))
+    for delta in (-7, -1, 0, 4):
+        shifted = p.shift_arg(delta)
+        for x in range(-4, 5):
+            assert shifted(x) == p(x + delta)
+    assert RationalPolynomial.zero().shift_arg(5) == RationalPolynomial.zero()
+    for delta in (Fraction(1, 2), 1.0, True):
+        with pytest.raises(ValidationError):
+            p.shift_arg(delta)
 
 
 def test_format():

@@ -5,7 +5,7 @@ Modules
 rootsys
     Root systems, Weyl groups, the root poset and its ideals.
 quasipoly
-    Exact polynomials, quasi-polynomials, shift operators and series.
+    Exact polynomials, quasi-polynomials and shift operators.
 ehrhart
     Lattice-point counts for the dilated fundamental alcove.
 kernels
@@ -15,7 +15,7 @@ charquasi
 eulerian
     Descent statistics over the Weyl group and their polynomials.
 compat
-    The shift-operator compatibility decision and generating functions.
+    The shift-operator compatibility decision, also in generating-function form.
 deform
     Interval deformations of subarrangements and their closed formulas.
 cli

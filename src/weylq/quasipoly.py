@@ -183,20 +183,6 @@ class QuasiPolynomial:
         return max(p.degree for p in self.constituents)
 
 
-def normalize_period(qp: QuasiPolynomial, new_period: int) -> QuasiPolynomial:
-    """Rewrite with a larger period that the current one divides."""
-    if new_period < 1 or new_period % qp.period:
-        raise ValidationError(
-            f"new period {new_period} is not a multiple of {qp.period}"
-        )
-    if new_period == qp.period:
-        return qp
-    return QuasiPolynomial(
-        new_period,
-        tuple(qp.constituent_for(k) for k in range(1, new_period + 1)),
-    )
-
-
 def fold_period(qp: QuasiPolynomial) -> QuasiPolynomial:
     """The same quasi-polynomial over its minimal period: the least
     divisor d of the period for which residues d apart share a constituent
@@ -212,12 +198,9 @@ def fold_period(qp: QuasiPolynomial) -> QuasiPolynomial:
 
 
 def qp_equal(a: QuasiPolynomial, b: QuasiPolynomial) -> bool:
-    """Exact equality as functions on the integers."""
-    common = math.lcm(a.period, b.period)
-    return (
-        normalize_period(a, common).constituents
-        == normalize_period(b, common).constituents
-    )
+    """Exact equality as functions on the integers: the minimal forms agree,
+    since a function's minimal form is unique (see fold_period)."""
+    return fold_period(a) == fold_period(b)
 
 
 class ShiftPolynomial:
@@ -359,28 +342,3 @@ def interpolate_qp(
         constituents.append(poly)
     return QuasiPolynomial(period, tuple(constituents))
 
-
-def series_of_qp(qp: QuasiPolynomial, order: int) -> Tuple[Fraction, ...]:
-    """Coefficients t^0 .. t^order of the ordinary generating series of the
-    qp values at q = 1..order."""
-    if order < 0:
-        raise ValidationError("order must be nonnegative")
-    return (Fraction(0),) + tuple(Fraction(qp(q)) for q in range(1, order + 1))
-
-
-def expand_rational_series(
-    numerator: RationalPolynomial,
-    denominator_exponents: Sequence[int],
-    order: int,
-) -> Tuple[Fraction, ...]:
-    """Coefficients t^0 .. t^order of numerator / product of (1 - t^c)."""
-    if order < 0:
-        raise ValidationError("order must be nonnegative")
-    coeffs = [Fraction(numerator.coeff(n)) for n in range(order + 1)]
-    for c in denominator_exponents:
-        if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-            raise ValidationError("denominator exponents must be positive integers")
-        # multiply by the geometric series of t^c, i.e. divide by 1 - t^c
-        for n in range(c, order + 1):
-            coeffs[n] += coeffs[n - c]
-    return tuple(coeffs)

@@ -401,8 +401,8 @@ def _weyl_elements(rs: RootSystem) -> WeylGroup:
 
 def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:
     """Refuse with ResourceCapError when the known group order exceeds the
-    cap, or when the signed roots do not fit the one-byte indices of the
-    enumeration's translate tables."""
+    cap, when the signed roots do not fit the one-byte indices of the
+    enumeration's translate tables, or when the table would pass 1 GiB."""
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise ValidationError(f"cap must be a positive integer, got {cap!r}")
     if rs.weyl_order > cap:
@@ -414,6 +414,13 @@ def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:
         raise ResourceCapError(
             f"{rs.family}{rs.rank} has {2 * len(rs.positive_roots)} signed roots; "
             "the Weyl group enumeration indexes at most 256"
+        )
+    # the image table, rank + 1 bytes per element, and its last join
+    need = 2 * (rs.rank + 1) * rs.weyl_order
+    if need > 1 << 30:
+        raise ResourceCapError(
+            f"building the Weyl group image table of {rs.family}{rs.rank} "
+            f"takes {need} bytes, above the limit of {1 << 30}"
         )
 
 

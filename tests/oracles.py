@@ -5,7 +5,8 @@ that no query computes: root lengths, Weyl elements from words, the
 Eulerian polynomial with one root removed and its Omega-fibers, the
 counts of the dilated alcove with walls or bands of walls removed, the
 open-face counts and the face formula summed face by face, the
-compatibility defect, quasi-polynomial arithmetic, and the Shi and
+compatibility defect, quasi-polynomial arithmetic and equality over a
+common period, generating series expanded term by term, and the Shi and
 Catalan closed forms that check deformations where counting refuses.
 The tests compare each with what the package computes another way.
 """
@@ -23,12 +24,12 @@ from weylq.compat import shift_formula_qp
 from weylq.deform import int_pair
 from weylq.ehrhart import _check_q, _exact_counts, _sum_counts, count_closed
 from weylq.errors import InconsistencyError, ValidationError
+from weylq.eulerian import eulerian_poly
 from weylq.quasipoly import (
     QuasiPolynomial,
     RationalPolynomial,
     fold_period,
     interpolate_qp,
-    normalize_period,
 )
 from weylq.rootsys import (
     DEFAULT_WEYL_CAP,
@@ -36,6 +37,7 @@ from weylq.rootsys import (
     Vector,
     WeylElement,
     _reflection_permutations,
+    check_weyl_cap,
     enumerate_weyl,
     extended_base_indices,
     face_roots,
@@ -105,6 +107,29 @@ def is_ideal(rs: RootSystem, indices: Iterable[int]) -> bool:
 # quasi-polynomial arithmetic
 
 
+def normalize_period(qp: QuasiPolynomial, new_period: int) -> QuasiPolynomial:
+    """Rewrite with a larger period that the current one divides."""
+    if new_period < 1 or new_period % qp.period:
+        raise ValidationError(
+            f"new period {new_period} is not a multiple of {qp.period}"
+        )
+    if new_period == qp.period:
+        return qp
+    return QuasiPolynomial(
+        new_period,
+        tuple(qp.constituent_for(k) for k in range(1, new_period + 1)),
+    )
+
+
+def qp_equal_over_common_period(a: QuasiPolynomial, b: QuasiPolynomial) -> bool:
+    """Exact equality as functions, read over the lcm of the two periods."""
+    common = math.lcm(a.period, b.period)
+    return (
+        normalize_period(a, common).constituents
+        == normalize_period(b, common).constituents
+    )
+
+
 def from_polynomial(p: RationalPolynomial) -> QuasiPolynomial:
     """A polynomial seen as a quasi-polynomial of period 1."""
     return QuasiPolynomial(1, (p,))
@@ -136,6 +161,55 @@ def defect_qp(
     """Shift formula minus characteristic quasi-polynomial."""
     psi = normalize_subset(rs, subset)
     return qp_sub(shift_formula_qp(rs, psi, cap), char_quasi_subset(rs, psi))
+
+
+# ---------------------------------------------------------------------------
+# generating series
+
+
+def series_of_qp(qp: QuasiPolynomial, order: int) -> Tuple[Fraction, ...]:
+    """Coefficients t^0 .. t^order of the ordinary generating series of the
+    qp values at q = 1..order."""
+    if order < 0:
+        raise ValidationError("order must be nonnegative")
+    return (Fraction(0),) + tuple(Fraction(qp(q)) for q in range(1, order + 1))
+
+
+def expand_rational_series(
+    numerator: RationalPolynomial,
+    denominator_exponents: Sequence[int],
+    order: int,
+) -> Tuple[Fraction, ...]:
+    """Coefficients t^0 .. t^order of numerator / product of (1 - t^c)."""
+    if order < 0:
+        raise ValidationError("order must be nonnegative")
+    coeffs = [Fraction(numerator.coeff(n)) for n in range(order + 1)]
+    for c in denominator_exponents:
+        if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+            raise ValidationError("denominator exponents must be positive integers")
+        # multiply by the geometric series of t^c, i.e. divide by 1 - t^c
+        for n in range(c, order + 1):
+            coeffs[n] += coeffs[n - c]
+    return tuple(coeffs)
+
+
+def genfunc_by_series(
+    rs: RootSystem, subset: Iterable[int], order: int, cap: int = DEFAULT_WEYL_CAP
+) -> bool:
+    """The generating-function check term by term: the series of the
+    characteristic quasi-polynomial against the descent polynomial over
+    the product of (1 - t^mark), both expanded to the given order."""
+    if order < 3 * rs.coxeter_number:
+        raise ValidationError(
+            f"order must be at least three Coxeter numbers ({3 * rs.coxeter_number})"
+        )
+    check_weyl_cap(rs, cap)
+    psi = normalize_subset(rs, subset)
+    lhs = series_of_qp(char_quasi_subset(rs, psi), order)
+    rhs = expand_rational_series(
+        eulerian_poly(rs, psi, cap), (1,) + tuple(rs.marks), order
+    )
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

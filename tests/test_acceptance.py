@@ -32,9 +32,7 @@ from weylq.quasipoly import (
     RationalPolynomial,
     ShiftPolynomial,
     apply_shift,
-    expand_rational_series,
     qp_equal,
-    series_of_qp,
 )
 from weylq.rootsys import (
     build_root_system,
@@ -50,9 +48,11 @@ from oracles import (
     count_minus_facets,
     defect_qp,
     eulerian_delta_complement,
+    expand_rational_series,
     from_polynomial,
     omega_partition,
     qp_scale,
+    series_of_qp,
 )
 
 CLASSICAL_TYPES = [

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from weylq import charquasi, cli
+from weylq import charquasi, cli, rootsys
 from weylq.charquasi import char_quasi_subset
 from weylq.cli import main, parse_subset, qp_from_json, qp_to_json
 from weylq.deform import cqp_type1_formula, cqp_type2_formula
@@ -369,6 +369,18 @@ def test_main_shares_one_parser(capsys):
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 0, 0]
     assert "invalid choice: 'bogus'" in shared[3][2]
+
+
+def test_lifted_cap_refuses_e8_table(capsys, monkeypatch):
+    """E8's order fits a lifted cap but its image table does not fit the
+    byte bound: exit 3 before the enumeration starts."""
+    monkeypatch.setattr(rootsys, "_weyl_elements", lambda rs: pytest.fail("enumeration started"))
+    code, out, err = run_main(
+        capsys, "eulerian", "--type", "E", "--rank", "8", "--subset", "full",
+        "--weyl-cap", "1000000000",
+    )
+    assert (code, out) == (3, "")
+    assert "image table of E8 takes 12541132800 bytes" in err
 
 
 def test_genfunc(capsys):

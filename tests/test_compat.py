@@ -1,8 +1,12 @@
 """Worpitzky-compatibility decisions, defects and generating functions."""
 
+import functools
+import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylq import compat, quasipoly
 from weylq.charquasi import char_quasi_subset
@@ -12,7 +16,7 @@ from weylq.errors import ValidationError
 from weylq.quasipoly import RationalPolynomial, qp_equal
 from weylq.rootsys import build_root_system, enumerate_ideals
 
-from oracles import defect_qp, is_ideal
+from oracles import defect_qp, genfunc_by_series, is_ideal
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +159,8 @@ def test_g2_sweep_counts(g2):
 
 
 def test_genfunc_matches_decision(g2):
-    """Series agreement to order 60 coincides with the exact decision."""
+    """Series agreement to order 60 coincides with the exact decision (by
+    construction; the series-route tests below keep the identity honest)."""
     for subset in all_subsets(6):
         assert verify_genfunc(g2, subset, 60) == is_compatible(g2, subset).compatible
 
@@ -164,6 +169,50 @@ def test_genfunc_order_floor(g2):
     with pytest.raises(ValidationError):
         verify_genfunc(g2, (0,), 17)
     assert verify_genfunc(g2, (0,), 18)
+
+
+def _genfunc_orders(rs):
+    """The least admitted order, 3h, and one period of the closed alcove past it."""
+    return (3 * rs.coxeter_number, 3 * rs.coxeter_number + math.lcm(*rs.marks))
+
+
+def _agrees_with_series_route(rs, subset):
+    for order in _genfunc_orders(rs):
+        verdict = verify_genfunc(rs, subset, order)
+        assert verdict == genfunc_by_series(rs, subset, order), (rs.family, rs.rank, subset, order)
+    return verdict
+
+
+def test_genfunc_matches_series_route_on_g2(g2):
+    """Every G2 subset, the 19 incompatible ones included, gets the verdict
+    of expanding both series term by term."""
+    verdicts = [_agrees_with_series_route(g2, s) for s in all_subsets(6)]
+    assert verdicts.count(False) == 19
+
+
+RANK_AT_MOST_4 = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2),
+]
+
+_system = functools.lru_cache(maxsize=None)(build_root_system)
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=st.sampled_from(RANK_AT_MOST_4), data=st.data())
+def test_genfunc_matches_series_route(system, data):
+    """Random subsets of systems of rank at most 4, most of them
+    incompatible, at orders 3h and 3h + lcm(marks)."""
+    rs = _system(*system)
+    subset = data.draw(st.sets(st.integers(0, len(rs.positive_roots) - 1)))
+    _agrees_with_series_route(rs, subset)
+
+
+@pytest.mark.parametrize("family, rank", [("B", 4), ("C", 4), ("D", 5), ("F", 4)])
+def test_genfunc_matches_series_route_on_ideals(family, rank):
+    rs = build_root_system(family, rank)
+    for ideal in enumerate_ideals(rs):
+        assert _agrees_with_series_route(rs, ideal)
 
 
 def test_defect_vanishes_exactly_for_compatible(g2):

@@ -14,7 +14,7 @@ from weylq.ehrhart import (
     ehrhart_closed_qp,
     ehrhart_open_qp,
 )
-from weylq.quasipoly import RationalPolynomial, expand_rational_series, series_of_qp
+from weylq.quasipoly import RationalPolynomial
 from weylq.rootsys import build_root_system
 
 from oracles import (
@@ -22,7 +22,9 @@ from oracles import (
     count_minus_band_general,
     count_minus_bands,
     count_minus_facets,
+    expand_rational_series,
     open_face_qp,
+    series_of_qp,
 )
 
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2)]

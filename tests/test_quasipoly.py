@@ -1,4 +1,5 @@
-"""Exact polynomial, quasi-polynomial, shift and series arithmetic."""
+"""Exact polynomial, quasi-polynomial and shift arithmetic, and the
+series oracles."""
 
 from fractions import Fraction
 
@@ -12,16 +13,22 @@ from weylq.quasipoly import (
     RationalPolynomial,
     ShiftPolynomial,
     apply_shift,
-    expand_rational_series,
     fold_period,
     interpolate_qp,
     lagrange_polynomial,
-    normalize_period,
     qp_equal,
-    series_of_qp,
 )
 
-from oracles import from_polynomial, qp_add, qp_scale, qp_sub
+from oracles import (
+    expand_rational_series,
+    from_polynomial,
+    normalize_period,
+    qp_add,
+    qp_equal_over_common_period,
+    qp_scale,
+    qp_sub,
+    series_of_qp,
+)
 
 small_fractions = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -169,6 +176,40 @@ def test_qp_equal_across_periods():
     assert qp_equal(a, b)
     c = QuasiPolynomial(4, (poly(0, 1), poly(5), poly(0, 1), poly(6)))
     assert not qp_equal(a, c)
+
+
+# a few constituents, so that random draws repeat and fold
+_PIECES = (poly(), poly(1), poly(0, 1), poly(Fraction(1, 2), 0, Fraction(1, 3)))
+
+
+@st.composite
+def _stored_twice(draw):
+    """One function stored over two multiples of its pattern's length,
+    and a copy of the second with one constituent replaced."""
+    pattern = draw(st.lists(st.sampled_from(_PIECES), min_size=1, max_size=6))
+    wide = [m for m in range(1, 13) if len(pattern) * m <= 12]
+    a, b = (QuasiPolynomial(len(pattern) * m, tuple(pattern * m))
+            for m in (draw(st.sampled_from(wide)), draw(st.sampled_from(wide))))
+    k = draw(st.integers(0, b.period - 1))
+    other = draw(st.sampled_from([p for p in _PIECES if p != b.constituents[k]]))
+    changed = QuasiPolynomial(b.period, b.constituents[:k] + (other,) + b.constituents[k + 1:])
+    return a, b, changed
+
+
+@settings(max_examples=150, deadline=None)
+@given(stored=_stored_twice(), period=st.integers(1, 12), data=st.data())
+def test_qp_equal_matches_common_period_equality(stored, period, data):
+    """Comparing minimal forms gives the verdict of comparing over the lcm
+    of the periods: equal functions stored over different periods, pairs
+    that differ in one constituent, and unrelated draws of periods 1..12."""
+    a, b, changed = stored
+    assert qp_equal(a, b) and qp_equal_over_common_period(a, b)
+    assert not qp_equal(a, changed) and not qp_equal_over_common_period(a, changed)
+    pieces = st.lists(st.sampled_from(_PIECES), min_size=period, max_size=period)
+    free = QuasiPolynomial(period, tuple(data.draw(pieces)))
+    for x in (a, b, changed):
+        assert qp_equal(x, free) == qp_equal_over_common_period(x, free)
+        assert qp_equal(free, x) == qp_equal(x, free)
 
 
 def test_qp_arithmetic_pointwise():

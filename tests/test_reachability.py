@@ -3,7 +3,9 @@
 Every public module-level function, class or constant of weylq must be
 referenced somewhere other than its own definition: by name, import or
 attribute in src/, or in the benchmark, whose tracing binds functions by
-name strings.  Names that only the tests use belong in tests/oracles.py.
+name strings.  Names that only the tests use belong in tests/oracles.py,
+and no public name there may repeat one of weylq's, so that an oracle
+never stands in for the function it checks.
 """
 
 import ast
@@ -43,8 +45,12 @@ def _references(tree, strings):
             yield node.value
 
 
+def _package_modules(root):
+    return {path.stem: ast.parse(path.read_text()) for path in sorted((root / "src" / "weylq").glob("*.py"))}
+
+
 def unreached_names(root=ROOT):
-    modules = {path.stem: ast.parse(path.read_text()) for path in sorted((root / "src" / "weylq").glob("*.py"))}
+    modules = _package_modules(root)
     reached = set()
     for tree in modules.values():
         reached.update(_references(tree, strings=False))
@@ -65,3 +71,28 @@ def test_every_public_name_is_reached():
 
 def test_every_exception_is_still_needed():
     assert set(EXCEPTIONS) <= set(unreached_names())
+
+
+def shadowed_names(root=ROOT):
+    """Public names defined both in tests/oracles.py and in a weylq module."""
+    oracles = set(_public_definitions(ast.parse((root / "tests" / "oracles.py").read_text())))
+    return [
+        f"{module}.{name}"
+        for module, tree in _package_modules(root).items()
+        for name in _public_definitions(tree)
+        if not name.startswith("_") and name in oracles
+    ]
+
+
+def test_no_oracle_shadows_a_package_name():
+    shadowed = shadowed_names()
+    assert not shadowed, f"defined in tests/oracles.py as well: {', '.join(shadowed)}"
+
+
+def test_shadowing_is_detected(tmp_path):
+    """The check sees a test-side copy of a package function."""
+    (tmp_path / "src" / "weylq").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "weylq" / "quasipoly.py").write_text("def qp_equal(a, b):\n    pass\n")
+    (tmp_path / "tests" / "oracles.py").write_text("def qp_equal(a, b):\n    pass\n\n\ndef _private():\n    pass\n")
+    assert shadowed_names(tmp_path) == ["quasipoly.qp_equal"]

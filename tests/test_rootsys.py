@@ -447,6 +447,19 @@ def test_weyl_byte_width_refused(monkeypatch):
         enumerate_weyl(d12, cap=d12.weyl_order)
 
 
+def test_weyl_table_bytes_refused(monkeypatch):
+    """A lifted cap admits E8's order, but its table, 9 bytes per element
+    and twice that while the last join is built, passes 1 GiB, so it is
+    refused before anything is built.  Tables under the bound still pass,
+    A10's (837 MiB while built) the largest of them."""
+    monkeypatch.setattr(rootsys, "_weyl_elements", lambda rs: pytest.fail("enumeration started"))
+    e8 = build_root_system("E", 8)
+    with pytest.raises(ResourceCapError, match=f"takes {2 * 9 * e8.weyl_order} bytes"):
+        enumerate_weyl(e8, cap=1_000_000_000)
+    for family, rank in [("E", 7), ("B", 8), ("C", 8), ("D", 8), ("A", 10)]:
+        check_weyl_cap(build_root_system(family, rank), cap=1_000_000_000)
+
+
 def test_weyl_closure_order_check(monkeypatch):
     """A generator list that does not generate the group fails the check of
     the closure's size against the known order."""

@@ -16,13 +16,12 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from weylq import kernels
 from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
-from weylq.quasipoly import QuasiPolynomial, RationalPolynomial, ShiftPolynomial
+from weylq.quasipoly import QuasiPolynomial, ShiftPolynomial
 from weylq.quasipoly import apply_shift, fold_period, interpolate_qp
 from weylq.rootsys import (
     RootSystem,
@@ -56,12 +55,12 @@ MAX_COUNT_BITS = 2**33
 # larger are counted, as arrangements with offsets are.
 MAX_FACE_WEYL_ORDER = 6_000_000
 
-# Building the face table, with its shifts of the closed alcove, takes as
-# long as a period search over |W| / 24 (E6, 0.06 s) to |W| / 106 sublists
-# (E7, 0.9 s), and a search over n vectors visits at most 2^n of them.  A
-# subset with 2^n <= |W| / COUNT_FIRST_SHARE has its period searched first
-# and is counted when that period is 1: the count is then a polynomial,
-# read from the samples q = 1..rank + 1.
+# Building the face table takes as long as a period search over |W| / 24
+# (E6, 0.06 s) to |W| / 106 sublists (E7, 0.9 s), and a search over n
+# vectors visits at most 2^n of them.  A subset with 2^n <= |W| /
+# COUNT_FIRST_SHARE has its period searched first and is counted when that
+# period is 1: the count is then a polynomial, read from the samples
+# q = 1..rank + 1.
 COUNT_FIRST_SHARE = 100
 
 
@@ -314,16 +313,15 @@ char_quasi.cache_info = _char_quasi.cache_info
 char_quasi.cache_clear = _char_quasi.cache_clear
 
 
-FaceTable = Tuple[int, Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]]
+FaceTable = Tuple[int, Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]], ...]]
 
 
 @functools.lru_cache(maxsize=4)
 def _face_table(rs: RootSystem) -> FaceTable:
     """The faces of the alcove grouped by the W-orbit of their root sets:
-    per orbit, its member masks and its term of the face formula
-    (char_quasi_faces), the closed alcove shifted by the orbit's numerator,
-    as rank + 1 coefficients per residue 1..lcm(marks), flattened, over
-    one denominator returned first."""
+    per orbit, its member masks and its numerator, the face formula's N
+    (char_quasi_faces) for one free member, as (exponent, integer) pairs
+    over one denominator returned first."""
     walls = rs.rank + 1
     marks = (1,) + rs.marks
     orbit_of: Dict[int, int] = {}
@@ -344,16 +342,25 @@ def _face_table(rs: RootSystem) -> FaceTable:
         for i in face:
             term.subtract({e + marks[i]: c for e, c in term.items()})
         numerators[orbit_of[mask]].update(term)
-    f, closed = rs.index_of_connection, ehrhart_closed_qp(rs)
-    shifted = [
-        apply_shift(ShiftPolynomial((e, Fraction(c, f * len(o))) for e, c in n.items()), closed)
-        for o, n in zip(orbits, numerators)
-    ]
-    den = math.lcm(*(c.denominator for qp in shifted for p in qp.constituents for c in p.coeffs))
+    f = rs.index_of_connection
+    den = f * math.lcm(*map(len, orbits))
     return den, tuple(
-        (o, tuple(int(p.coeff(i) * den) for p in qp.constituents for i in range(walls)))
-        for o, qp in zip(orbits, shifted)
+        (o, tuple((e, c * (den // (f * len(o)))) for e, c in n.items() if c))
+        for o, n in zip(orbits, numerators)
     )
+
+
+def _face_numerator(rs: RootSystem, psi: Iterable[int]) -> ShiftPolynomial:
+    """The face formula's N(t) for a subset (char_quasi_faces): the orbit
+    numerators, each weighted by its members that miss the subset."""
+    den, table = _face_table(rs)
+    avoided = sum(1 << k for k in psi)
+    terms: List[Tuple[int, int]] = []
+    for orbit, numerator in table:
+        free = sum(1 for m in orbit if not m & avoided)
+        if free:
+            terms.extend((e, free * n) for e, n in numerator)
+    return ShiftPolynomial(terms, den)
 
 
 def char_quasi_subset(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
@@ -400,18 +407,10 @@ def char_quasi_faces(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
     to h, so N has degrees 1..h; the closed quasi-polynomial vanishes on
     -h < m < 0 by Ehrhart reciprocity (the open m-dilate has no point
     before m = h).  So the shift of it by N is exact at every q >= 1, and
-    therefore as a quasi-polynomial.  _face_table shifts once per orbit
-    and system, so a subset costs the mask tests and one integer linear
-    combination; the sum has period lcm(marks), folded to the minimal one.
+    therefore as a quasi-polynomial.  _face_table keeps each orbit's
+    numerator, so a subset costs the mask tests, the weighted sum of the
+    numerators (_face_numerator) and one apply_shift; the result has period
+    lcm(marks), folded to the minimal one.
     """
-    den, table = _face_table(rs)
-    avoided = sum(1 << k for k in normalize_subset(rs, subset))
-    sums = [0] * len(table[0][1])
-    for orbit, row in table:
-        free = sum(1 for m in orbit if not m & avoided)
-        if free:
-            sums = [a + free * b for a, b in zip(sums, row)]
-    walls = rs.rank + 1
-    rows = [sums[k : k + walls] for k in range(0, len(sums), walls)]
-    constituents = tuple(RationalPolynomial(Fraction(n, den) for n in r) for r in rows)
-    return fold_period(QuasiPolynomial(len(rows), constituents))
+    numerator = _face_numerator(rs, normalize_subset(rs, subset))
+    return fold_period(apply_shift(numerator, ehrhart_closed_qp(rs)))

@@ -17,7 +17,6 @@ and the second starting at 1 (ii), or both starting at 1 (iii).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from weylq.charquasi import ArrangementSpec, char_quasi, make_spec
@@ -135,10 +134,10 @@ def _interval_formula(rs: RootSystem, psi, inside, outside, cap: int) -> QuasiPo
     (lo_in, hi_in), (lo_out, hi_out) = inside, outside
     # in DescentProfile field order: descent, descent_bar, ascent, ascent_bar
     weights = (1 - lo_out, 1 - lo_in, hi_out + 1, hi_in + 1)
-    f = rs.index_of_connection
     shift = ShiftPolynomial(
-        (sum(w * stat for w, stat in zip(weights, p)), Fraction(count, f))
-        for p, count in profile_counts(rs, psi, cap)
+        ((sum(w * stat for w, stat in zip(weights, p)), count)
+         for p, count in profile_counts(rs, psi, cap)),
+        rs.index_of_connection,
     )
     return apply_shift(shift, ehrhart_closed_qp(rs))
 

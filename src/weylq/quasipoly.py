@@ -1,11 +1,13 @@
 """Exact univariate polynomials, quasi-polynomials and shift operators.
 
-Everything here is exact; no floats anywhere.  shift_arg and apply_shift
-work on integer numerators over a common denominator, apply_shift reading
-a bounded table of shifted constituents per quasi-polynomial; the rest is
-Fraction arithmetic.  A quasi-polynomial of period p stores one constituent per
-residue class, 1-based, with the class of 0 stored last.  Evaluation works
-for negative arguments through the same residue rule.
+Everything here is exact; no floats anywhere.  A ShiftPolynomial holds
+integer numerators over one denominator, and apply_shift, the one
+conversion from a numerator polynomial to a quasi-polynomial, combines
+them in integers with a bounded table of shifted constituents per
+quasi-polynomial.  shift_arg works on integer numerators as well; the rest
+is Fraction arithmetic.  A quasi-polynomial of period p stores one
+constituent per residue class, 1-based, with the class of 0 stored last.
+Evaluation works for negative arguments through the same residue rule.
 """
 
 from __future__ import annotations
@@ -126,9 +128,7 @@ class RationalPolynomial:
         """Human form with a common denominator, like (q^2 + 6q + 12)/12."""
         if self.is_zero:
             return "0"
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * den) for c in self.coeffs]
         parts = []
         for power in range(len(ints) - 1, -1, -1):
@@ -204,49 +204,48 @@ def qp_equal(a: QuasiPolynomial, b: QuasiPolynomial) -> bool:
 
 
 class ShiftPolynomial:
-    """A finite Fraction combination of argument shifts.
+    """A finite combination of argument shifts, as integer numerators over
+    one positive denominator den.
 
-    A term (offset, coeff) sends a function f to coeff * f(q - offset);
+    A term (offset, n) sends a function f to (n / den) * f(q - offset);
     applying a whole ShiftPolynomial sums the terms.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: Iterable[Tuple[int, object]] = ()):
-        acc = {}
-        for offset, coeff in terms:
+    def __init__(self, terms: Iterable[Tuple[int, int]] = (), den: int = 1):
+        if not isinstance(den, int) or isinstance(den, bool) or den < 1:
+            raise ValidationError(f"shift denominator must be a positive integer, got {den!r}")
+        acc: Dict[int, int] = {}
+        for offset, n in terms:
             if not isinstance(offset, int) or isinstance(offset, bool):
                 raise ValidationError("shift offsets must be integers")
-            acc[offset] = acc.get(offset, Fraction(0)) + Fraction(coeff)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted((k, v) for k, v in acc.items() if v != 0)),
-        )
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValidationError(f"shift numerators must be integers, got {n!r}")
+            acc[offset] = acc.get(offset, 0) + n
+        object.__setattr__(self, "terms", tuple(sorted((k, v) for k, v in acc.items() if v)))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ShiftPolynomial is immutable")
 
     @classmethod
     def from_polynomial(cls, p: RationalPolynomial) -> "ShiftPolynomial":
-        """Read t^k as the shift q -> q - k."""
-        return cls((k, c) for k, c in enumerate(p.coeffs) if c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ShiftPolynomial) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(("ShiftPolynomial", self.terms))
+        """Read t^k as the shift q -> q - k, over the coefficients' common
+        denominator."""
+        den = math.lcm(*(c.denominator for c in p.coeffs))
+        return cls(((k, int(c * den)) for k, c in enumerate(p.coeffs)), den)
 
     def __repr__(self) -> str:
-        return f"ShiftPolynomial({list(self.terms)!r})"
+        return f"ShiftPolynomial({list(self.terms)!r}, den={self.den})"
 
 
 # A few quasi-polynomials at a time: a process shifts the closed-alcove
-# count of one or two systems (compat and deform both shift it).  An entry
-# holds the common denominator D of the coefficients and, per offset o,
-# the integer numerators over D of constituent_for(k - o).shift_arg(-o)
-# for k = 1..period, filled the first time o is asked for.
+# count of one or two systems (the face route, compat, deform and the open
+# alcove all shift it).  An entry holds the common denominator D of the
+# coefficients and, per offset o, the integer numerators over D of
+# constituent_for(k - o).shift_arg(-o) for k = 1..period, filled the first
+# time o is asked for.
 @functools.lru_cache(maxsize=4)
 def _shift_table(qp: QuasiPolynomial) -> Tuple[int, Dict[int, Tuple[Tuple[int, ...], ...]]]:
     den = math.lcm(*(c.denominator for p in qp.constituents for c in p.coeffs))
@@ -254,29 +253,27 @@ def _shift_table(qp: QuasiPolynomial) -> Tuple[int, Dict[int, Tuple[Tuple[int, .
 
 
 def apply_shift(shift: ShiftPolynomial, qp: QuasiPolynomial) -> QuasiPolynomial:
-    """The quasi-polynomial q -> sum of coeff * qp(q - offset).
+    """The quasi-polynomial q -> sum of (n / shift.den) * qp(q - offset).
 
     Integer arithmetic over one denominator: the shifted constituents come
-    from the table of qp as numerators over D, the shift's coefficients
-    are cleared to numerators over s, and each output coefficient is built
-    once as a Fraction over D * s.
+    from the table of qp as numerators over D, each is weighted by its
+    term's numerator, and each output coefficient is built once as a
+    Fraction over D * shift.den.
     """
     p = qp.period
     den, rows = _shift_table(qp)
-    s = math.lcm(*(c.denominator for _, c in shift.terms))
     acc = [[0] * (qp.degree + 1) for _ in range(p)]
-    for offset, coeff in shift.terms:
+    for offset, weight in shift.terms:
         shifted = rows.get(offset)
         if shifted is None:
             pieces = (qp.constituent_for(k - offset).shift_arg(-offset) for k in range(1, p + 1))
             shifted = rows[offset] = tuple(
                 tuple(int(c * den) for c in piece.coeffs) for piece in pieces
             )
-        weight = coeff.numerator * (s // coeff.denominator)
         for out, row in zip(acc, shifted):
             for i, n in enumerate(row):
                 out[i] += weight * n
-    scale = den * s
+    scale = den * shift.den
     return QuasiPolynomial(
         p, tuple(RationalPolynomial(Fraction(n, scale) for n in out) for out in acc)
     )

@@ -2,6 +2,8 @@
 
 import functools
 import math
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -9,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylq import compat, quasipoly
-from weylq.charquasi import char_quasi_subset
+from weylq.charquasi import _face_numerator, char_quasi_subset
 from weylq.cli import main
 from weylq.compat import is_compatible, shift_formula_qp, verify_genfunc
 from weylq.errors import ValidationError
+from weylq.eulerian import eulerian_poly
 from weylq.quasipoly import RationalPolynomial, qp_equal
-from weylq.rootsys import build_root_system, enumerate_ideals
+from weylq.rootsys import build_root_system, enumerate_ideals, normalize_subset
 
 from oracles import defect_qp, genfunc_by_series, is_ideal
 
@@ -219,3 +222,43 @@ def test_defect_vanishes_exactly_for_compatible(g2):
     for subset in [(), (0,), (0, 1), (0, 1, 2, 3, 4), (0, 4)]:
         defect = defect_qp(g2, subset)
         assert all(defect(q) == 0 for q in range(1, 19))
+
+
+NUMERATOR_SYSTEMS = [("B", 4), ("C", 4), ("D", 5), ("F", 4), ("G", 2), ("A", 4)]
+
+
+def _numerator_gap(rs, subset):
+    """The exponents where the face formula's N and the descent polynomial
+    E differ, in increasing order."""
+    n = _face_numerator(rs, normalize_subset(rs, subset))
+    n = {k: Fraction(c, n.den) for k, c in n.terms}
+    e = dict(enumerate(eulerian_poly(rs, subset).coeffs))
+    return [k for k in sorted(set(n) | set(e)) if n.get(k, 0) != e.get(k, 0)]
+
+
+@pytest.mark.parametrize("family, rank", NUMERATOR_SYSTEMS)
+def test_face_numerator_is_the_eulerian_polynomial_on_ideals(family, rank):
+    """The paper's theorem in numerator form: on every ideal, N = E."""
+    rs = _system(family, rank)
+    for ideal in enumerate_ideals(rs):
+        assert _numerator_gap(rs, ideal) == [], ideal
+
+
+@pytest.mark.parametrize("family, rank", NUMERATOR_SYSTEMS)
+def test_witness_is_the_lowest_degree_of_n_minus_e(family, rank):
+    """chi minus the shift formula has series (N - E)/D, and 1/D has
+    constant term 1, so the decision's witness is the lowest degree of
+    N - E (verify_genfunc's proof), on random subsets with each root drawn
+    with probability 1/2."""
+    rs = _system(family, rank)
+    rng = random.Random(f"{family}{rank}")
+    incompatible = 0
+    for _ in range(20):
+        subset = [i for i in range(len(rs.positive_roots)) if rng.random() < 0.5]
+        gap = _numerator_gap(rs, subset)
+        result = is_compatible(rs, subset)
+        assert result.compatible == (not gap)
+        if gap:
+            incompatible += 1
+            assert result.witness.q == gap[0]
+    assert incompatible

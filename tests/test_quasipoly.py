@@ -1,6 +1,7 @@
 """Exact polynomial, quasi-polynomial and shift arithmetic, and the
 series oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -226,7 +227,23 @@ def test_qp_arithmetic_pointwise():
 
 def test_shift_polynomial_terms():
     shift = ShiftPolynomial.from_polynomial(poly(3, 0, 1))
-    assert dict(shift.terms) == {0: 3, 2: 1}
+    assert dict(shift.terms) == {0: 3, 2: 1} and shift.den == 1
+    halves = ShiftPolynomial.from_polynomial(poly(Fraction(1, 2), 0, Fraction(-1, 3)))
+    assert dict(halves.terms) == {0: 3, 2: -2} and halves.den == 6
+    merged = ShiftPolynomial([(1, 2), (0, 5), (1, -2), (3, 1)], 4)
+    assert merged.terms == ((0, 5), (3, 1)) and merged.den == 4
+
+
+@pytest.mark.parametrize("den", [0, -3, True, False, 2.0, Fraction(1), "2"])
+def test_shift_polynomial_refuses_a_bad_denominator(den):
+    with pytest.raises(ValidationError, match="denominator"):
+        ShiftPolynomial([(0, 1)], den)
+
+
+@pytest.mark.parametrize("numerator", [Fraction(1, 2), Fraction(3), 1.0, True, "1", None])
+def test_shift_polynomial_refuses_a_non_integer_numerator(numerator):
+    with pytest.raises(ValidationError, match="numerators"):
+        ShiftPolynomial([(0, 1), (2, numerator)], 3)
 
 
 def test_apply_shift_is_weighted_translation():
@@ -270,7 +287,8 @@ def test_apply_shift_single_power(constituents, offset):
     ),
 )
 def test_apply_shift_matches_its_definition(period, data, shifts):
-    """Whole shifts with Fraction coefficients, applied alternately to two
+    """Whole shifts with Fraction coefficients, held as integer numerators
+    over the lcm of their denominators and applied alternately to two
     quasi-polynomials of one period, give sum of c * qp(q - o): the shifted
     constituents are tabulated per quasi-polynomial, not per period, and
     keep both denominators."""
@@ -285,7 +303,9 @@ def test_apply_shift_matches_its_definition(period, data, shifts):
     ]
     for i, terms in enumerate(shifts):
         qp = qps[i % 2]
-        out = apply_shift(ShiftPolynomial(terms), qp)
+        den = math.lcm(*(c.denominator for _, c in terms))
+        numerators = [(o, c.numerator * (den // c.denominator)) for o, c in terms]
+        out = apply_shift(ShiftPolynomial(numerators, den), qp)
         assert out.period == period
         for q in range(-3, 10):
             assert out(q) == sum((Fraction(c) * qp(q - o) for o, c in terms), Fraction(0))

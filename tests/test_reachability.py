@@ -5,7 +5,8 @@ referenced somewhere other than its own definition: by name, import or
 attribute in src/, or in the benchmark, whose tracing binds functions by
 name strings.  Names that only the tests use belong in tests/oracles.py,
 and no public name there may repeat one of weylq's, so that an oracle
-never stands in for the function it checks.
+never stands in for the function it checks.  Every module-level import of
+weylq must be read in its own module.
 """
 
 import ast
@@ -96,3 +97,49 @@ def test_shadowing_is_detected(tmp_path):
     (tmp_path / "src" / "weylq" / "quasipoly.py").write_text("def qp_equal(a, b):\n    pass\n")
     (tmp_path / "tests" / "oracles.py").write_text("def qp_equal(a, b):\n    pass\n\n\ndef _private():\n    pass\n")
     assert shadowed_names(tmp_path) == ["quasipoly.qp_equal"]
+
+
+def unused_imports(root=ROOT):
+    """Module-level imports of weylq that their own module never reads; a
+    name listed in the module's __all__ is read, as a re-export."""
+    unused = []
+    for module, tree in _package_modules(root).items():
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read.update(ast.literal_eval(node.value))
+        unused += [f"{module}.{name}" for name in bound if name not in read]
+    return unused
+
+
+def test_every_import_is_read():
+    unused = unused_imports()
+    assert not unused, f"imported but never read in its module: {', '.join(unused)}"
+
+
+def test_unused_import_is_detected(tmp_path):
+    """The check sees an import left behind, and not a read, aliased,
+    dotted or re-exported one."""
+    (tmp_path / "src" / "weylq").mkdir(parents=True)
+    (tmp_path / "src" / "weylq" / "charquasi.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from fractions import Fraction\n"
+        "from math import gcd as g, lcm\n"
+        "from typing import Dict\n"
+        "__all__ = ['Dict']\n"
+        "x: int = g(os.path.sep.count('/'), lcm(2, 3))\n"
+    )
+    assert unused_imports(tmp_path) == ["charquasi.Fraction"]

@@ -4,8 +4,10 @@ Everything here is exact; no floats anywhere.  A ShiftPolynomial holds
 integer numerators over one denominator, and apply_shift, the one
 conversion from a numerator polynomial to a quasi-polynomial, combines
 them in integers with a bounded table of shifted constituents per
-quasi-polynomial.  shift_arg works on integer numerators as well; the rest
-is Fraction arithmetic.  A quasi-polynomial of period p stores one
+quasi-polynomial.  Lagrange interpolation, evaluation and shift_arg work
+on integer numerators over one denominator as well, and build each
+Fraction once at the end; a polynomial keeps the Fractions it is given and
+computes its hash once.  A quasi-polynomial of period p stores one
 constituent per residue class, 1-based, with the class of 0 stored last.
 Evaluation works for negative arguments through the same residue rule.
 """
@@ -24,10 +26,10 @@ from weylq.errors import InconsistencyError, ValidationError
 class RationalPolynomial:
     """Immutable polynomial with Fraction coefficients, ascending order."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable = ()):  # trailing zeros are trimmed
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -68,10 +70,13 @@ class RationalPolynomial:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
+        """Horner's rule on the integer numerators over the coefficients'
+        common denominator, divided once at the end."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * x + c.numerator * (den // c.denominator)
+        return Fraction(acc, den)
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -122,14 +127,19 @@ class RationalPolynomial:
         )
 
     def __hash__(self) -> int:
-        return hash(("RationalPolynomial", self.coeffs))
+        try:
+            return self._hash
+        except AttributeError:  # first call: compute once and keep
+            h = hash(("RationalPolynomial", self.coeffs))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def format(self, var: str = "q") -> str:
         """Human form with a common denominator, like (q^2 + 6q + 12)/12."""
         if self.is_zero:
             return "0"
         den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
         parts = []
         for power in range(len(ints) - 1, -1, -1):
             a = ints[power]
@@ -234,7 +244,9 @@ class ShiftPolynomial:
         """Read t^k as the shift q -> q - k, over the coefficients' common
         denominator."""
         den = math.lcm(*(c.denominator for c in p.coeffs))
-        return cls(((k, int(c * den)) for k, c in enumerate(p.coeffs)), den)
+        return cls(
+            ((k, c.numerator * (den // c.denominator)) for k, c in enumerate(p.coeffs)), den
+        )
 
     def __repr__(self) -> str:
         return f"ShiftPolynomial({list(self.terms)!r}, den={self.den})"
@@ -268,7 +280,8 @@ def apply_shift(shift: ShiftPolynomial, qp: QuasiPolynomial) -> QuasiPolynomial:
         if shifted is None:
             pieces = (qp.constituent_for(k - offset).shift_arg(-offset) for k in range(1, p + 1))
             shifted = rows[offset] = tuple(
-                tuple(int(c * den) for c in piece.coeffs) for piece in pieces
+                tuple(c.numerator * (den // c.denominator) for c in piece.coeffs)
+                for piece in pieces
             )
         for out, row in zip(acc, shifted):
             for i, n in enumerate(row):
@@ -282,24 +295,40 @@ def apply_shift(shift: ShiftPolynomial, qp: QuasiPolynomial) -> QuasiPolynomial:
 def lagrange_polynomial(
     points: Sequence[int], values: Sequence
 ) -> RationalPolynomial:
-    """The unique polynomial through the given points, exactly."""
+    """The unique polynomial through the given points, exactly.
+
+    In integers over one denominator: with M(t) the product of (t - x_j),
+    the basis numerator Q_i = M(t) / (t - x_i) comes by synthetic division
+    and its denominator is d_i = prod over j != i of (x_i - x_j).  For
+    y_i = a_i / b_i the sum of a_i * (L / (b_i * d_i)) * Q_i over the lcm L
+    of the b_i * d_i is the interpolant times L, and each coefficient
+    becomes one Fraction over L.
+    """
     if len(points) != len(values) or not points:
         raise ValidationError("need equally many points and values")
     if len(set(points)) != len(points):
         raise ValidationError("interpolation points must be distinct")
-    total = RationalPolynomial()
-    for i, (xi, yi) in enumerate(zip(points, values)):
+    ys = [y if isinstance(y, (int, Fraction)) else Fraction(y) for y in values]
+    n = len(points)
+    m = [1]  # M(t), ascending
+    for x in points:
+        m = [b - x * a for a, b in zip(m + [0], [0] + m)]
+    terms = []
+    for xi, yi in zip(points, ys):
         if yi == 0:
             continue
-        basis = RationalPolynomial((1,))
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            basis = basis * RationalPolynomial((-xj, 1))
-            denom *= xi - xj
-        total = total + (Fraction(yi) / denom) * basis
-    return total
+        d = yi.denominator * math.prod(xi - xj for xj in points if xj != xi)
+        num = yi.numerator if d > 0 else -yi.numerator
+        terms.append((xi, num, abs(d)))
+    den = math.lcm(*(d for _, _, d in terms))
+    out = [0] * n
+    for xi, num, d in terms:
+        weight = num * (den // d)
+        acc = 0
+        for k in range(n, 0, -1):  # Q_i by synthetic division, top down
+            acc = m[k] + xi * acc
+            out[k - 1] += weight * acc
+    return RationalPolynomial(Fraction(c, den) for c in out)
 
 
 def interpolate_qp(

@@ -5,9 +5,10 @@ that no query computes: root lengths, Weyl elements from words, the
 Eulerian polynomial with one root removed and its Omega-fibers, the
 counts of the dilated alcove with walls or bands of walls removed, the
 open-face counts and the face formula summed face by face, the
-compatibility defect, quasi-polynomial arithmetic and equality over a
-common period, generating series expanded term by term, and the Shi and
-Catalan closed forms that check deformations where counting refuses.
+compatibility defect, Lagrange interpolation in Fraction arithmetic,
+quasi-polynomial arithmetic and equality over a common period, generating
+series expanded term by term, and the Shi and Catalan closed forms that
+check deformations where counting refuses.
 The tests compare each with what the package computes another way.
 """
 
@@ -105,6 +106,30 @@ def is_ideal(rs: RootSystem, indices: Iterable[int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # quasi-polynomial arithmetic
+
+
+def lagrange_by_fractions(
+    points: Sequence[int], values: Sequence
+) -> RationalPolynomial:
+    """The polynomial through the given points as a sum of Lagrange basis
+    polynomials, each built as a product of Fraction polynomials."""
+    if len(points) != len(values) or not points:
+        raise ValidationError("need equally many points and values")
+    if len(set(points)) != len(points):
+        raise ValidationError("interpolation points must be distinct")
+    total = RationalPolynomial()
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        if yi == 0:
+            continue
+        basis = RationalPolynomial((1,))
+        denom = Fraction(1)
+        for j, xj in enumerate(points):
+            if j == i:
+                continue
+            basis = basis * RationalPolynomial((-xj, 1))
+            denom *= xi - xj
+        total = total + (Fraction(yi) / denom) * basis
+    return total
 
 
 def normalize_period(qp: QuasiPolynomial, new_period: int) -> QuasiPolynomial:

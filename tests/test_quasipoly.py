@@ -13,6 +13,7 @@ from weylq.quasipoly import (
     QuasiPolynomial,
     RationalPolynomial,
     ShiftPolynomial,
+    _shift_table,
     apply_shift,
     fold_period,
     interpolate_qp,
@@ -23,6 +24,7 @@ from weylq.quasipoly import (
 from oracles import (
     expand_rational_series,
     from_polynomial,
+    lagrange_by_fractions,
     normalize_period,
     qp_add,
     qp_equal_over_common_period,
@@ -52,6 +54,11 @@ def test_polynomial_basics():
     assert not p.is_zero
     assert RationalPolynomial(()).is_zero
     assert RationalPolynomial((0, 0)).degree == -1
+    # evaluation over the common denominator, at integers and at Fractions
+    r = poly(Fraction(1, 3), 0, Fraction(-5, 2))
+    assert r(2) == Fraction(-29, 3) and r(-1) == Fraction(-13, 6)
+    assert r(Fraction(1, 2)) == Fraction(-7, 24)
+    assert type(RationalPolynomial.zero()(3)) is Fraction and RationalPolynomial.zero()(3) == 0
 
 
 def test_trailing_zeros_trimmed():
@@ -63,6 +70,42 @@ def test_polynomial_immutable():
     p = poly(1, 2)
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
+
+
+def test_hash_is_kept_and_agrees_with_equality():
+    """Polynomials from ints and from equal Fractions compare and hash
+    equal, before and after the first hash() keeps it; the kept hash does
+    not make the coefficients assignable."""
+    ints = poly(3, 0, -2, 0)
+    fracs = poly(Fraction(6, 2), Fraction(0), Fraction(-2), Fraction(0, 5))
+    assert ints == fracs
+    assert all(type(c) is Fraction for c in ints.coeffs)
+    first = hash(ints)
+    assert first == hash(fracs) == hash(ints) == hash(fracs)
+    assert first == hash(poly(3, 0, -2))
+    assert hash(poly(Fraction(1, 2))) == hash(poly(Fraction(2, 4)))
+    assert {ints: 1}[fracs] == 1
+    for p in (ints, fracs):
+        with pytest.raises(AttributeError):
+            p.coeffs = (1,)
+        with pytest.raises(AttributeError):
+            p._hash = 0
+        assert p.coeffs == (3, 0, -2) and hash(p) == first
+
+
+def test_equal_quasi_polynomials_share_one_shift_table():
+    """apply_shift's table is keyed by value: equal quasi-polynomials built
+    apart, one hashed before, hit one entry."""
+    a = QuasiPolynomial(2, (poly(Fraction(1, 2), 1), poly(0, 3, Fraction(1, 6))))
+    b = QuasiPolynomial(
+        2, (poly(Fraction(2, 4), Fraction(1)), poly(Fraction(0), 3, Fraction(2, 12)))
+    )
+    hash(a)
+    shift = ShiftPolynomial([(1, 1), (2, -3)], 2)
+    _shift_table.cache_clear()
+    assert apply_shift(shift, a) == apply_shift(shift, b)
+    info = _shift_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_monomial_and_zero():
@@ -115,12 +158,13 @@ def test_lagrange_recovers_polynomial():
 
 
 def test_lagrange_validation():
-    with pytest.raises(ValidationError):
-        lagrange_polynomial([1, 1], [0, 0])
-    with pytest.raises(ValidationError):
-        lagrange_polynomial([1, 2], [0])
-    with pytest.raises(ValidationError):
-        lagrange_polynomial([], [])
+    for interpolate in (lagrange_polynomial, lagrange_by_fractions):
+        with pytest.raises(ValidationError, match="distinct"):
+            interpolate([1, 1], [0, 0])
+        with pytest.raises(ValidationError, match="equally many"):
+            interpolate([1, 2], [0])
+        with pytest.raises(ValidationError, match="equally many"):
+            interpolate([], [])
 
 
 @settings(max_examples=50, deadline=None)
@@ -129,6 +173,32 @@ def test_lagrange_round_trip(coeffs):
     p = RationalPolynomial(coeffs)
     points = list(range(10, 10 + len(coeffs)))
     assert lagrange_polynomial(points, [p(x) for x in points]) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(st.integers(-40, 40), min_size=1, max_size=9, unique=True),
+    data=st.data(),
+)
+def test_lagrange_matches_fraction_oracle(points, data):
+    """The integer interpolant equals the Fraction one on distinct,
+    unsorted and negative points, for int and Fraction values, all-zero
+    values and single points, and passes through every point."""
+    value = st.one_of(
+        st.integers(-10**6, 10**6),
+        st.fractions(min_value=-1000, max_value=1000, max_denominator=720),
+        st.just(0),
+    )
+    for values in (
+        data.draw(st.lists(value, min_size=len(points), max_size=len(points))),
+        [0] * len(points),
+        [Fraction(0)] * len(points),
+    ):
+        got = lagrange_polynomial(points, values)
+        assert got == lagrange_by_fractions(points, values)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert [got(x) for x in points] == values
+        assert got.degree < len(points)
 
 
 def test_quasi_polynomial_residues():

@@ -261,7 +261,7 @@ def _reflection_permutations(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
 
 
 class WeylGroup(Sequence):
-    """The Weyl group in enumerate_weyl order, held as one bytes table.
+    """The Weyl group, identity first, held as one bytes table.
 
     images lists every element's extended-base images, width (rank + 1)
     bytes per element.  A WeylElement is built only when one is read: by
@@ -291,8 +291,7 @@ class WeylGroup(Sequence):
 def _coset_representatives(gens, simple, n):
     """The minimal coset representatives ^JW of W_J in W, for W generated by
     gens and J all of them but the last: the elements with no left descent
-    in J, as (least reduced word, permutation) pairs, letters 0-based, in
-    the order of their words followed by an end marker above every letter.
+    in J, as permutations, the identity first.
 
     A permutation is an element's action on the 2n signed roots as a
     256-byte translate table (the identity past 2n), and simple[j] is the
@@ -304,11 +303,10 @@ def _coset_representatives(gens, simple, n):
     ^JW is closed under prefixes, so every u in it of length k + 1 is w * s_j
     with w in ^JW of length k and s_j the smallest right descent of u; the
     walk keeps u only when reached that way, so it finds each element once.
-    Least words are read by stripping the smallest left descent.  No element
-    is longer than n, which bounds both loops.
+    Each level is one longer than the last, and none is longer than n.
     """
     found, level = [], [bytes(range(256))]
-    for _ in range(n + 1):
+    while level:
         found += level
         level = [
             longer
@@ -319,17 +317,7 @@ def _coset_representatives(gens, simple, n):
             if all(longer[a] < n for a in simple[:j])
             and all(longer.index(a) < n for a in simple[:-1])
         ]
-    reps = []
-    for perm in found:
-        word, rest = (), perm
-        while len(word) < n:
-            left = [j for j, a in enumerate(simple) if rest.index(a) >= n]
-            if not left:
-                break
-            word += (left[0],)
-            rest = rest.translate(gens[left[0]])
-        reps.append((word, perm))
-    return sorted(reps, key=lambda rep: rep[0] + (len(gens),))
+    return found
 
 
 # Two groups: a sweep over two systems (B4, then C4) reuses each group
@@ -341,41 +329,16 @@ def _weyl_elements(rs: RootSystem) -> WeylGroup:
 
     J is the first rank - 1 generators and ^JW the elements with no left
     descent in J (_coset_representatives).  Every w factors uniquely as
-    w = v * u with v in W_J, u in ^JW and l(w) = l(v) + l(u) (Bjorner and
-    Brenti, Combinatorics of Coxeter Groups, 2.4.4).  v * u sends the
-    extended base to P_v of u's images (P_v the permutation of v on the
-    signed roots), so one bytes.translate by P_v (2N <= 256, see
-    check_weyl_cap) moves a whole table of u's, rank + 1 images each.
+    w = v * u with v in W_J and u in ^JW (Bjorner and Brenti, Combinatorics
+    of Coxeter Groups, 2.4.4).  v * u sends the extended base to P_v of u's
+    images (P_v the permutation of v on the signed roots), so one
+    bytes.translate by P_v (2N <= 256, see check_weyl_cap) moves a whole
+    table of u's, rank + 1 images each.
 
-    Order contract: elements come by length, and within a length in the
-    lexicographic order of their least reduced words (1-based generator
-    indices).  Order lemma: the least word of v * u is that of v followed
-    by that of u.  For s in J, s * v * u = (s * v) * u factors again, so
-    the left descents of v * u in J are those of v; the least word starts
-    with the smallest left descent, which lies in J (below the omitted
-    generator r) while v is not the identity, and goes on with the least
-    word of (s * v) * u; once v is used up it is u's.  Now compare v * u
-    and v' * u' of one length, a, a' the least words of v, v' and b, b'
-    those of u, u'.  The letters of a and a' lie below r, and b, b' are
-    empty or begin with r, the only left descent of an element of ^JW.  If
-    a is a proper prefix of a', then ab goes on with r where a' goes on
-    with a letter below r, so v' * u' comes first, as a' followed by an
-    end marker above every letter precedes a followed by it.  Otherwise
-    a and a' differ at a common position, or a = a' and b, b' decide.  So
-    a length lists, for v in W_J in this end-marker order, the u of the
-    remaining length in least-word order, moved by P_v.
-
-    The same argument, with the end marker appended on both sides, orders
-    W_m = <s_1, ..., s_m> as [v * u for v in W_(m-1) for u in ^JW_m], both
-    in end-marker order; within one length that is the least-word order.
-    Unrolled, length k lists the products u_1 * ... * u_r (u_m in ^JW_m,
-    lengths adding up to k) lexicographically in (u_1, ..., u_r), each
-    factor in end-marker order.  So the tables of u_m * ... * u_r by length
-    are, for each length k, the join over u_m of P_(u_m) applied to the
-    table of u_(m+1) * ... * u_r of length k - l(u_m), starting from the
-    identity's: one translate per representative and length, from the
-    last factor outwards.  The group generated has the product of the
-    coset counts as its order, checked before any table is built.
+    Down the chain W_m = <s_1, ..., s_m>, each element is one product
+    u_1 * ... * u_r with u_m in ^JW_m: one translate per representative,
+    from the last factor outwards, the identity first.  The product of the
+    coset counts is checked against |W| before any table is built.
     """
     n = len(rs.positive_roots)
     gens = [bytes(perm) + bytes(range(2 * n, 256)) for perm in _reflection_permutations(rs)]
@@ -386,17 +349,11 @@ def _weyl_elements(rs: RootSystem) -> WeylGroup:
     cosets = [_coset_representatives(gens[:m], simple[:m], n) for m in range(rs.rank, 0, -1)]
     found = math.prod(map(len, cosets))
     if found != rs.weyl_order:
-        raise InconsistencyError(
-            f"closure found {found} elements, expected {rs.weyl_order}"
-        )
-    # tables[k] holds the images of the products of length k, at most N
-    tables = [bytes(extended_base_indices(rs))] + [b""] * n
+        raise InconsistencyError(f"closure found {found} elements, expected {rs.weyl_order}")
+    table = bytes(extended_base_indices(rs))
     for reps in cosets:
-        tables = [
-            b"".join(tables[k - len(word)].translate(perm) for word, perm in reps if len(word) <= k)
-            for k in range(n + 1)
-        ]
-    return WeylGroup(b"".join(tables), rs.rank + 1)
+        table = b"".join(table.translate(perm) for perm in reps)
+    return WeylGroup(table, rs.rank + 1)
 
 
 def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:
@@ -425,13 +382,10 @@ def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:
 
 
 def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
-    """All Weyl group elements, identity first, as a read-only sequence
-    over one image table (see WeylGroup).
-
-    Elements come by length, and within a length in the lexicographic order
-    of their least reduced words (proved in _weyl_elements); each is given
-    by its extended-base images alone.  Refuses upfront, on every call,
-    when the known group order exceeds the cap.
+    """All Weyl group elements as a read-only sequence over one image table
+    (see WeylGroup): the identity first, each element once, in no other
+    promised order, each given by its extended-base images alone.  Refuses
+    upfront, on every call, when the known group order exceeds the cap.
     """
     check_weyl_cap(rs, cap)
     return _weyl_elements(rs)

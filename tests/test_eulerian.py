@@ -2,6 +2,7 @@
 
 import gc
 import importlib.util
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -516,3 +517,40 @@ def test_lanes_keep_no_copy_of_the_image_table():
     held = sum(stat.size_diff for stat in kept if stat.traceback[0].filename == eulerian.__file__)
     # a kept copy of the table would hold len(images) bytes or more
     assert held < len(images) // 2
+
+
+def _shuffled(group, seed):
+    """The same elements in a seeded random order, the identity kept first."""
+    width = group.width
+    rows = [group.images[i : i + width] for i in range(0, len(group.images), width)]
+    rest = rows[1:]
+    random.Random(seed).shuffle(rest)
+    return rootsys.WeylGroup(b"".join(rows[:1] + rest), width)
+
+
+@pytest.mark.parametrize("family, rank, sample", [("B", 4, None), ("F", 4, None), ("E", 6, 12)])
+def test_statistics_do_not_depend_on_the_element_order(monkeypatch, family, rank, sample):
+    """enumerate_weyl promises the identity first and each element once and
+    no more, so e, m and the profile histogram must come out the same from
+    a seeded shuffle of the group: on every ideal of B4 and F4 and on
+    seeded ideals of E6."""
+    rs = build_root_system(family, rank)
+    ideals = enumerate_ideals(rs)
+    if sample:
+        ideals = random.Random(f"{family}{rank}").sample(ideals, sample)
+    statistics = (eulerian_poly, m_poly, profile_counts)
+    caches = (eulerian._lane, eulerian._profiles)
+    group = enumerate_weyl(rs)
+    shuffled = _shuffled(group, f"{family}{rank}")
+    assert shuffled[0] == group[0] and shuffled.images != group.images
+    try:
+        for cached in caches:
+            cached.cache_clear()
+        expected = [[statistic(rs, psi) for statistic in statistics] for psi in ideals]
+        for cached in caches:
+            cached.cache_clear()
+        monkeypatch.setattr(eulerian, "enumerate_weyl", lambda rs, cap: shuffled)
+        assert [[statistic(rs, psi) for statistic in statistics] for psi in ideals] == expected
+    finally:
+        for cached in caches:
+            cached.cache_clear()

@@ -33,10 +33,8 @@ from weylq.rootsys import (
 
 Vector = Tuple[int, ...]
 
-# Refuses large counted arrangements (arrangements with offsets, a period
-# override, or root subsets of systems too large for the face table) up
-# front, before counting hangs; B5 full with the symmetric [0, 1] offsets
-# has 25 vectors.
+# Refuses large counted root subsets (a period override, or subsets of
+# systems too large for the face table; E8 full has 120 vectors) up front.
 MAX_PERIOD_VECTORS = 24
 
 # A work bound: at modulus q the counting kernel ORs and popcounts q^rank
@@ -51,8 +49,7 @@ MAX_COUNT_BITS = 2**33
 # The face table keeps every member of every face orbit, and their number
 # grows with |W|: D8 (|W| = 5,160,960) has 156,645 members, built in
 # 1.2-1.5 s, and E7 106,516, while B8 (|W| = 10,321,920) passes 250,000 and E8
-# has about 7.3 million.  Root subsets of systems whose Weyl group is
-# larger are counted, as arrangements with offsets are.
+# has about 7.3 million.  Root subsets of larger systems are counted.
 MAX_FACE_WEYL_ORDER = 6_000_000
 
 # Building the face table takes as long as a period search over |W| / 24
@@ -121,7 +118,7 @@ def count_complement(spec: ArrangementSpec, q: int) -> int:
 
 def smith_invariants(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     """Invariant factors (positive, each dividing the next) of an integer
-    matrix; zero rows and columns simply contribute nothing."""
+    matrix; zero rows and columns contribute nothing."""
     a = [list(map(int, r)) for r in rows]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
@@ -193,10 +190,8 @@ def lcm_period(spec: ArrangementSpec) -> int:
     coefficient vectors, of the exponent (largest invariant factor) of the
     torsion of Z^rank / <J>: the lcm period of Kamiya, Takemura and Terao.
 
-    The period depends on the vectors alone, so arrangements that differ
-    only in their offsets share one search (_vector_period).  The search
-    does not need the vector cap; the cap refuses counted arrangements of
-    more than 24 vectors before their counting would hang.
+    The search needs no vector cap; the cap refuses counted root subsets
+    of more than 24 vectors before counting hangs.
     """
     vectors = tuple(vec for vec, _ in spec.items)
     if len(vectors) > MAX_PERIOD_VECTORS:
@@ -213,8 +208,7 @@ def _vector_period(rank: int, vectors: Tuple[Vector, ...]) -> int:
     independent sublists: a dependent J contains a maximal independent J'
     with the same saturation S, so S/<J> is a quotient of S/<J'> and its
     exponent divides that of J'.  Sublists grow in index order, up to rank
-    rows, while their Smith normal form keeps a factor per row; each
-    visited sublist costs one Smith normal form."""
+    rows, while their Smith normal form keeps a factor per row."""
     period = 1
     stack = [((), 0)]
     while stack:
@@ -229,28 +223,9 @@ def _vector_period(rank: int, vectors: Tuple[Vector, ...]) -> int:
     return period
 
 
-def default_min_q(spec: ArrangementSpec) -> int:
-    """First dilation from which interpolation samples are taken.
-
-    With all offsets zero the complement count is quasi-polynomial from
-    q = 1 on.  With nonzero offsets it is only eventually quasi-polynomial,
-    so sampling starts above (span + 3) times the largest item height, the
-    bound behind the deformation formulas.
-    """
-    offsets = [m for _, offs in spec.items for m in offs]
-    if not offsets or all(m == 0 for m in offsets):
-        return 1
-    below = max(0, -min(offsets))
-    above = max(0, max(offsets))
-    ht = max(sum(abs(c) for c in vec) for vec, _ in spec.items)
-    return (below + above + 3) * (ht + 1) + 1
-
-
 def _mirror(spec: ArrangementSpec) -> ArrangementSpec:
-    """The arrangement with every offset negated.  x -> -x maps one
-    complement onto the other at every modulus, so both have the same
-    counts, periods (lcm_period reads the vectors alone) and sampling floor
-    (default_min_q is symmetric in the offsets)."""
+    """The arrangement with every offset negated: x -> -x maps one
+    complement onto the other, so both count the same."""
     return ArrangementSpec(
         spec.rank,
         tuple((vec, tuple(sorted(-m for m in offs))) for vec, offs in spec.items),
@@ -260,33 +235,53 @@ def _mirror(spec: ArrangementSpec) -> ArrangementSpec:
 def char_quasi(
     spec: ArrangementSpec, period_override: int | None = None
 ) -> QuasiPolynomial:
-    """The characteristic quasi-polynomial of the arrangement.
-
-    The period defaults to lcm_period.  An override is cross-checked
-    against one full combined period of counts beyond the sampling floor;
-    since the pointwise difference is periodic there, any override that
-    produces a wrong result must fail inside that window.  Raises
-    ResourceCapError before counting when the arrangement is not empty and
-    the largest modulus q to count has q^rank above MAX_COUNT_BITS.
-
-    An arrangement and its mirror (_mirror) have the same answer, so the
-    memo is keyed on the smaller of the two: [-b, a] reuses [-a, b].
+    """The characteristic quasi-polynomial of an arrangement without
+    offsets, counted from q = 1 on over lcm_period.  An override is checked
+    over one combined period of counts, where the periodic difference of a
+    wrong result must show.  Raises ResourceCapError before counting when
+    the arrangement is not empty and the largest modulus q to count has
+    q^rank above MAX_COUNT_BITS.
     """
-    return _char_quasi(min(spec, _mirror(spec), key=lambda s: s.items), period_override)
+    if any(m for _, offs in spec.items for m in offs):
+        raise ValidationError("char_quasi counts arrangements without offsets")
+    period = period_override
+    if period is not None and not (type(period) is int and period >= 1):
+        raise ValidationError("period override must be a positive integer")
+    proven = lcm_period(spec)
+    return _char_quasi(spec, period or proven, 1, proven)
+
+
+def char_quasi_deformation(rs: RootSystem, spec: ArrangementSpec) -> QuasiPolynomial:
+    """The characteristic quasi-polynomial of positive roots of rs with
+    offsets in [-B, B], counted over lcm(marks) from q = B*h + 1 on; only
+    root arrangements have that floor, so other vectors are refused.
+
+    A root's value v in [0, q] on a point of the q-dilated closed alcove
+    meets an offset mod q (q > 2B) only if v <= B or q - v <= B.  So
+    grouping the points by which wall values are 0..B gives count(q) =
+    sum_k n_k L(q - k), every k <= (B + 1)h and L the closed alcove's
+    count (Athanasiadis, Adv. Math. 1996).  L's quasi-polynomial has period
+    lcm(marks) and vanishes on -h < m < 0, so it gives the count from
+    q = B*h + 1 on; B = 0 is the face formula (char_quasi_faces).  The
+    mirror (_mirror) shares the memo entry.
+    """
+    roots = set(rs.positive_roots)
+    if spec.rank != rs.rank or not all(vec in roots for vec, _ in spec.items):
+        raise ValidationError(f"not an arrangement of positive roots of {rs.family}{rs.rank}")
+    bound = max((abs(m) for _, offs in spec.items for m in offs), default=0)
+    period = math.lcm(*rs.marks)
+    key = min(spec, _mirror(spec), key=lambda s: s.items)
+    return _char_quasi(key, period, bound * rs.coxeter_number + 1, period)
 
 
 @functools.lru_cache(maxsize=4)
-def _char_quasi(spec: ArrangementSpec, period_override: int | None) -> QuasiPolynomial:
-    period = lcm_period(spec) if period_override is None else period_override
-    if not isinstance(period, int) or isinstance(period, bool) or period < 1:
-        raise ValidationError("period override must be a positive integer")
-    start = default_min_q(spec)
+def _char_quasi(spec: ArrangementSpec, period: int, start: int, proven: int) -> QuasiPolynomial:
+    """The counts interpolated over period from q = start on, checked over
+    lcm(period, proven) counts when the proven period does not divide it."""
+    guard = math.lcm(period, proven)
     # interpolate_qp's residues start at start .. start + period - 1, and
     # each reads rank + 1 samples and two checks one period apart
-    top = start - 1 + (spec.rank + 3) * period
-    if period_override is not None:
-        guard = math.lcm(period, lcm_period(spec))
-        top = max(top, start + guard - 1)
+    top = max(start - 1 + (spec.rank + 3) * period, start + guard - 1)
     if spec.items and top**spec.rank > MAX_COUNT_BITS:
         raise ResourceCapError(
             f"counting up to q={top} in rank {spec.rank} needs about "
@@ -296,12 +291,12 @@ def _char_quasi(spec: ArrangementSpec, period_override: int | None) -> QuasiPoly
     qp = interpolate_qp(
         lambda q: count_complement(spec, q), period, spec.rank, min_q=start
     )
-    if period_override is not None:
+    if guard > period:
         for q in range(start, start + guard):
             expected = count_complement(spec, q)
             if qp(q) != expected:
                 raise InconsistencyError(
-                    f"period override {period_override} is inconsistent: "
+                    f"period override {period} is inconsistent: "
                     f"the count at q={q} is {expected} but the interpolant "
                     f"gives {qp(q)}"
                 )

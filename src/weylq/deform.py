@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Tuple
 
-from weylq.charquasi import ArrangementSpec, char_quasi, make_spec
+from weylq.charquasi import ArrangementSpec, char_quasi_deformation, make_spec
 from weylq.compat import is_compatible
 from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import ValidationError
@@ -174,7 +174,5 @@ def verify_deform(
     rs: RootSystem, spec: ArrangementSpec, formula_qp: QuasiPolynomial
 ) -> bool:
     """Exact comparison of a formula against brute-force interpolation of
-    the deformed arrangement's complement counts."""
-    if spec.rank != rs.rank:
-        raise ValidationError("arrangement rank does not match the root system")
-    return qp_equal(char_quasi(spec), formula_qp)
+    the deformed arrangement's complement counts (char_quasi_deformation)."""
+    return qp_equal(char_quasi_deformation(rs, spec), formula_qp)

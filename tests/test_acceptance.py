@@ -13,7 +13,13 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from weylq.charquasi import char_quasi, char_quasi_subset, default_min_q, from_root_subset, lcm_period
+from weylq.charquasi import (
+    char_quasi,
+    char_quasi_deformation,
+    char_quasi_subset,
+    from_root_subset,
+    lcm_period,
+)
 from weylq.compat import is_compatible, shift_formula_qp, verify_genfunc
 from weylq.deform import cqp_type1_formula, cqp_type2_formula, type1_spec, type2_spec, verify_deform
 from weylq.ehrhart import (
@@ -145,8 +151,9 @@ def test_criterion_05_a4_simples_plus_top():
     subset = (0, 1, 2, 3, 9)
     spec = from_root_subset(a4, subset)
     assert lcm_period(spec) == 1
-    assert default_min_q(spec) == 1  # so interpolation samples stay at q <= 7
     chi = char_quasi_subset(a4, subset)
+    # counted from q = 1 over period 1: samples q = 1..5, checks at 6 and 7
+    assert qp_equal(char_quasi(spec), chi)
     assert chi.period == 1
     assert chi.constituents[0] == poly(4, -10, 10, -5, 1)
     assert eulerian_poly(a4, subset) == poly(0, 0, 1, 9, 9, 5)
@@ -335,20 +342,20 @@ def test_criterion_11_deformations():
             # m-polynomial and brute force coincide
             via_m = apply_shift(ShiftPolynomial.from_polynomial(m_poly(rs, ideal)), alcove)
             assert qp_equal(via_m, cqp_type2_formula(rs, ideal, "i", (0, 1), (0, 0)))
-            assert qp_equal(via_m, char_quasi(type2_spec(rs, ideal, (0, 1), (0, 0))))
+            assert qp_equal(via_m, char_quasi_deformation(rs, type2_spec(rs, ideal, (0, 1), (0, 0))))
     assert failures == 108
 
     # the fully one-sided formulas really are wrong for a proper subset:
     # both sides pinned on the smallest example
     a2 = build_root_system("A", 2)
-    assert char_quasi(type1_spec(a2, (1,), (1, 1))).constituents[0] == poly(0, -1, 1)
+    assert char_quasi_deformation(a2, type1_spec(a2, (1,), (1, 1))).constituents[0] == poly(0, -1, 1)
     assert qp_equal(cqp_type1_formula(a2, (1,), "positive", (1, 1)), from_polynomial(poly(1, -1, 1)))
-    assert char_quasi(type1_spec(a2, (1,), (0, 1))).constituents[0] == poly(0, -2, 1)
+    assert char_quasi_deformation(a2, type1_spec(a2, (1,), (0, 1))).constituents[0] == poly(0, -2, 1)
     assert qp_equal(cqp_type1_formula(a2, (1,), "symmetric", (0, 1)), from_polynomial(poly(1, -2, 1)))
 
     for family, rank in [("A", 2), ("A", 3), ("B", 2), ("G", 2)]:
         rs = build_root_system(family, rank)
-        qp = char_quasi(type1_spec(rs, range(len(rs.positive_roots)), (0, 1)))
+        qp = char_quasi_deformation(rs, type1_spec(rs, range(len(rs.positive_roots)), (0, 1)))
         h = rs.coxeter_number
         for q in range(1, 3 * h + 1):
             assert qp(q) == (q - h) ** rs.rank

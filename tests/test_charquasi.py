@@ -11,15 +11,16 @@ from weylq import charquasi
 from weylq.charquasi import (
     MAX_PERIOD_VECTORS,
     char_quasi,
+    char_quasi_deformation,
     char_quasi_faces,
     char_quasi_subset,
     count_complement,
-    default_min_q,
     from_root_subset,
     lcm_period,
     make_spec,
     smith_invariants,
 )
+from weylq.deform import type1_spec, type2_spec
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
 from weylq.quasipoly import RationalPolynomial, qp_equal
 from weylq.rootsys import build_root_system, enumerate_ideals
@@ -259,12 +260,83 @@ def test_counting_cap_spares_the_empty_arrangement():
     assert qp(13) == 13**10
 
 
-def test_default_min_q():
-    g2 = build_root_system("G", 2)
-    assert default_min_q(from_root_subset(g2, range(6))) == 1
-    deformed = from_root_subset(g2, range(6), offsets=(-1, 0, 1))
-    # span 2 plus 3, times one more than the tallest item height 5
-    assert default_min_q(deformed) == 31
+def old_sampling_floor(spec):
+    """The floor deformations were counted from before B*h + 1 was proven:
+    (span of the offsets + 3) times one more than the tallest item height,
+    plus one."""
+    offsets = [m for _, offs in spec.items for m in offs]
+    height = max(sum(vec) for vec, _ in spec.items)
+    return (max(0, -min(offsets)) + max(0, max(offsets)) + 3) * (height + 1) + 1
+
+
+def deformation_grid(rs, subsets):
+    """The distinct arrangements of the closed-formula verdict grid: Type I
+    over [0, 0], [0, 1], [-1, 1], [1, 1] and [1, 2], and Type II over the
+    pairs of variants i, ii and iii."""
+    around, positive = [(0, 0), (0, 1), (-1, 1)], [(1, 1), (1, 2)]
+    specs = set()
+    for subset in subsets:
+        specs.update(type1_spec(rs, subset, i) for i in around + positive)
+        for inside, outside in [(around, around), (around, positive), (positive, positive)]:
+            specs.update(type2_spec(rs, subset, i, o) for i in inside for o in outside)
+    return specs
+
+
+def test_deformations_are_counted_from_b_times_h_plus_one():
+    """char_quasi_deformation samples from q = B*h + 1 over lcm(marks); its
+    interpolant equals the count at every q from there through the old
+    floor plus one period.  On the verdict grid of A2, A3 and G2 (every
+    ideal and every subset of at most two roots, incompatible ones
+    included) and on D4 and F4 full."""
+    cases = []
+    for family, rank in [("A", 2), ("A", 3), ("G", 2)]:
+        rs = build_root_system(family, rank)
+        roots = range(len(rs.positive_roots))
+        small = {subset for k in range(3) for subset in combinations(roots, k)}
+        grid = deformation_grid(rs, small | set(enumerate_ideals(rs)))
+        cases += [(rs, spec) for spec in grid if spec.items]
+    for family, rank, intervals in [("D", 4, [(-1, 2), (0, 3), (1, 2)]), ("F", 4, [(0, 1)])]:
+        rs = build_root_system(family, rank)
+        full = range(len(rs.positive_roots))
+        cases += [(rs, type1_spec(rs, full, interval)) for interval in intervals]
+    checked = 0
+    for rs, spec in cases:
+        qp = char_quasi_deformation(rs, spec)
+        assert qp.period == math.lcm(*rs.marks)
+        bound = max(abs(m) for _, offs in spec.items for m in offs)
+        for q in range(bound * rs.coxeter_number + 1, old_sampling_floor(spec) + qp.period + 1):
+            assert qp(q) == count_complement(spec, q), (rs.family, rs.rank, spec, q)
+            checked += 1
+    assert checked > 10_000
+
+
+def test_deformations_take_only_positive_roots(g2):
+    """The floor is proven for root arrangements alone: a non-root, a
+    negative root or a rank mismatch is refused, and char_quasi refuses
+    offsets."""
+    for items in ([((1, 2), (0, 1))], [((-1, 0), (0, 1))], [((1, 0, 0), (0,))]):
+        with pytest.raises(ValidationError, match="positive roots"):
+            char_quasi_deformation(g2, make_spec(len(items[0][0]), items))
+    with pytest.raises(ValidationError, match="without offsets"):
+        char_quasi(from_root_subset(g2, (0,), offsets=(0, 1)))
+
+
+RANK_FIVE_AT_MOST = [
+    ("A", 5), ("B", 4), ("B", 5), ("C", 5), ("D", 4), ("D", 5), ("F", 4), ("G", 2),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lcm_period_divides_the_lcm_of_the_marks(data):
+    """Sublists of a subset are sublists of the positive system, so the
+    subset's lcm period divides the system's, lcm(marks): the period the
+    deformations are counted over."""
+    family, rank = data.draw(st.sampled_from(RANK_FIVE_AT_MOST))
+    rs = build_root_system(family, rank)
+    indices = st.integers(min_value=0, max_value=len(rs.positive_roots) - 1)
+    subset = data.draw(st.sets(indices, max_size=12))
+    assert math.lcm(*rs.marks) % lcm_period(from_root_subset(rs, subset)) == 0
 
 
 def test_char_quasi_matches_counts(g2):

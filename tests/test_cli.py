@@ -555,8 +555,8 @@ def test_every_handler_forwards_the_cap(capsys, argv, code):
 )
 def test_weyl_cap_refuses_before_counting(capsys, monkeypatch, command, family, rank):
     """The Weyl cap is checked before the characteristic quasi-polynomial
-    is computed, so no period search starts; B5 full, which the
-    period-search cap would also refuse, names the Weyl cap."""
+    is computed, so no period search starts and the refusal names the
+    Weyl cap."""
     searches = []
     search = charquasi.lcm_period
     monkeypatch.setattr(charquasi, "lcm_period", lambda spec: searches.append(spec) or search(spec))
@@ -571,28 +571,56 @@ def test_weyl_cap_refuses_before_counting(capsys, monkeypatch, command, family, 
 
 
 def test_exit_code_period_search_cap(capsys):
-    """The other refusal, which only arrangements with offsets still meet:
-    the symmetric [0, 1] deformation of B5 full has 25 coefficient vectors,
-    over the period-search cap, and is refused before any counting."""
-    code, out, err = run_main(
-        capsys, "verify", "--type", "B", "--rank", "5", "--subset", "full",
-        "--variant", "symmetric", "--interval=0:1",
-    )
-    assert code == 3
-    assert out == ""
-    assert "period-search cap" in err
+    """The period-search cap refuses counted root subsets of more than 24
+    vectors: E8 full, which the face table does not serve, has 120."""
+    code, out, err = run_main(capsys, "char-quasi", "--type", "E", "--rank", "8", "--subset", "full")
+    assert (code, out) == (3, "")
+    assert err == "error: 120 distinct vectors exceed the period-search cap 24\n"
+
+
+def test_verify_counts_deformations_without_a_period_search(capsys, monkeypatch):
+    """verify counts over lcm(marks) from B*h + 1, so it calls neither the
+    period search nor a Smith normal form: on D4 full (the benchmark's
+    queries) and on B5 full symmetric [0, 1], whose 25 vectors the
+    period-search cap refused when verify still searched."""
+    calls = []
+
+    def counted(name):
+        wrapped = getattr(charquasi, name)
+        return lambda *args: calls.append(name) or wrapped(*args)
+
+    for name in ("lcm_period", "smith_invariants"):
+        monkeypatch.setattr(charquasi, name, counted(name))
+    charquasi.char_quasi.cache_clear()
+    charquasi._vector_period.cache_clear()
+    for family, rank, variant, intervals in [
+        ("D", 4, "symmetric", ["-1:2"]),
+        ("D", 4, "i", ["-1:1", "0:1"]),
+        ("B", 5, "symmetric", ["0:1"]),
+    ]:
+        code, out, err = run_main(
+            capsys, "verify", "--type", family, "--rank", str(rank), "--subset", "full",
+            "--variant", variant, *(f"--interval={i}" for i in intervals),
+        )
+        assert (code, out, err) == (0, "equal\n", "")
+    assert calls == []
 
 
 def test_exit_code_counting_cap(capsys):
     """Counting is refused before it starts when its largest sample would
     pass the counting cap: this 12-root E8 ideal, which the face table does
-    not serve, has period 2 and would count up to q = 22 in rank 8."""
-    code, out, err = run_main(
-        capsys, "char-quasi", "--type", "E", "--rank", "8",
-        "--subset", "ideal:(0,1,1,2,1,0,0,0)",
-    )
-    assert (code, out) == (3, "")
-    assert "counting cap" in err
+    not serve, has period 2 and would count up to q = 22 in rank 8; E6 full
+    symmetric [0, 1] would count from B*h + 1 = 13 over lcm(marks) = 6 up
+    to q = 66 in rank 6."""
+    for argv in (
+        ["char-quasi", "--type", "E", "--rank", "8", "--subset", "ideal:(0,1,1,2,1,0,0,0)"],
+        ["verify", "--type", "E", "--rank", "6", "--subset", "full",
+         "--variant", "symmetric", "--interval=0:1"],
+    ):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "counting cap" in err
+    assert "counting up to q=66 in rank 6" in err
 
 
 def test_exit_code_inconsistency():

@@ -12,7 +12,7 @@ import math
 import pytest
 
 from weylq import charquasi, compat, eulerian, kernels, quasipoly, rootsys
-from weylq.charquasi import char_quasi, from_root_subset
+from weylq.charquasi import char_quasi, char_quasi_deformation, from_root_subset
 from weylq.cli import main, qp_from_json
 from weylq.deform import cqp_type1_formula, cqp_type2_formula, type1_spec, type2_spec, verify_deform
 from weylq.ehrhart import ehrhart_closed_qp
@@ -94,7 +94,7 @@ def test_type1_full_is_type2_with_equal_intervals(g2):
 
 def test_empty_subset_deformation(a2):
     spec = type1_spec(a2, (), (-3, 3))
-    qp = char_quasi(spec)
+    qp = char_quasi_deformation(a2, spec)
     assert qp.period == 1
     assert qp.constituents[0] == poly(0, 0, 1)
     assert verify_deform(a2, spec, from_polynomial(poly(0, 0, 1)))
@@ -106,7 +106,7 @@ def test_shi_deformation(family, rank):
     rs = build_root_system(family, rank)
     full = tuple(range(len(rs.positive_roots)))
     h = rs.coxeter_number
-    qp = char_quasi(type1_spec(rs, full, (0, 1)))
+    qp = char_quasi_deformation(rs, type1_spec(rs, full, (0, 1)))
     for q in range(1, 3 * h + 1):
         assert qp(q) == (q - h) ** rs.rank
     formula = cqp_type1_formula(rs, full, "symmetric", (0, 1))
@@ -237,13 +237,13 @@ def test_closed_formula_verdict_grid():
 def test_counterexample_polynomials(a2):
     """The simplest failing cases, with both sides pinned exactly."""
     subset = (1,)  # one simple root
-    positive = char_quasi(type1_spec(a2, subset, (1, 1)))
+    positive = char_quasi_deformation(a2, type1_spec(a2, subset, (1, 1)))
     assert positive.period == 1
     assert positive.constituents[0] == poly(0, -1, 1)
     formula = cqp_type1_formula(a2, subset, "positive", (1, 1))
     assert qp_equal(formula, from_polynomial(poly(1, -1, 1)))
 
-    symmetric = char_quasi(type1_spec(a2, subset, (0, 1)))
+    symmetric = char_quasi_deformation(a2, type1_spec(a2, subset, (0, 1)))
     assert symmetric.constituents[0] == poly(0, -2, 1)
     formula01 = cqp_type1_formula(a2, subset, "symmetric", (0, 1))
     assert qp_equal(formula01, from_polynomial(poly(1, -2, 1)))
@@ -258,7 +258,7 @@ def test_mixed_unit_interval_formula(family, rank):
     for ideal in enumerate_ideals(rs):
         formula = cqp_type2_formula(rs, ideal, "i", (0, 1), (0, 0))
         via_m = apply_shift(ShiftPolynomial.from_polynomial(m_poly(rs, ideal)), alcove)
-        brute = char_quasi(type2_spec(rs, ideal, (0, 1), (0, 0)))
+        brute = char_quasi_deformation(rs, type2_spec(rs, ideal, (0, 1), (0, 0)))
         assert qp_equal(formula, via_m)
         assert qp_equal(formula, brute)
 
@@ -309,28 +309,32 @@ def test_formulas_share_one_bounded_decision():
 
 
 def test_offsets_share_one_period_search():
-    """The period depends on the coefficient vectors alone, so three
-    offset sets on D4 full run one search."""
+    """A deformation's period is lcm(marks), read from the system: three
+    offset sets on D4 full run no period search and are counted over
+    period 2, the mirror pair from one memo entry."""
     d4 = build_root_system("D", 4)
     full = range(len(d4.positive_roots))
     charquasi._vector_period.cache_clear()
+    char_quasi.cache_clear()
     periods = {
-        charquasi.lcm_period(spec)
+        char_quasi_deformation(d4, spec).period
         for spec in (
             type1_spec(d4, full, (-1, 2)),
             type1_spec(d4, full, (-2, 1)),
             type2_spec(d4, full, (-1, 1), (0, 1)),
         )
     }
-    info = charquasi._vector_period.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    assert len(periods) == 1
+    assert periods == {math.lcm(*d4.marks)} == {2}
+    assert charquasi._vector_period.cache_info().misses == 0
+    info = char_quasi.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
 
 
 def test_mirrored_interval_reuses_the_count(monkeypatch):
     """[-2, 1] is the mirror of [-1, 2] under x -> -x, so after D4 full
     with [-1, 2] it is answered from the memo without counting, and the
-    answer equals the one counted for it directly."""
+    answer equals the one the counting core gives it directly, over the
+    same period from the same floor B*h + 1 = 13."""
     d4 = build_root_system("D", 4)
     full = range(len(d4.positive_roots))
     calls = []
@@ -339,13 +343,14 @@ def test_mirrored_interval_reuses_the_count(monkeypatch):
         kernels, "complement_count", lambda *args: calls.append(args) or count(*args)
     )
     char_quasi.cache_clear()
-    first = char_quasi(type1_spec(d4, full, (-1, 2)))
+    first = char_quasi_deformation(d4, type1_spec(d4, full, (-1, 2)))
     counted = len(calls)
-    mirrored = char_quasi(type1_spec(d4, full, (-2, 1)))
+    mirrored = char_quasi_deformation(d4, type1_spec(d4, full, (-2, 1)))
     assert counted > 0 and len(calls) == counted
     assert mirrored == first
+    assert min(q for q, *_ in calls) == 2 * d4.coxeter_number + 1
     char_quasi.cache_clear()
-    assert charquasi._char_quasi(type1_spec(d4, full, (-2, 1)), None) == first
+    assert charquasi._char_quasi(type1_spec(d4, full, (-2, 1)), 2, 13, 2) == first
     assert len(calls) == 2 * counted
 
 

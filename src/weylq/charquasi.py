@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from weylq import kernels
 from weylq.ehrhart import ehrhart_closed_qp
-from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
+from weylq.errors import ResourceCapError, ValidationError
 from weylq.quasipoly import QuasiPolynomial, ShiftPolynomial
 from weylq.quasipoly import apply_shift, fold_period, interpolate_qp
 from weylq.rootsys import (
@@ -33,8 +33,9 @@ from weylq.rootsys import (
 
 Vector = Tuple[int, ...]
 
-# Refuses large counted root subsets (a period override, or subsets of
-# systems too large for the face table; E8 full has 120 vectors) up front.
+# Refuses large counted root subsets up front: those of systems too large
+# for the face table (E8 full has 120 vectors).  The count-first search
+# (COUNT_FIRST_SHARE) never meets it: it takes at most 15 vectors.
 MAX_PERIOD_VECTORS = 24
 
 # A work bound: at modulus q the counting kernel ORs and popcounts q^rank
@@ -232,23 +233,18 @@ def _mirror(spec: ArrangementSpec) -> ArrangementSpec:
     )
 
 
-def char_quasi(
-    spec: ArrangementSpec, period_override: int | None = None
-) -> QuasiPolynomial:
+def char_quasi(spec: ArrangementSpec) -> QuasiPolynomial:
     """The characteristic quasi-polynomial of an arrangement without
-    offsets, counted from q = 1 on over lcm_period.  An override is checked
-    over one combined period of counts, where the periodic difference of a
-    wrong result must show.  Raises ResourceCapError before counting when
-    the arrangement is not empty and the largest modulus q to count has
-    q^rank above MAX_COUNT_BITS.
+    offsets, counted from q = 1 on over lcm_period.  It answers the root
+    subsets that char_quasi_subset counts: those whose count-first period
+    search gives 1, and those of systems the face table does not serve.
+    Raises ResourceCapError before counting when the arrangement is not
+    empty and the largest modulus q to count has q^rank above
+    MAX_COUNT_BITS.
     """
     if any(m for _, offs in spec.items for m in offs):
         raise ValidationError("char_quasi counts arrangements without offsets")
-    period = period_override
-    if period is not None and not (type(period) is int and period >= 1):
-        raise ValidationError("period override must be a positive integer")
-    proven = lcm_period(spec)
-    return _char_quasi(spec, period or proven, 1, proven)
+    return _char_quasi(spec, lcm_period(spec), 1)
 
 
 def char_quasi_deformation(rs: RootSystem, spec: ArrangementSpec) -> QuasiPolynomial:
@@ -271,36 +267,24 @@ def char_quasi_deformation(rs: RootSystem, spec: ArrangementSpec) -> QuasiPolyno
     bound = max((abs(m) for _, offs in spec.items for m in offs), default=0)
     period = math.lcm(*rs.marks)
     key = min(spec, _mirror(spec), key=lambda s: s.items)
-    return _char_quasi(key, period, bound * rs.coxeter_number + 1, period)
+    return _char_quasi(key, period, bound * rs.coxeter_number + 1)
 
 
 @functools.lru_cache(maxsize=4)
-def _char_quasi(spec: ArrangementSpec, period: int, start: int, proven: int) -> QuasiPolynomial:
-    """The counts interpolated over period from q = start on, checked over
-    lcm(period, proven) counts when the proven period does not divide it."""
-    guard = math.lcm(period, proven)
+def _char_quasi(spec: ArrangementSpec, period: int, start: int) -> QuasiPolynomial:
+    """The counts interpolated over period from q = start on."""
     # interpolate_qp's residues start at start .. start + period - 1, and
     # each reads rank + 1 samples and two checks one period apart
-    top = max(start - 1 + (spec.rank + 3) * period, start + guard - 1)
+    top = start - 1 + (spec.rank + 3) * period
     if spec.items and top**spec.rank > MAX_COUNT_BITS:
         raise ResourceCapError(
             f"counting up to q={top} in rank {spec.rank} needs about "
             f"{top}^{spec.rank} = {top**spec.rank} bits, which exceeds the "
             f"counting cap {MAX_COUNT_BITS}"
         )
-    qp = interpolate_qp(
+    return interpolate_qp(
         lambda q: count_complement(spec, q), period, spec.rank, min_q=start
     )
-    if guard > period:
-        for q in range(start, start + guard):
-            expected = count_complement(spec, q)
-            if qp(q) != expected:
-                raise InconsistencyError(
-                    f"period override {period} is inconsistent: "
-                    f"the count at q={q} is {expected} but the interpolant "
-                    f"gives {qp(q)}"
-                )
-    return qp
 
 
 # the memo is inspected and reset through char_quasi, like an lru_cache

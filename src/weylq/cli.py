@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from weylq.charquasi import char_quasi, char_quasi_subset, from_root_subset
+from weylq.charquasi import char_quasi_subset
 from weylq.compat import is_compatible, verify_genfunc
 from weylq.deform import (
     check_intervals,
@@ -285,14 +285,8 @@ def _cmd_info(args, rs: RootSystem):
 
 
 def _cmd_char_quasi(args, rs: RootSystem):
-    psi = parse_subset(rs, args.subset)
-    echo = {"subset": args.subset}
-    if args.period_override is None:
-        qp = char_quasi_subset(rs, psi)
-    else:
-        qp = char_quasi(from_root_subset(rs, psi), period_override=args.period_override)
-        echo["period_override"] = args.period_override
-    return _qp_lines(qp), qp_to_json(qp), echo
+    qp = char_quasi_subset(rs, parse_subset(rs, args.subset))
+    return _qp_lines(qp), qp_to_json(qp), {"subset": args.subset}
 
 
 def _cmd_eulerian(args, rs: RootSystem):
@@ -452,16 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", parents=[common], help="numeric invariants of the system")
 
-    p = sub.add_parser(
+    sub.add_parser(
         "char-quasi",
         parents=[common, subset_opt],
         help="characteristic quasi-polynomial of a root subset",
-    )
-    p.add_argument(
-        "--period-override",
-        type=int,
-        default=None,
-        help="force this period instead of the computed one",
     )
 
     p = sub.add_parser(

@@ -55,12 +55,16 @@ def _decide(rs: RootSystem, psi: RootSubset, cap: int) -> CompatResult:
     formula = shift_formula_qp(rs, psi, cap)
     if qp_equal(chi, formula):
         return CompatResult(True, None)
+    # the first difference is the lowest degree of N - E, at most h
+    # (verify_genfunc's proof)
     period = math.lcm(chi.period, formula.period)
-    for q in range(1, period * (rs.rank + 3) + 1):
+    for q in range(1, rs.coxeter_number + 1):
         if chi(q) != formula(q):
-            residue = q % period or period
-            return CompatResult(False, Witness(residue, q))
-    raise InconsistencyError("unequal quasi-polynomials with no witness in range")
+            return CompatResult(False, Witness(q % period or period, q))
+    raise InconsistencyError(
+        f"the quasi-polynomials differ but agree on q = 1..{rs.coxeter_number}, "
+        "where the face formula puts their first difference"
+    )
 
 
 def is_compatible(

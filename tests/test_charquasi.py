@@ -21,7 +21,7 @@ from weylq.charquasi import (
     smith_invariants,
 )
 from weylq.deform import type1_spec, type2_spec
-from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
+from weylq.errors import ResourceCapError, ValidationError
 from weylq.quasipoly import RationalPolynomial, qp_equal
 from weylq.rootsys import build_root_system, enumerate_ideals
 
@@ -234,22 +234,16 @@ def test_lcm_period_vector_cap():
         lcm_period(make_spec(1, items))
 
 
-@pytest.mark.parametrize("override, top", [(None, 30), (1, 6)])
-def test_counting_cap_bounds_the_largest_sample(monkeypatch, g2, override, top):
-    """The counting cap weighs the largest modulus counted, checks and the
-    override guard included: G2 full interpolates over its period 6 up to
-    q = 30, and override 1 is cross-checked up to lcm(1, 6) = 6."""
+def test_counting_cap_bounds_the_largest_sample(monkeypatch, g2):
+    """The counting cap weighs the largest modulus counted, checks
+    included: G2 full interpolates over its period 6 up to q = 30."""
     spec = from_root_subset(g2, range(6))
-    monkeypatch.setattr(charquasi, "MAX_COUNT_BITS", top**2 - 1)
+    monkeypatch.setattr(charquasi, "MAX_COUNT_BITS", 30**2 - 1)
     char_quasi.cache_clear()
     with pytest.raises(ResourceCapError, match="counting cap"):
-        char_quasi(spec, override)
-    monkeypatch.setattr(charquasi, "MAX_COUNT_BITS", top**2)
-    if override is None:
-        assert char_quasi(spec).period == 6
-    else:
-        with pytest.raises(InconsistencyError):
-            char_quasi(spec, override)
+        char_quasi(spec)
+    monkeypatch.setattr(charquasi, "MAX_COUNT_BITS", 30**2)
+    assert char_quasi(spec).period == 6
 
 
 def test_counting_cap_spares_the_empty_arrangement():
@@ -383,31 +377,6 @@ def test_a4_simples_plus_top():
 def test_char_quasi_is_cached(g2):
     spec = from_root_subset(g2, (0, 1))
     assert char_quasi(spec) is char_quasi(spec)
-
-
-def test_period_override(g2):
-    spec = from_root_subset(g2, range(6))
-    default = char_quasi(spec)
-    assert qp_equal(char_quasi(spec, period_override=6), default)
-    widened = char_quasi(spec, period_override=12)
-    assert widened.period == 12
-    assert qp_equal(widened, default)
-
-
-def test_period_override_too_small(g2):
-    spec = from_root_subset(g2, range(6))
-    with pytest.raises(InconsistencyError):
-        char_quasi(spec, period_override=1)
-    with pytest.raises(InconsistencyError):
-        char_quasi(spec, period_override=5)
-
-
-def test_period_override_validation(g2):
-    spec = from_root_subset(g2, (0,))
-    with pytest.raises(ValidationError):
-        char_quasi(spec, period_override=0)
-    with pytest.raises(ValidationError):
-        char_quasi(spec, period_override="6")
 
 
 @settings(max_examples=25, deadline=None)

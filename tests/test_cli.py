@@ -1,16 +1,18 @@
 """Command-line interface: parsing, output shapes, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
 
 import pytest
 
-from weylq import charquasi, cli, rootsys
+from weylq import charquasi, cli, eulerian, rootsys
 from weylq.charquasi import char_quasi_subset
 from weylq.cli import main, parse_subset, qp_from_json, qp_to_json
 from weylq.deform import cqp_type1_formula, cqp_type2_formula
@@ -623,13 +625,50 @@ def test_exit_code_counting_cap(capsys):
     assert "counting up to q=66 in rank 6" in err
 
 
-def test_exit_code_inconsistency():
+def test_exit_code_inconsistency(capsys, monkeypatch):
+    """A failed cross-check exits 4 with the check's message and nothing on
+    standard output: here descent_profile disagrees with the lane sums
+    that eulerian checks one element per value against."""
+    classify = eulerian.descent_profile
+    monkeypatch.setattr(
+        eulerian, "descent_profile", lambda *args: classify(*args)._replace(descent=-1)
+    )
+    eulerian._lane.cache_clear()
+    code, out, err = run_main(capsys, "eulerian", "--type", "G", "--rank", "2", "--subset", "full")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: element ")
+    assert err.endswith("in field descent\n")
+
+
+def test_period_override_is_gone():
+    """char-quasi always prints the minimal proven period; the former
+    --period-override is an unknown option, so scripts that pass it fail."""
     proc = run_proc(
         "char-quasi", "--type", "G", "--rank", "2", "--subset", "full",
-        "--period-override", "1",
+        "--period-override", "12",
     )
-    assert proc.returncode == 4
-    assert "inconsistent" in proc.stderr
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "unrecognized arguments: --period-override 12" in proc.stderr
+
+
+def test_readme_documents_every_option():
+    """README's Command line section names every long option the parser
+    defines (argparse's own --help aside), and no other."""
+    parser = cli.build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices.values()
+    defined = {
+        option
+        for p in (parser, *commands)
+        for action in p._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    } - {"--help"}
+    with open(os.path.join(os.path.dirname(SRC_DIR), "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## Testing\n", 1)[0]
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == defined
 
 
 def test_interval_syntax_errors():

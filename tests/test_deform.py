@@ -350,7 +350,7 @@ def test_mirrored_interval_reuses_the_count(monkeypatch):
     assert mirrored == first
     assert min(q for q, *_ in calls) == 2 * d4.coxeter_number + 1
     char_quasi.cache_clear()
-    assert charquasi._char_quasi(type1_spec(d4, full, (-2, 1)), 2, 13, 2) == first
+    assert charquasi._char_quasi(type1_spec(d4, full, (-2, 1)), 2, 13) == first
     assert len(calls) == 2 * counted
 
 

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from weylq import kernels
 from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import ResourceCapError, ValidationError
-from weylq.quasipoly import QuasiPolynomial, ShiftPolynomial
+from weylq.quasipoly import QuasiPolynomial, RationalPolynomial
 from weylq.quasipoly import apply_shift, fold_period, interpolate_qp
 from weylq.rootsys import (
     RootSystem,
@@ -329,9 +329,11 @@ def _face_table(rs: RootSystem) -> FaceTable:
     )
 
 
-def _face_numerator(rs: RootSystem, psi: Iterable[int]) -> ShiftPolynomial:
+def _face_numerator(rs: RootSystem, psi: Iterable[int]) -> RationalPolynomial:
     """The face formula's N(t) for a subset (char_quasi_faces): the orbit
-    numerators, each weighted by its members that miss the subset."""
+    numerators, each weighted by its members that miss the subset.  Read in
+    t with t^k as the shift q -> q - k, it sends the closed alcove's count
+    to the subset's; its powers are 1..h, all nonnegative."""
     den, table = _face_table(rs)
     avoided = sum(1 << k for k in psi)
     terms: List[Tuple[int, int]] = []
@@ -339,7 +341,7 @@ def _face_numerator(rs: RootSystem, psi: Iterable[int]) -> ShiftPolynomial:
         free = sum(1 for m in orbit if not m & avoided)
         if free:
             terms.extend((e, free * n) for e, n in numerator)
-    return ShiftPolynomial(terms, den)
+    return RationalPolynomial.from_terms(terms, den)
 
 
 def char_quasi_subset(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:

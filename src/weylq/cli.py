@@ -205,6 +205,7 @@ def parse_subset(rs: RootSystem, expr: str) -> RootSubset:
 
 
 def _parse_interval(text: str) -> Tuple[int, int]:
+    """The literal a:b as an integer pair; check_intervals judges it."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ValidationError(f"interval must look like a:b, got {text!r}")
@@ -212,8 +213,6 @@ def _parse_interval(text: str) -> Tuple[int, int]:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValidationError(f"interval {text!r} has non-integer bounds")
-    if lo > hi:
-        raise ValidationError(f"interval {text!r} is empty (lower bound exceeds upper)")
     return lo, hi
 
 

@@ -16,7 +16,7 @@ from weylq.charquasi import char_quasi_subset
 from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import InconsistencyError, ValidationError
 from weylq.eulerian import eulerian_poly
-from weylq.quasipoly import QuasiPolynomial, ShiftPolynomial, apply_shift, qp_equal
+from weylq.quasipoly import QuasiPolynomial, apply_shift, qp_equal
 from weylq.rootsys import (
     DEFAULT_WEYL_CAP,
     RootSubset,
@@ -41,9 +41,10 @@ class CompatResult(NamedTuple):
 def shift_formula_qp(
     rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
 ) -> QuasiPolynomial:
-    """The descent-statistic shift formula applied to the closed alcove."""
-    shift = ShiftPolynomial.from_polynomial(eulerian_poly(rs, subset, cap))
-    return apply_shift(shift, ehrhart_closed_qp(rs))
+    """The descent-statistic shift formula: the descent polynomial E, read
+    in t with t^k as the shift q -> q - k, applied to the closed alcove.
+    E's powers are 1..h (verify_genfunc), so no shift is negative."""
+    return apply_shift(eulerian_poly(rs, subset, cap), ehrhart_closed_qp(rs))
 
 
 # Bounded: the only repeat question is deform or verify asking again

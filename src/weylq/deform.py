@@ -24,7 +24,7 @@ from weylq.compat import is_compatible
 from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import ValidationError
 from weylq.eulerian import profile_counts
-from weylq.quasipoly import QuasiPolynomial, ShiftPolynomial, apply_shift, qp_equal
+from weylq.quasipoly import QuasiPolynomial, RationalPolynomial, apply_shift, qp_equal
 from weylq.rootsys import (
     DEFAULT_WEYL_CAP,
     RootSystem,
@@ -59,7 +59,7 @@ def _ordered(interval: Sequence[int]) -> Tuple[int, int]:
     """The bounds of an interval, checked to be ordered integers."""
     lo, hi = int_pair(interval)
     if lo > hi:
-        raise ValidationError(f"interval bounds must be ordered, got [{lo}, {hi}]")
+        raise ValidationError(f"interval {lo}:{hi} is empty (lower bound exceeds upper)")
     return lo, hi
 
 
@@ -128,13 +128,16 @@ def _interval_formula(rs: RootSystem, psi, inside, outside, cap: int) -> QuasiPo
     and its descents by 1 - lo; inside is the subset's interval, outside
     the complement's.  A Type I deformation puts no hyperplane outside:
     the empty interval [1, 0], weights (1, 0).  The compatibility formula
-    is inside [0, 0] with nothing outside.
+    is inside [0, 0] with nothing outside.  The profile counts over the
+    index of connection make one polynomial in t, read with t^k as the
+    shift q -> q - k; its powers are the weighted statistics, never
+    negative, since check_intervals keeps every weight at 0 or above.
     """
     _require_compatible(rs, psi, cap)
     (lo_in, hi_in), (lo_out, hi_out) = inside, outside
     # in DescentProfile field order: descent, descent_bar, ascent, ascent_bar
     weights = (1 - lo_out, 1 - lo_in, hi_out + 1, hi_in + 1)
-    shift = ShiftPolynomial(
+    shift = RationalPolynomial.from_terms(
         ((sum(w * stat for w, stat in zip(weights, p)), count)
          for p, count in profile_counts(rs, psi, cap)),
         rs.index_of_connection,

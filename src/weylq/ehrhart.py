@@ -15,7 +15,7 @@ import math
 from typing import List, Sequence
 
 from weylq.errors import ValidationError
-from weylq.quasipoly import QuasiPolynomial, ShiftPolynomial, apply_shift, interpolate_qp
+from weylq.quasipoly import QuasiPolynomial, RationalPolynomial, apply_shift, interpolate_qp
 from weylq.rootsys import RootSystem
 
 
@@ -74,4 +74,4 @@ def ehrhart_open_qp(rs: RootSystem) -> QuasiPolynomial:
     """Quasi-polynomial of count_open: the closed one shifted by h.  The
     open alcove is the face with every wall off it, so its series is
     t^h / D(t) (charquasi.char_quasi_faces proves the shift exact)."""
-    return apply_shift(ShiftPolynomial(((rs.coxeter_number, 1),)), ehrhart_closed_qp(rs))
+    return apply_shift(RationalPolynomial.monomial(rs.coxeter_number), ehrhart_closed_qp(rs))

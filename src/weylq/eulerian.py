@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from array import array
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, NamedTuple, Tuple
+from typing import FrozenSet, Iterable, NamedTuple, Tuple
 
 from weylq.errors import InconsistencyError
 from weylq.quasipoly import RationalPolynomial
@@ -206,18 +206,14 @@ def profile_counts(
 def _fiber_polynomial(rs: RootSystem, fibers: Iterable[Tuple[int, int]]) -> RationalPolynomial:
     """Sum of c * t^e over the fibers (e, c), divided by the index of
     connection; refuses when some fiber count is not divisible by it."""
-    counts: Dict[int, int] = {}
-    for e, c in fibers:
-        counts[e] = counts.get(e, 0) + c
+    counts = RationalPolynomial.from_terms(fibers)
     f = rs.index_of_connection
-    coeffs = [0] * (max(counts) + 1 if counts else 0)
-    for e, c in counts.items():
+    for e, c in counts.terms:
         if c % f:
             raise InconsistencyError(
                 f"fiber at exponent {e} has {c} elements, not divisible by f={f}"
             )
-        coeffs[e] = c // f
-    return RationalPolynomial(coeffs)
+    return RationalPolynomial.from_terms(counts.terms, f)
 
 
 def eulerian_poly(

@@ -1,15 +1,18 @@
 """Exact univariate polynomials, quasi-polynomials and shift operators.
 
-Everything here is exact; no floats anywhere.  A ShiftPolynomial holds
-integer numerators over one denominator, and apply_shift, the one
-conversion from a numerator polynomial to a quasi-polynomial, combines
-them in integers with a bounded table of shifted constituents per
-quasi-polynomial.  Lagrange interpolation, evaluation and shift_arg work
-on integer numerators over one denominator as well, and build each
-Fraction once at the end; a polynomial keeps the Fractions it is given and
-computes its hash once.  A quasi-polynomial of period p stores one
-constituent per residue class, 1-based, with the class of 0 stored last.
-Evaluation works for negative arguments through the same residue rule.
+Everything here is exact; no floats anywhere: a coefficient, a numerator,
+a Lagrange value or a scalar is an int or a Fraction, and anything else
+raises ValidationError.  A RationalPolynomial holds its nonzero terms as
+(power, integer numerator) pairs over one positive denominator, in lowest
+terms; arithmetic, evaluation, argument shifts and Lagrange interpolation
+run on those integers.  Read in t with t^k as the shift q -> q - k, a
+polynomial is a shift operator, and apply_shift, the one conversion from a
+numerator polynomial to a quasi-polynomial, combines its terms in integers
+with a bounded table of shifted constituents per quasi-polynomial.  Powers
+are nonnegative, so a negative shift is not expressible.  A
+quasi-polynomial of period p stores one constituent per residue class,
+1-based, with the class of 0 stored last.  Evaluation works for negative
+arguments through the same residue rule.
 """
 
 from __future__ import annotations
@@ -23,16 +26,50 @@ from typing import Callable, Dict, Iterable, Sequence, Tuple
 from weylq.errors import InconsistencyError, ValidationError
 
 
+def _exact(x, what: str):
+    """x itself when it is an int or a Fraction; bools, floats, strings and
+    everything else raise ValidationError."""
+    if type(x) is not int and type(x) is not Fraction:
+        raise ValidationError(f"{what} must be ints or Fractions, got {x!r}")
+    return x
+
+
 class RationalPolynomial:
-    """Immutable polynomial with Fraction coefficients, ascending order."""
+    """Immutable polynomial with rational coefficients: its nonzero terms as
+    ascending (power, integer numerator) pairs over one positive den, in
+    lowest terms, so equal polynomials store equal terms."""
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("terms", "den", "_hash")
 
-    def __init__(self, coeffs: Iterable = ()):  # trailing zeros are trimmed
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs: Iterable = ()):
+        """The polynomial with the given coefficients, ascending."""
+        self._store(enumerate(coeffs), 1)
+
+    @classmethod
+    def from_terms(cls, terms: Iterable[Tuple[int, object]], den: int = 1) -> "RationalPolynomial":
+        """The sum of (c / den) * t^k over the pairs (k, c): equal powers add
+        up, and a Fraction c is cleared into the denominator."""
+        p = cls.__new__(cls)
+        p._store(terms, den)
+        return p
+
+    def _store(self, terms: Iterable[Tuple[int, object]], den: int) -> None:
+        if type(den) is not int or den < 1:
+            raise ValidationError(f"polynomial denominator must be a positive int, got {den!r}")
+        pairs = []
+        for k, c in terms:
+            if type(k) is not int or k < 0:
+                raise ValidationError(f"powers must be nonnegative ints, got {k!r}")
+            pairs.append((k, _exact(c, "coefficient numerators")))
+        # the one conversion from Fraction denominators to integer numerators
+        scale = math.lcm(*(c.denominator for _, c in pairs))
+        acc: Dict[int, int] = {}
+        for k, c in pairs:
+            acc[k] = acc.get(k, 0) + c.numerator * (scale // c.denominator)
+        den *= scale
+        g = math.gcd(den, *acc.values())
+        object.__setattr__(self, "terms", tuple(sorted((k, n // g) for k, n in acc.items() if n)))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPolynomial is immutable")
@@ -43,108 +80,107 @@ class RationalPolynomial:
 
     @classmethod
     def monomial(cls, power: int, coeff=1) -> "RationalPolynomial":
-        if power < 0:
-            raise ValidationError("monomial power must be nonnegative")
-        return cls((0,) * power + (coeff,))
+        return cls.from_terms(((power, coeff),))
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending up to the degree."""
+        out = [Fraction(0)] * (self.degree + 1)
+        for k, n in self.terms:
+            out[k] = Fraction(n, self.den)
+        return tuple(out)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return self.terms[-1][0] if self.terms else -1
 
     def coeff(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
+        return Fraction(dict(self.terms).get(power, 0), self.den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     @property
     def leading_coeff(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeff(self.degree)
 
     def __call__(self, x) -> Fraction:
-        """Horner's rule on the integer numerators over the coefficients'
-        common denominator, divided once at the end."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
+        """Horner's rule on the numerators, stepping over the missing powers,
+        divided by the denominator once at the end."""
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c.numerator * (den // c.denominator)
-        return Fraction(acc, den)
+        top = self.degree if self.terms else 0
+        for k, n in reversed(self.terms):
+            acc = acc * x ** (top - k) + n
+            top = k
+        return Fraction(acc * x**top, self.den)
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
+        den = math.lcm(self.den, other.den)
+        return RationalPolynomial.from_terms(
+            [(k, n * (den // self.den)) for k, n in self.terms]
+            + [(k, n * (den // other.den)) for k, n in other.terms],
+            den,
+        )
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(-c for c in self.coeffs))
+        return RationalPolynomial.from_terms(((k, -n) for k, n in self.terms), self.den)
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, RationalPolynomial):
-            if self.is_zero or other.is_zero:
-                return RationalPolynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return RationalPolynomial(out)
-        return RationalPolynomial(tuple(c * Fraction(other) for c in self.coeffs))
+            return RationalPolynomial.from_terms(
+                ((i + j, a * b) for i, a in self.terms for j, b in other.terms),
+                self.den * other.den,
+            )
+        s = _exact(other, "scalars")
+        return RationalPolynomial.from_terms(
+            ((k, n * s.numerator) for k, n in self.terms), self.den * s.denominator
+        )
 
     __rmul__ = __mul__
 
     def shift_arg(self, delta: int) -> "RationalPolynomial":
         """The polynomial t -> p(t + delta) for an integer delta, by
-        Horner's rule on the integer numerators over the coefficients'
-        common denominator."""
-        if not isinstance(delta, int) or isinstance(delta, bool):
+        Horner's rule on the numerators."""
+        if type(delta) is not int:
             raise ValidationError(f"argument shifts must be integers, got {delta!r}")
-        den = math.lcm(*(c.denominator for c in self.coeffs))
+        numerators = dict(self.terms)
         acc: list = []
-        for c in reversed(self.coeffs):
-            # acc <- acc * (t + delta) + c, highest power first
+        for k in range(self.degree, -1, -1):
+            # acc <- acc * (t + delta) + n_k, highest power first
             acc = [a + delta * b for a, b in zip([0] + acc, acc + [0])]
-            acc[0] += c.numerator * (den // c.denominator)
-        return RationalPolynomial(Fraction(n, den) for n in acc)
+            acc[0] += numerators.get(k, 0)
+        return RationalPolynomial.from_terms(enumerate(acc), self.den)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
+            isinstance(other, RationalPolynomial)
+            and self.terms == other.terms
+            and self.den == other.den
         )
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:  # first call: compute once and keep
-            h = hash(("RationalPolynomial", self.coeffs))
+            h = hash(("RationalPolynomial", self.terms, self.den))
             object.__setattr__(self, "_hash", h)
             return h
 
     def format(self, var: str = "q") -> str:
-        """Human form with a common denominator, like (q^2 + 6q + 12)/12."""
+        """Human form over the denominator, like (q^2 + 6q + 12)/12."""
         if self.is_zero:
             return "0"
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
         parts = []
-        for power in range(len(ints) - 1, -1, -1):
-            a = ints[power]
-            if a == 0:
-                continue
+        for power, a in reversed(self.terms):
             mag = abs(a)
             if power == 0:
                 body = str(mag)
@@ -156,9 +192,9 @@ class RationalPolynomial:
             else:
                 parts.append(("- " if a < 0 else "+ ") + body)
         core = " ".join(parts)
-        if den == 1:
+        if self.den == 1:
             return core
-        return f"({core})/{den}"
+        return f"({core})/{self.den}"
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({self.format('t')})"
@@ -213,64 +249,27 @@ def qp_equal(a: QuasiPolynomial, b: QuasiPolynomial) -> bool:
     return fold_period(a) == fold_period(b)
 
 
-class ShiftPolynomial:
-    """A finite combination of argument shifts, as integer numerators over
-    one positive denominator den.
-
-    A term (offset, n) sends a function f to (n / den) * f(q - offset);
-    applying a whole ShiftPolynomial sums the terms.
-    """
-
-    __slots__ = ("terms", "den")
-
-    def __init__(self, terms: Iterable[Tuple[int, int]] = (), den: int = 1):
-        if not isinstance(den, int) or isinstance(den, bool) or den < 1:
-            raise ValidationError(f"shift denominator must be a positive integer, got {den!r}")
-        acc: Dict[int, int] = {}
-        for offset, n in terms:
-            if not isinstance(offset, int) or isinstance(offset, bool):
-                raise ValidationError("shift offsets must be integers")
-            if not isinstance(n, int) or isinstance(n, bool):
-                raise ValidationError(f"shift numerators must be integers, got {n!r}")
-            acc[offset] = acc.get(offset, 0) + n
-        object.__setattr__(self, "terms", tuple(sorted((k, v) for k, v in acc.items() if v)))
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftPolynomial is immutable")
-
-    @classmethod
-    def from_polynomial(cls, p: RationalPolynomial) -> "ShiftPolynomial":
-        """Read t^k as the shift q -> q - k, over the coefficients' common
-        denominator."""
-        den = math.lcm(*(c.denominator for c in p.coeffs))
-        return cls(
-            ((k, c.numerator * (den // c.denominator)) for k, c in enumerate(p.coeffs)), den
-        )
-
-    def __repr__(self) -> str:
-        return f"ShiftPolynomial({list(self.terms)!r}, den={self.den})"
-
-
 # A few quasi-polynomials at a time: a process shifts the closed-alcove
 # count of one or two systems (the face route, compat, deform and the open
 # alcove all shift it).  An entry holds the common denominator D of the
-# coefficients and, per offset o, the integer numerators over D of
+# constituents and, per offset o, the (power, numerator over D) terms of
 # constituent_for(k - o).shift_arg(-o) for k = 1..period, filled the first
 # time o is asked for.
 @functools.lru_cache(maxsize=4)
-def _shift_table(qp: QuasiPolynomial) -> Tuple[int, Dict[int, Tuple[Tuple[int, ...], ...]]]:
-    den = math.lcm(*(c.denominator for p in qp.constituents for c in p.coeffs))
-    return den, {}
+def _shift_table(qp: QuasiPolynomial) -> Tuple[int, Dict[int, tuple]]:
+    return math.lcm(*(p.den for p in qp.constituents)), {}
 
 
-def apply_shift(shift: ShiftPolynomial, qp: QuasiPolynomial) -> QuasiPolynomial:
-    """The quasi-polynomial q -> sum of (n / shift.den) * qp(q - offset).
+def apply_shift(shift: RationalPolynomial, qp: QuasiPolynomial) -> QuasiPolynomial:
+    """The quasi-polynomial q -> sum of (n / shift.den) * qp(q - k) over
+    the terms (k, n) of shift: the numerator polynomial read in t with t^k
+    as the shift q -> q - k.  Its powers are nonnegative, so a shift to
+    q + k is not expressible.
 
     Integer arithmetic over one denominator: the shifted constituents come
     from the table of qp as numerators over D, each is weighted by its
-    term's numerator, and each output coefficient is built once as a
-    Fraction over D * shift.den.
+    term's numerator, and each output constituent is built once over
+    D * shift.den.
     """
     p = qp.period
     den, rows = _shift_table(qp)
@@ -280,15 +279,14 @@ def apply_shift(shift: ShiftPolynomial, qp: QuasiPolynomial) -> QuasiPolynomial:
         if shifted is None:
             pieces = (qp.constituent_for(k - offset).shift_arg(-offset) for k in range(1, p + 1))
             shifted = rows[offset] = tuple(
-                tuple(c.numerator * (den // c.denominator) for c in piece.coeffs)
-                for piece in pieces
+                tuple((i, n * (den // piece.den)) for i, n in piece.terms) for piece in pieces
             )
         for out, row in zip(acc, shifted):
-            for i, n in enumerate(row):
+            for i, n in row:
                 out[i] += weight * n
     scale = den * shift.den
     return QuasiPolynomial(
-        p, tuple(RationalPolynomial(Fraction(n, scale) for n in out) for out in acc)
+        p, tuple(RationalPolynomial.from_terms(enumerate(out), scale) for out in acc)
     )
 
 
@@ -301,14 +299,13 @@ def lagrange_polynomial(
     the basis numerator Q_i = M(t) / (t - x_i) comes by synthetic division
     and its denominator is d_i = prod over j != i of (x_i - x_j).  For
     y_i = a_i / b_i the sum of a_i * (L / (b_i * d_i)) * Q_i over the lcm L
-    of the b_i * d_i is the interpolant times L, and each coefficient
-    becomes one Fraction over L.
+    of the b_i * d_i is the interpolant's numerators over L.
     """
     if len(points) != len(values) or not points:
         raise ValidationError("need equally many points and values")
     if len(set(points)) != len(points):
         raise ValidationError("interpolation points must be distinct")
-    ys = [y if isinstance(y, (int, Fraction)) else Fraction(y) for y in values]
+    ys = [_exact(y, "interpolation values") for y in values]
     n = len(points)
     m = [1]  # M(t), ascending
     for x in points:
@@ -328,7 +325,7 @@ def lagrange_polynomial(
         for k in range(n, 0, -1):  # Q_i by synthetic division, top down
             acc = m[k] + xi * acc
             out[k - 1] += weight * acc
-    return RationalPolynomial(Fraction(c, den) for c in out)
+    return RationalPolynomial.from_terms(enumerate(out), den)
 
 
 def interpolate_qp(
@@ -367,4 +364,3 @@ def interpolate_qp(
                 )
         constituents.append(poly)
     return QuasiPolynomial(period, tuple(constituents))
-

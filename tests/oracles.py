@@ -155,7 +155,7 @@ def qp_equal_over_common_period(a: QuasiPolynomial, b: QuasiPolynomial) -> bool:
     )
 
 
-def from_polynomial(p: RationalPolynomial) -> QuasiPolynomial:
+def period_one(p: RationalPolynomial) -> QuasiPolynomial:
     """A polynomial seen as a quasi-polynomial of period 1."""
     return QuasiPolynomial(1, (p,))
 
@@ -454,7 +454,7 @@ def char_quasi_face_sum(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomia
     weight_J times the members of O_J that miss the subset times the
     open-face count of J's off-face marks, folded to the minimal period."""
     avoided = sum(1 << k for k in normalize_subset(rs, subset))
-    total = from_polynomial(RationalPolynomial())
+    total = period_one(RationalPolynomial())
     for weight, orbit, key in _faces(rs):
         free = sum(1 for m in orbit if not m & avoided)
         if free:

@@ -25,7 +25,7 @@ from weylq.errors import ResourceCapError, ValidationError
 from weylq.quasipoly import RationalPolynomial, qp_equal
 from weylq.rootsys import build_root_system, enumerate_ideals
 
-from oracles import char_quasi_face_sum, from_polynomial
+from oracles import char_quasi_face_sum, period_one
 
 
 @pytest.fixture(scope="module")
@@ -469,7 +469,7 @@ def test_face_formula_of_the_empty_subset_is_q_to_the_rank(family, rank):
     add up to q^rank, which checks every face's stabiliser order at once."""
     rs = build_root_system(family, rank)
     power = RationalPolynomial((0,) * rank + (1,))
-    assert char_quasi_faces(rs, ()) == from_polynomial(power)
+    assert char_quasi_faces(rs, ()) == period_one(power)
 
 
 def test_face_formula_validates_the_subset(g2):
@@ -502,7 +502,7 @@ def test_large_systems_and_short_searches_skip_the_face_table(monkeypatch, g2):
 
     monkeypatch.setattr(charquasi, "_face_table", refuse)
     e8 = build_root_system("E", 8)
-    assert char_quasi_subset(e8, ()) == from_polynomial(RationalPolynomial.monomial(8))
+    assert char_quasi_subset(e8, ()) == period_one(RationalPolynomial.monomial(8))
     monkeypatch.setattr(charquasi, "MAX_FACE_WEYL_ORDER", 11)
     full = char_quasi_subset(g2, range(6))
     assert full.period == 6

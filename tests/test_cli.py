@@ -677,11 +677,13 @@ def test_interval_syntax_errors():
         "--variant", "symmetric", "--interval=2:1",
     )
     assert proc.returncode == 2
+    assert proc.stderr == "error: interval 2:1 is empty (lower bound exceeds upper)\n"
     proc = run_proc(
         "deform", "--type", "A", "--rank", "2", "--subset", "full",
         "--variant", "symmetric", "--interval=1:2",
     )
-    assert proc.returncode == 2  # symmetric interval must contain 0
+    assert proc.returncode == 2
+    assert proc.stderr == "error: interval 1:2 must contain 0 for variant symmetric\n"
 
 
 def test_negative_interval_syntax():
@@ -768,3 +770,116 @@ def test_e8_small_subsets_are_counted(capsys, subset, constituent):
     )
     assert (code, err) == (0, "")
     assert out.splitlines() == ["period: 1", f"residue 1: {constituent}"]
+
+
+# Cheap queries over every command, each pinned by the SHA-256 of
+# json.dumps([exit code, stdout, stderr]): any byte a user would see that
+# changes fails here.
+GOLDEN = [
+    (
+        "compat-B4-ideal-all-json",
+        "compat --type B --rank 4 --subset ideal-all --json",
+        "a4d835f324e4fd432f0e48114398623eb0082baf63b72754f926d34ea324f9d3",
+    ),
+    (
+        "compat-G2-incompatible",
+        "compat --type G --rank 2 --subset (1,0),(1,1),(3,2)",
+        "1e5d1c45eb6a0d9ebb4ba6643ca434892cc4f6dbe6434fd5d747ca23d21b23c4",
+    ),
+    (
+        "char-quasi-G2-full-json",
+        "char-quasi --type G --rank 2 --subset full --json",
+        "8626a22279e288988a38c7b9abc40113b68bf4a5bd2b624c1e0f574f2dd2adee",
+    ),
+    (
+        "char-quasi-E6-full",
+        "char-quasi --type E --rank 6 --subset full",
+        "ce746f547d9af1460a31c11ba2d0555bc0e57cbca692259fb88e96f1e9446af6",
+    ),
+    (
+        "char-quasi-D5-ideal",
+        "char-quasi --type D --rank 5 --subset ideal:(0,1,1,1,0)",
+        "4a7ef89258f6391b48fe02fafda55b4de72db6ca8bddbfe202488a1fb07c487e",
+    ),
+    (
+        "char-quasi-G2-minus",
+        "char-quasi --type G --rank 2 --subset minus:(3,2)",
+        "cb2a2ab64c51545c95b2fb2963dc6897af11f13c9807fb44f0e26ae63003d356",
+    ),
+    (
+        "ehrhart-A5-open",
+        "ehrhart --type A --rank 5 --variant open",
+        "2da824acd89e93a1d98edcc0692fd0ed01617ca7973e013da887dc78c737f44d",
+    ),
+    (
+        "ehrhart-F4-open-json",
+        "ehrhart --type F --rank 4 --variant open --json",
+        "3c93d7e68f89e5a65275b29c6dd99681534d0128e5a0842c84db9aa3015fed20",
+    ),
+    (
+        "eulerian-E6-e",
+        "eulerian --type E --rank 6 --subset full --variant e",
+        "a4e600d819ce902fe4a30b2262e232834f1a9a64d5aeca14a3603f2303d7bb19",
+    ),
+    (
+        "eulerian-E6-m",
+        "eulerian --type E --rank 6 --subset full --variant m",
+        "623c237c515def9884934aff9d673b77b6c848aaffd0c522bd2fe8e629845a9c",
+    ),
+    (
+        "deform-D4-symmetric",
+        "deform --type D --rank 4 --subset full --variant symmetric --interval=-1:2",
+        "da693c054ce5724f35400984b2ffb87173589b2707ec04e3e4b25f0b88c1ea94",
+    ),
+    (
+        "deform-D4-i-json",
+        "deform --type D --rank 4 --subset full --variant i --interval=-1:1 --interval=0:1 --json",
+        "82b2f4d030de8e72f50cae4bdbe9414a20228c098e004d85e1801c73e13dafe6",
+    ),
+    (
+        "deform-G2-ii",
+        "deform --type G --rank 2 --subset full --variant ii --interval=0:1 --interval=1:2",
+        "d2ad03826ab0daac2e80c85926e3cb2db36eac2116485a7edb30557b418cd183",
+    ),
+    (
+        "deform-A2-wide",
+        "deform --type A --rank 2 --subset full --variant symmetric --interval=-1000000:1000000",
+        "b1adfd5810ad2de5650acdc4f5f4d80a823724f4ecdf894053d1feecd10966f6",
+    ),
+    (
+        "verify-D4-symmetric",
+        "verify --type D --rank 4 --subset full --variant symmetric --interval=-1:2",
+        "35277899512e5844f7bdef1013113106b6517f8c7cff2261af7d088818526025",
+    ),
+    (
+        "verify-A2-different",
+        "verify --type A --rank 2 --subset (1,0) --variant symmetric --interval=0:1",
+        "9f6e99279036ceb84670ef85cc2264f1f13a06b82fc4f12ed6e741dd309bf44c",
+    ),
+    (
+        "genfunc-B3-ideal",
+        "genfunc --type B --rank 3 --subset ideal:(1,1,0) --terms 18",
+        "bf3d6e466ac8bc6d2e74a9d9053af42c720e1801b09157b084fec9d326dfe6c2",
+    ),
+    (
+        "genfunc-G2-too-short",
+        "genfunc --type G --rank 2 --subset full --terms 17",
+        "52e15bb0220674f6cfb2928b53d2b39f3262ff1cb7b4ad453c2d1a6611e269fd",
+    ),
+    (
+        "char-quasi-E8-cap",
+        "char-quasi --type E --rank 8 --subset full",
+        "c6c6c8631102b596de3ffc6047b70d16eae87c2fb86e4d26e1d31446eda300a0",
+    ),
+    (
+        "info-B3-json",
+        "info --type B --rank 3 --json",
+        "b187bd2e435ad2bd7f85ca559f5bfcbd53d62ef16b5b6e8783fe9d6d65632901",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
+def test_golden_outputs(capsys, argv, digest):
+    code, out, err = run_main(capsys, *argv.split())
+    assert hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest() == digest

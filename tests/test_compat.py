@@ -3,7 +3,6 @@
 import functools
 import math
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -235,10 +234,8 @@ NUMERATOR_SYSTEMS = [("B", 4), ("C", 4), ("D", 5), ("F", 4), ("G", 2), ("A", 4)]
 def _numerator_gap(rs, subset, cap=DEFAULT_WEYL_CAP):
     """The exponents where the face formula's N and the descent polynomial
     E differ, in increasing order."""
-    n = _face_numerator(rs, normalize_subset(rs, subset))
-    n = {k: Fraction(c, n.den) for k, c in n.terms}
-    e = dict(enumerate(eulerian_poly(rs, subset, cap).coeffs))
-    return [k for k in sorted(set(n) | set(e)) if n.get(k, 0) != e.get(k, 0)]
+    gap = _face_numerator(rs, normalize_subset(rs, subset)) - eulerian_poly(rs, subset, cap)
+    return [k for k, _ in gap.terms]
 
 
 @pytest.mark.parametrize("family, rank", NUMERATOR_SYSTEMS)

@@ -20,13 +20,12 @@ from weylq.errors import ValidationError
 from weylq.eulerian import m_poly
 from weylq.quasipoly import (
     RationalPolynomial,
-    ShiftPolynomial,
     apply_shift,
     qp_equal,
 )
 from weylq.rootsys import build_root_system, enumerate_ideals, subset_complement
 
-from oracles import catalan_closed_form, exponents, from_polynomial, shi_closed_form
+from oracles import catalan_closed_form, exponents, period_one, shi_closed_form
 
 INTERVALS = [(0, 0), (0, 1), (-1, 1)]  # intervals containing 0
 POSITIVE = [(1, 1), (1, 2)]  # intervals starting at 1
@@ -97,7 +96,7 @@ def test_empty_subset_deformation(a2):
     qp = char_quasi_deformation(a2, spec)
     assert qp.period == 1
     assert qp.constituents[0] == poly(0, 0, 1)
-    assert verify_deform(a2, spec, from_polynomial(poly(0, 0, 1)))
+    assert verify_deform(a2, spec, period_one(poly(0, 0, 1)))
 
 
 @pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("B", 2), ("G", 2)])
@@ -241,12 +240,12 @@ def test_counterexample_polynomials(a2):
     assert positive.period == 1
     assert positive.constituents[0] == poly(0, -1, 1)
     formula = cqp_type1_formula(a2, subset, "positive", (1, 1))
-    assert qp_equal(formula, from_polynomial(poly(1, -1, 1)))
+    assert qp_equal(formula, period_one(poly(1, -1, 1)))
 
     symmetric = char_quasi_deformation(a2, type1_spec(a2, subset, (0, 1)))
     assert symmetric.constituents[0] == poly(0, -2, 1)
     formula01 = cqp_type1_formula(a2, subset, "symmetric", (0, 1))
-    assert qp_equal(formula01, from_polynomial(poly(1, -2, 1)))
+    assert qp_equal(formula01, period_one(poly(1, -2, 1)))
 
 
 @pytest.mark.parametrize("family, rank", [("A", 2), ("B", 2), ("G", 2)])
@@ -257,7 +256,7 @@ def test_mixed_unit_interval_formula(family, rank):
     alcove = ehrhart_closed_qp(rs)
     for ideal in enumerate_ideals(rs):
         formula = cqp_type2_formula(rs, ideal, "i", (0, 1), (0, 0))
-        via_m = apply_shift(ShiftPolynomial.from_polynomial(m_poly(rs, ideal)), alcove)
+        via_m = apply_shift(m_poly(rs, ideal), alcove)
         brute = char_quasi_deformation(rs, type2_spec(rs, ideal, (0, 1), (0, 0)))
         assert qp_equal(formula, via_m)
         assert qp_equal(formula, brute)

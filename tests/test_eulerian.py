@@ -554,3 +554,14 @@ def test_statistics_do_not_depend_on_the_element_order(monkeypatch, family, rank
     finally:
         for cached in caches:
             cached.cache_clear()
+
+
+def test_fiber_polynomial_sums_fibers_and_divides_by_f():
+    """Fibers at one exponent add up before the division by the index of
+    connection, and a sum it does not divide is refused."""
+    b2 = rootsys.build_root_system("B", 2)
+    assert b2.index_of_connection == 2
+    got = eulerian._fiber_polynomial(b2, [(3, 1), (1, 4), (3, 3), (0, 0)])
+    assert got == RationalPolynomial((0, 2, 0, 2))
+    with pytest.raises(InconsistencyError, match="exponent 3 has 3 elements"):
+        eulerian._fiber_polynomial(b2, [(1, 2), (3, 1), (3, 2)])

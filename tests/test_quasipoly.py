@@ -1,7 +1,6 @@
 """Exact polynomial, quasi-polynomial and shift arithmetic, and the
 series oracles."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from weylq.errors import InconsistencyError, ValidationError
 from weylq.quasipoly import (
     QuasiPolynomial,
     RationalPolynomial,
-    ShiftPolynomial,
     _shift_table,
     apply_shift,
     fold_period,
@@ -23,9 +21,9 @@ from weylq.quasipoly import (
 
 from oracles import (
     expand_rational_series,
-    from_polynomial,
     lagrange_by_fractions,
     normalize_period,
+    period_one,
     qp_add,
     qp_equal_over_common_period,
     qp_scale,
@@ -101,7 +99,7 @@ def test_equal_quasi_polynomials_share_one_shift_table():
         2, (poly(Fraction(2, 4), Fraction(1)), poly(Fraction(0), 3, Fraction(2, 12)))
     )
     hash(a)
-    shift = ShiftPolynomial([(1, 1), (2, -3)], 2)
+    shift = RationalPolynomial.from_terms([(1, 1), (2, -3)], 2)
     _shift_table.cache_clear()
     assert apply_shift(shift, a) == apply_shift(shift, b)
     info = _shift_table.cache_info()
@@ -219,8 +217,8 @@ def test_quasi_polynomial_validation():
         QuasiPolynomial(2, (poly(1),))
 
 
-def test_from_polynomial():
-    qp = from_polynomial(poly(1, 1))
+def test_period_one():
+    qp = period_one(poly(1, 1))
     assert qp.period == 1
     assert qp.constituents[0] == poly(1, 1)
     assert qp.degree == 1
@@ -296,29 +294,67 @@ def test_qp_arithmetic_pointwise():
 
 
 def test_shift_polynomial_terms():
-    shift = ShiftPolynomial.from_polynomial(poly(3, 0, 1))
-    assert dict(shift.terms) == {0: 3, 2: 1} and shift.den == 1
-    halves = ShiftPolynomial.from_polynomial(poly(Fraction(1, 2), 0, Fraction(-1, 3)))
-    assert dict(halves.terms) == {0: 3, 2: -2} and halves.den == 6
-    merged = ShiftPolynomial([(1, 2), (0, 5), (1, -2), (3, 1)], 4)
+    """A polynomial keeps its nonzero terms as (power, numerator) pairs over
+    one denominator in lowest terms: from coefficients, and from pairs whose
+    equal powers add up."""
+    shift = poly(3, 0, 1)
+    assert shift.terms == ((0, 3), (2, 1)) and shift.den == 1
+    halves = poly(Fraction(1, 2), 0, Fraction(-1, 3))
+    assert halves.terms == ((0, 3), (2, -2)) and halves.den == 6
+    merged = RationalPolynomial.from_terms([(1, 2), (0, 5), (1, -2), (3, 1)], 4)
     assert merged.terms == ((0, 5), (3, 1)) and merged.den == 4
+    reduced = RationalPolynomial.from_terms([(2, 6), (0, 3)], 9)
+    assert reduced.terms == ((0, 1), (2, 2)) and reduced.den == 3
+    assert reduced == poly(Fraction(1, 3), 0, Fraction(2, 3))
+    assert RationalPolynomial.from_terms([(1, 2), (1, -2)], 5) == RationalPolynomial.zero()
+    assert RationalPolynomial.zero().terms == () and RationalPolynomial.zero().den == 1
 
 
 @pytest.mark.parametrize("den", [0, -3, True, False, 2.0, Fraction(1), "2"])
 def test_shift_polynomial_refuses_a_bad_denominator(den):
     with pytest.raises(ValidationError, match="denominator"):
-        ShiftPolynomial([(0, 1)], den)
+        RationalPolynomial.from_terms([(0, 1)], den)
 
 
-@pytest.mark.parametrize("numerator", [Fraction(1, 2), Fraction(3), 1.0, True, "1", None])
+@pytest.mark.parametrize("numerator", [1.0, True, "1", None])
 def test_shift_polynomial_refuses_a_non_integer_numerator(numerator):
     with pytest.raises(ValidationError, match="numerators"):
-        ShiftPolynomial([(0, 1), (2, numerator)], 3)
+        RationalPolynomial.from_terms([(0, 1), (2, numerator)], 3)
+
+
+@pytest.mark.parametrize("numerator", [Fraction(1, 2), Fraction(3)])
+def test_shift_polynomial_takes_a_fraction_numerator(numerator):
+    """A Fraction numerator is exact: its denominator joins den."""
+    p = RationalPolynomial.from_terms([(0, 1), (2, numerator)], 3)
+    assert p == poly(Fraction(1, 3), 0, numerator / 3)
+
+
+@pytest.mark.parametrize("power", [-1, -5, True, 1.0, "2", None])
+def test_a_negative_or_non_integer_power_is_refused(power):
+    """Powers are nonnegative ints, so a negative shift is not expressible."""
+    with pytest.raises(ValidationError, match="powers"):
+        RationalPolynomial.from_terms([(0, 1), (power, 1)])
+    with pytest.raises(ValidationError, match="powers"):
+        RationalPolynomial.monomial(power)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "1/3", None, 1j])
+def test_only_ints_and_fractions_are_exact(bad):
+    """Floats, bools, strings and the like are refused as coefficients,
+    Lagrange values and scalars, never converted."""
+    with pytest.raises(ValidationError, match="coefficient"):
+        RationalPolynomial((1, bad))
+    with pytest.raises(ValidationError, match="interpolation values"):
+        lagrange_polynomial([1, 2], [1, bad])
+    with pytest.raises(ValidationError, match="scalars"):
+        bad * poly(1, 1)
+    with pytest.raises(ValidationError, match="scalars"):
+        poly(1, 1) * bad
 
 
 def test_apply_shift_is_weighted_translation():
     qp = QuasiPolynomial(2, (poly(0, 1), poly(7)))
-    shift = ShiftPolynomial.from_polynomial(poly(3, 0, 1))  # 3 + S^2
+    shift = poly(3, 0, 1)  # 3 + S^2
     out = apply_shift(shift, qp)
     for q in range(-4, 12):
         assert out(q) == 3 * qp(q) + qp(q - 2)
@@ -333,7 +369,7 @@ def test_apply_shift_is_weighted_translation():
 )
 def test_apply_shift_single_power(constituents, offset):
     qp = QuasiPolynomial(len(constituents), tuple(RationalPolynomial(c) for c in constituents))
-    shift = ShiftPolynomial.from_polynomial(RationalPolynomial.monomial(offset))
+    shift = RationalPolynomial.monomial(offset)
     out = apply_shift(shift, qp)
     for q in range(-3, 9):
         assert out(q) == qp(q - offset)
@@ -346,7 +382,7 @@ def test_apply_shift_single_power(constituents, offset):
     shifts=st.lists(
         st.lists(
             st.tuples(
-                st.integers(min_value=-5, max_value=12),
+                st.integers(min_value=0, max_value=17),
                 st.fractions(min_value=-50, max_value=50, max_denominator=48),
             ),
             min_size=1,
@@ -357,8 +393,8 @@ def test_apply_shift_single_power(constituents, offset):
     ),
 )
 def test_apply_shift_matches_its_definition(period, data, shifts):
-    """Whole shifts with Fraction coefficients, held as integer numerators
-    over the lcm of their denominators and applied alternately to two
+    """Whole shifts with Fraction coefficients, given as (offset, c) terms
+    that may repeat an offset and applied alternately to two
     quasi-polynomials of one period, give sum of c * qp(q - o): the shifted
     constituents are tabulated per quasi-polynomial, not per period, and
     keep both denominators."""
@@ -373,9 +409,7 @@ def test_apply_shift_matches_its_definition(period, data, shifts):
     ]
     for i, terms in enumerate(shifts):
         qp = qps[i % 2]
-        den = math.lcm(*(c.denominator for _, c in terms))
-        numerators = [(o, c.numerator * (den // c.denominator)) for o, c in terms]
-        out = apply_shift(ShiftPolynomial(numerators, den), qp)
+        out = apply_shift(RationalPolynomial.from_terms(terms), qp)
         assert out.period == period
         for q in range(-3, 10):
             assert out(q) == sum((Fraction(c) * qp(q - o) for o, c in terms), Fraction(0))
@@ -405,10 +439,10 @@ def test_interpolate_rejects_non_periodic_function():
 
 
 def test_series_of_qp():
-    ones = from_polynomial(poly(1))
+    ones = period_one(poly(1))
     s = series_of_qp(ones, 5)
     assert s == (0, 1, 1, 1, 1, 1)
-    linear = from_polynomial(poly(0, 1))
+    linear = period_one(poly(0, 1))
     assert series_of_qp(linear, 4) == (0, 1, 2, 3, 4)
 
 
@@ -424,7 +458,7 @@ def test_expand_rational_series():
 
 def test_series_matches_closed_form():
     """The series of q^2 at q >= 1 equals (t + t^2)/(1 - t)^3."""
-    squares = from_polynomial(poly(0, 0, 1))
+    squares = period_one(poly(0, 0, 1))
     lhs = series_of_qp(squares, 12)
     rhs = expand_rational_series(poly(0, 1, 1), (1, 1, 1), 12)
     assert lhs == rhs
@@ -434,7 +468,7 @@ def test_series_truncation_validation():
     with pytest.raises(ValidationError):
         expand_rational_series(poly(1), (1,), -1)
     with pytest.raises(ValidationError):
-        series_of_qp(from_polynomial(poly(1)), -1)
+        series_of_qp(period_one(poly(1)), -1)
 
 
 def test_fold_period():

@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -37,7 +38,6 @@ from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
 from weylq.eulerian import eulerian_poly, m_poly
 from weylq.quasipoly import QuasiPolynomial, RationalPolynomial
 from weylq.rootsys import (
-    DEFAULT_WEYL_CAP,
     RootSubset,
     RootSystem,
     build_root_system,
@@ -47,6 +47,12 @@ from weylq.rootsys import (
 )
 
 Vector = Tuple[int, ...]
+
+# A compat sweep translates one descent lane per ideal, (rank + 1) bytes
+# per group element.  The bound admits B7 and C7 (1.77e10 bytes) and A8
+# (1.59e10), and refuses E7's 4,160 ideals (9.66e10), which would take
+# minutes, and everything larger.
+MAX_SWEEP_BYTES = 1 << 35
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +211,14 @@ def parse_subset(rs: RootSystem, expr: str) -> RootSubset:
 
 
 def _parse_interval(text: str) -> Tuple[int, int]:
-    """The literal a:b as an integer pair; check_intervals judges it."""
+    """The literal a:b as an integer pair, each bound an optional minus
+    sign and ASCII digits; check_intervals judges the pair."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ValidationError(f"interval must look like a:b, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
+    if not all(re.fullmatch(r"-?[0-9]+", part) for part in parts):
         raise ValidationError(f"interval {text!r} has non-integer bounds")
-    return lo, hi
+    return int(parts[0]), int(parts[1])
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +296,9 @@ def _cmd_char_quasi(args, rs: RootSystem):
 def _cmd_eulerian(args, rs: RootSystem):
     psi = parse_subset(rs, args.subset)
     if args.variant == "e":
-        poly = eulerian_poly(rs, psi, args.weyl_cap)
+        poly = eulerian_poly(rs, psi)
     elif args.variant == "m":
-        poly = m_poly(rs, psi, args.weyl_cap)
+        poly = m_poly(rs, psi)
     else:
         raise ValidationError(f"unknown variant {args.variant!r}; use e or m")
     lines = [poly.format("t")]
@@ -312,11 +317,19 @@ def _cmd_ehrhart(args, rs: RootSystem):
 
 def _cmd_compat(args, rs: RootSystem):
     if args.subset.strip() == "ideal-all":
+        ideals = enumerate_ideals(rs)
+        need = len(ideals) * (rs.rank + 1) * rs.weyl_order
+        if need > MAX_SWEEP_BYTES:
+            raise ResourceCapError(
+                f"the sweep over the {len(ideals)} ideals of {rs.family}{rs.rank} "
+                f"translates {need} bytes of descent lanes, above the limit of "
+                f"{MAX_SWEEP_BYTES}"
+            )
         rows = []
         lines = []
         all_ok = True
-        for psi in enumerate_ideals(rs):
-            res = is_compatible(rs, psi, args.weyl_cap)
+        for psi in ideals:
+            res = is_compatible(rs, psi)
             all_ok = all_ok and res.compatible
             rows.append(
                 {
@@ -336,7 +349,7 @@ def _cmd_compat(args, rs: RootSystem):
         result = {"ideals": rows, "count": len(rows), "all_compatible": all_ok}
         return lines, result, {"subset": args.subset}
     psi = parse_subset(rs, args.subset)
-    res = is_compatible(rs, psi, args.weyl_cap)
+    res = is_compatible(rs, psi)
     if res.compatible:
         lines = ["compatible"]
     else:
@@ -366,7 +379,7 @@ def _cmd_deform(args, rs: RootSystem):
     intervals = check_intervals(args.variant, [_parse_interval(t) for t in args.interval or []])
     type1 = len(intervals) == 1
     formula = (cqp_type1_formula if type1 else cqp_type2_formula)(
-        rs, psi, args.variant, *intervals, cap=args.weyl_cap
+        rs, psi, args.variant, *intervals
     )
     echo = {
         "subset": args.subset,
@@ -382,7 +395,7 @@ def _cmd_deform(args, rs: RootSystem):
 
 def _cmd_genfunc(args, rs: RootSystem):
     psi = parse_subset(rs, args.subset)
-    ok = verify_genfunc(rs, psi, args.terms, args.weyl_cap)
+    ok = verify_genfunc(rs, psi, args.terms)
     lines = [
         f"agrees to order {args.terms}" if ok else f"disagrees within order {args.terms}"
     ]
@@ -419,12 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="root system family letter",
     )
     common.add_argument("--rank", required=True, type=int, help="root system rank")
-    common.add_argument(
-        "--weyl-cap",
-        type=int,
-        default=DEFAULT_WEYL_CAP,
-        help="largest Weyl group order this invocation may enumerate",
-    )
     common.add_argument(
         "--json", action="store_true", help="emit a JSON document instead of text"
     )
@@ -510,8 +517,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.weyl_cap < 1:
-            raise ValidationError("--weyl-cap must be a positive integer")
         rs = build_root_system(args.type, args.rank)
         lines, result, echo = _HANDLERS[args.command](args, rs)
     except ValidationError as exc:

@@ -17,13 +17,7 @@ from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import InconsistencyError, ValidationError
 from weylq.eulerian import eulerian_poly
 from weylq.quasipoly import QuasiPolynomial, apply_shift, qp_equal
-from weylq.rootsys import (
-    DEFAULT_WEYL_CAP,
-    RootSubset,
-    RootSystem,
-    check_weyl_cap,
-    normalize_subset,
-)
+from weylq.rootsys import RootSubset, RootSystem, check_weyl_cap, normalize_subset
 
 
 class Witness(NamedTuple):
@@ -38,22 +32,19 @@ class CompatResult(NamedTuple):
     witness: Optional[Witness]
 
 
-def shift_formula_qp(
-    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
-) -> QuasiPolynomial:
+def shift_formula_qp(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
     """The descent-statistic shift formula: the descent polynomial E, read
     in t with t^k as the shift q -> q - k, applied to the closed alcove.
     E's powers are 1..h (verify_genfunc), so no shift is negative."""
-    return apply_shift(eulerian_poly(rs, subset, cap), ehrhart_closed_qp(rs))
+    return apply_shift(eulerian_poly(rs, subset), ehrhart_closed_qp(rs))
 
 
 # Bounded: the only repeat question is deform or verify asking again
-# about the subset whose compatibility its formula requires.  A hit means
-# the same cap already passed for that system.
+# about the subset whose compatibility its formula requires.
 @functools.lru_cache(maxsize=4)
-def _decide(rs: RootSystem, psi: RootSubset, cap: int) -> CompatResult:
+def _decide(rs: RootSystem, psi: RootSubset) -> CompatResult:
     chi = char_quasi_subset(rs, psi)
-    formula = shift_formula_qp(rs, psi, cap)
+    formula = shift_formula_qp(rs, psi)
     if qp_equal(chi, formula):
         return CompatResult(True, None)
     # the first difference is the lowest degree of N - E, at most h
@@ -68,18 +59,15 @@ def _decide(rs: RootSystem, psi: RootSubset, cap: int) -> CompatResult:
     )
 
 
-def is_compatible(
-    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
-) -> CompatResult:
-    """Decide compatibility, refusing on the Weyl cap before any counting;
-    on failure include the smallest witness."""
-    check_weyl_cap(rs, cap)
-    return _decide(rs, normalize_subset(rs, subset), cap)
+def is_compatible(rs: RootSystem, subset: Iterable[int]) -> CompatResult:
+    """Decide compatibility, refusing on the Weyl group's table bound
+    (check_weyl_cap) before any counting; on failure include the smallest
+    witness."""
+    check_weyl_cap(rs)
+    return _decide(rs, normalize_subset(rs, subset))
 
 
-def verify_genfunc(
-    rs: RootSystem, subset: Iterable[int], order: int, cap: int = DEFAULT_WEYL_CAP
-) -> bool:
+def verify_genfunc(rs: RootSystem, subset: Iterable[int], order: int) -> bool:
     """Check the generating-function form of compatibility to the given
     order: the series sum of chi(q) t^q over q >= 1 against E(t)/D(t), with
     E the descent polynomial and D(t) the product of (1 - t^c) over the
@@ -102,4 +90,4 @@ def verify_genfunc(
         raise ValidationError(
             f"order must be at least three Coxeter numbers ({3 * rs.coxeter_number})"
         )
-    return is_compatible(rs, subset, cap).compatible
+    return is_compatible(rs, subset).compatible

@@ -25,12 +25,7 @@ from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import ValidationError
 from weylq.eulerian import profile_counts
 from weylq.quasipoly import QuasiPolynomial, RationalPolynomial, apply_shift, qp_equal
-from weylq.rootsys import (
-    DEFAULT_WEYL_CAP,
-    RootSystem,
-    normalize_subset,
-    subset_complement,
-)
+from weylq.rootsys import RootSystem, normalize_subset, subset_complement
 
 
 # Per variant, whether each interval (the subset's, then the complement's)
@@ -110,8 +105,8 @@ def type2_spec(
     return make_spec(rs.rank, items)
 
 
-def _require_compatible(rs: RootSystem, psi, cap: int) -> None:
-    result = is_compatible(rs, psi, cap)
+def _require_compatible(rs: RootSystem, psi) -> None:
+    result = is_compatible(rs, psi)
     if not result.compatible:
         raise ValidationError(
             f"subset {psi} of {rs.family}{rs.rank} is not compatible "
@@ -120,7 +115,7 @@ def _require_compatible(rs: RootSystem, psi, cap: int) -> None:
         )
 
 
-def _interval_formula(rs: RootSystem, psi, inside, outside, cap: int) -> QuasiPolynomial:
+def _interval_formula(rs: RootSystem, psi, inside, outside) -> QuasiPolynomial:
     """Average over the group of the closed-alcove count, each element
     shifting it by its weighted statistics.
 
@@ -133,13 +128,13 @@ def _interval_formula(rs: RootSystem, psi, inside, outside, cap: int) -> QuasiPo
     shift q -> q - k; its powers are the weighted statistics, never
     negative, since check_intervals keeps every weight at 0 or above.
     """
-    _require_compatible(rs, psi, cap)
+    _require_compatible(rs, psi)
     (lo_in, hi_in), (lo_out, hi_out) = inside, outside
     # in DescentProfile field order: descent, descent_bar, ascent, ascent_bar
     weights = (1 - lo_out, 1 - lo_in, hi_out + 1, hi_in + 1)
     shift = RationalPolynomial.from_terms(
         ((sum(w * stat for w, stat in zip(weights, p)), count)
-         for p, count in profile_counts(rs, psi, cap)),
+         for p, count in profile_counts(rs, psi)),
         rs.index_of_connection,
     )
     return apply_shift(shift, ehrhart_closed_qp(rs))
@@ -150,12 +145,11 @@ def cqp_type1_formula(
     subset: Iterable[int],
     variant: str,
     interval: Sequence[int],
-    cap: int = DEFAULT_WEYL_CAP,
 ) -> QuasiPolynomial:
     """Closed formula for a Type I deformation of a compatible subset;
     variant "symmetric" or "positive" (see check_intervals)."""
     (inside,) = check_intervals(variant, (interval,))
-    return _interval_formula(rs, normalize_subset(rs, subset), inside, (1, 0), cap)
+    return _interval_formula(rs, normalize_subset(rs, subset), inside, (1, 0))
 
 
 def cqp_type2_formula(
@@ -164,13 +158,12 @@ def cqp_type2_formula(
     variant: str,
     interval1: Sequence[int],
     interval2: Sequence[int],
-    cap: int = DEFAULT_WEYL_CAP,
 ) -> QuasiPolynomial:
     """Closed formula for a Type II deformation of a compatible subset:
     interval1 on the subset, interval2 on its complement; variant "i",
     "ii" or "iii" (see check_intervals)."""
     inside, outside = check_intervals(variant, (interval1, interval2))
-    return _interval_formula(rs, normalize_subset(rs, subset), inside, outside, cap)
+    return _interval_formula(rs, normalize_subset(rs, subset), inside, outside)
 
 
 def verify_deform(

@@ -29,12 +29,10 @@ from typing import FrozenSet, Iterable, NamedTuple, Tuple
 from weylq.errors import InconsistencyError
 from weylq.quasipoly import RationalPolynomial
 from weylq.rootsys import (
-    DEFAULT_WEYL_CAP,
     RootSubset,
     RootSystem,
     WeylElement,
     WeylGroup,
-    check_weyl_cap,
     enumerate_weyl,
     normalize_subset,
 )
@@ -117,15 +115,15 @@ def _lane_sum(group: WeylGroup, tables: Iterable[bytes]) -> bytes:
 
 
 # One entry per statistic of a subset: e and m of one query, or the e of
-# each ideal of a sweep.  The cap is part of the key, so a hit means that
-# cap already passed.
+# each ideal of a sweep.  The table bound depends on rs alone, so a hit
+# means it already passed.
 @functools.lru_cache(maxsize=4)
-def _lane(rs: RootSystem, psi: RootSubset, field: str, cap: int) -> Tuple[Tuple[int, int], ...]:
+def _lane(rs: RootSystem, psi: RootSubset, field: str) -> Tuple[Tuple[int, int], ...]:
     """Each value of one profile field (a DescentProfile field name) over
     the group with its number of elements, in increasing order.  The first
     element of each value (at most h + 1 of them, the only elements
     built) is classified, and its profile must read that value."""
-    group = enumerate_weyl(rs, cap)
+    group = enumerate_weyl(rs)
     codes = _class_codes(rs, psi)
     k = DescentProfile._fields.index(field)
     lane = _lane_sum(group, (codes.translate(_LANES[k][mark]) for mark in (1,) + rs.marks))
@@ -144,27 +142,18 @@ def _lane(rs: RootSystem, psi: RootSubset, field: str, cap: int) -> Tuple[Tuple[
     return tuple(counts)
 
 
-def _statistic(
-    rs: RootSystem, subset: Iterable[int], field: str, cap: int
-) -> Tuple[Tuple[int, int], ...]:
-    """_lane for a raw subset; the Weyl cap is checked on every call, cache
-    hits included."""
-    check_weyl_cap(rs, cap)
-    return _lane(rs, normalize_subset(rs, subset), field, cap)
-
-
 # The joint histogram, which only deform reads (e and m read one lane
 # each).  A few subsets at a time: the deformation formulas of one query,
 # or one ideal with its deformation checks; an entry holds only the
-# distinct profiles.  The cap is part of the key, so a hit means that cap
-# already passed.  The lane sums of descent, descent_bar and ascent (module
+# distinct profiles; as with _lane, a hit means the table bound already
+# passed.  The lane sums of descent, descent_bar and ascent (module
 # docstring) are interleaved into one 4-byte key per element and the keys
 # counted; the first element of each distinct key is read from the group
 # (the only elements built) and classified, and its profile must read the
 # key (its ascent_bar, h minus the other three, then agrees too).
 @functools.lru_cache(maxsize=4)
-def _profiles(rs: RootSystem, psi: RootSubset, cap: int) -> Histogram:
-    elements = enumerate_weyl(rs, cap)
+def _profiles(rs: RootSystem, psi: RootSubset) -> Histogram:
+    elements = enumerate_weyl(rs)
     size = len(elements)
     codes = _class_codes(rs, psi)
     marks = (1,) + rs.marks
@@ -190,17 +179,12 @@ def _profiles(rs: RootSystem, psi: RootSubset, cap: int) -> Histogram:
     return tuple(sorted(hist.items()))
 
 
-def profile_counts(
-    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
-) -> Histogram:
+def profile_counts(rs: RootSystem, subset: Iterable[int]) -> Histogram:
     """Histogram of the profiles over the group: each distinct profile with
     the number of elements that have it, in increasing profile order.  The
     deformation formulas read it; e and m read one lane each (_lane).
-
-    The Weyl cap is checked on every call, cache hits included.
     """
-    check_weyl_cap(rs, cap)
-    return _profiles(rs, normalize_subset(rs, subset), cap)
+    return _profiles(rs, normalize_subset(rs, subset))
 
 
 def _fiber_polynomial(rs: RootSystem, fibers: Iterable[Tuple[int, int]]) -> RationalPolynomial:
@@ -216,21 +200,17 @@ def _fiber_polynomial(rs: RootSystem, fibers: Iterable[Tuple[int, int]]) -> Rati
     return RationalPolynomial.from_terms(counts.terms, f)
 
 
-def eulerian_poly(
-    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
-) -> RationalPolynomial:
+def eulerian_poly(rs: RootSystem, subset: Iterable[int]) -> RationalPolynomial:
     """Generating polynomial of h minus the descent statistic, scaled down
     by the index of connection; always has integer coefficients."""
     h = rs.coxeter_number
-    fibers = _statistic(rs, subset, "descent", cap)
+    fibers = _lane(rs, normalize_subset(rs, subset), "descent")
     return _fiber_polynomial(rs, ((h - v, c) for v, c in fibers))
 
 
-def m_poly(
-    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
-) -> RationalPolynomial:
+def m_poly(rs: RootSystem, subset: Iterable[int]) -> RationalPolynomial:
     """Generating polynomial of h plus the inside-ascent statistic, scaled
     down by the index of connection."""
     h = rs.coxeter_number
-    fibers = _statistic(rs, subset, "ascent_bar", cap)
+    fibers = _lane(rs, normalize_subset(rs, subset), "ascent_bar")
     return _fiber_polynomial(rs, ((h + v, c) for v, c in fibers))

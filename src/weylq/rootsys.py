@@ -29,7 +29,10 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
 _EXACT_RANK = {"F": 4, "G": 2}
 _E_RANKS = (6, 7, 8)
 
-DEFAULT_WEYL_CAP = 2_000_000
+# The Weyl group image table, counted while built (rank + 1 bytes per
+# element, twice that during the last join): E7, A9, D8, B8 and C8 fit,
+# A10 (878 MB) and E8 do not.
+MAX_WEYL_TABLE_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -321,7 +324,7 @@ def _coset_representatives(gens, simple, n):
 
 
 # Two groups: a sweep over two systems (B4, then C4) reuses each group
-# while it runs, and a lifted cap keeps at most two large groups resident.
+# while it runs, and at most two large groups stay resident.
 @functools.lru_cache(maxsize=2)
 def _weyl_elements(rs: RootSystem) -> WeylGroup:
     """The image table as the parabolic product W = W_J * ^JW, built by
@@ -356,17 +359,11 @@ def _weyl_elements(rs: RootSystem) -> WeylGroup:
     return WeylGroup(table, rs.rank + 1)
 
 
-def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:
-    """Refuse with ResourceCapError when the known group order exceeds the
-    cap, when the signed roots do not fit the one-byte indices of the
-    enumeration's translate tables, or when the table would pass 1 GiB."""
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-        raise ValidationError(f"cap must be a positive integer, got {cap!r}")
-    if rs.weyl_order > cap:
-        raise ResourceCapError(
-            f"Weyl group of {rs.family}{rs.rank} has order {rs.weyl_order}, "
-            f"which exceeds the cap {cap}"
-        )
+def check_weyl_cap(rs: RootSystem) -> None:
+    """Refuse with ResourceCapError when the signed roots do not fit the
+    one-byte indices of the enumeration's translate tables, or when the
+    image table would pass MAX_WEYL_TABLE_BYTES while built.  The check
+    reads rs alone, so a cached group has already passed it."""
     if 2 * len(rs.positive_roots) > 256:
         raise ResourceCapError(
             f"{rs.family}{rs.rank} has {2 * len(rs.positive_roots)} signed roots; "
@@ -374,20 +371,20 @@ def check_weyl_cap(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> None:
         )
     # the image table, rank + 1 bytes per element, and its last join
     need = 2 * (rs.rank + 1) * rs.weyl_order
-    if need > 1 << 30:
+    if need > MAX_WEYL_TABLE_BYTES:
         raise ResourceCapError(
             f"building the Weyl group image table of {rs.family}{rs.rank} "
-            f"takes {need} bytes, above the limit of {1 << 30}"
+            f"takes {need} bytes, above the limit of {MAX_WEYL_TABLE_BYTES}"
         )
 
 
-def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
+def enumerate_weyl(rs: RootSystem) -> WeylGroup:
     """All Weyl group elements as a read-only sequence over one image table
     (see WeylGroup): the identity first, each element once, in no other
     promised order, each given by its extended-base images alone.  Refuses
-    upfront, on every call, when the known group order exceeds the cap.
+    upfront when the table is too large (check_weyl_cap).
     """
-    check_weyl_cap(rs, cap)
+    check_weyl_cap(rs)
     return _weyl_elements(rs)
 
 
@@ -480,11 +477,14 @@ def poset_leq(a: Vector, b: Vector) -> bool:
 def normalize_subset(rs: RootSystem, indices: Iterable[int]) -> RootSubset:
     """Sorted duplicate-free index tuple, validated against the root list."""
     n = len(rs.positive_roots)
-    out = sorted(set(indices))
-    for i in out:
+    out = set()
+    # each index is checked before any is compared with another, so a
+    # mixed list fails here rather than in the sort
+    for i in indices:
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n:
             raise ValidationError(f"root index {i!r} out of range 0..{n - 1}")
-    return tuple(out)
+        out.add(i)
+    return tuple(sorted(out))
 
 
 def subset_complement(rs: RootSystem, indices: Iterable[int]) -> RootSubset:

@@ -7,8 +7,8 @@ counts of the dilated alcove with walls or bands of walls removed, the
 open-face counts and the face formula summed face by face, the
 compatibility defect, Lagrange interpolation in Fraction arithmetic,
 quasi-polynomial arithmetic and equality over a common period, generating
-series expanded term by term, and the Shi and Catalan closed forms that
-check deformations where counting refuses.
+series expanded term by term, and the Shi, Catalan and Linial closed
+forms that check deformations where counting refuses.
 The tests compare each with what the package computes another way.
 """
 
@@ -33,12 +33,10 @@ from weylq.quasipoly import (
     interpolate_qp,
 )
 from weylq.rootsys import (
-    DEFAULT_WEYL_CAP,
     RootSystem,
     Vector,
     WeylElement,
     _reflection_permutations,
-    check_weyl_cap,
     enumerate_weyl,
     extended_base_indices,
     face_roots,
@@ -180,12 +178,10 @@ def qp_sub(a: QuasiPolynomial, b: QuasiPolynomial) -> QuasiPolynomial:
     return qp_add(a, qp_scale(b, -1))
 
 
-def defect_qp(
-    rs: RootSystem, subset: Iterable[int], cap: int = DEFAULT_WEYL_CAP
-) -> QuasiPolynomial:
+def defect_qp(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
     """Shift formula minus characteristic quasi-polynomial."""
     psi = normalize_subset(rs, subset)
-    return qp_sub(shift_formula_qp(rs, psi, cap), char_quasi_subset(rs, psi))
+    return qp_sub(shift_formula_qp(rs, psi), char_quasi_subset(rs, psi))
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +214,7 @@ def expand_rational_series(
     return tuple(coeffs)
 
 
-def genfunc_by_series(
-    rs: RootSystem, subset: Iterable[int], order: int, cap: int = DEFAULT_WEYL_CAP
-) -> bool:
+def genfunc_by_series(rs: RootSystem, subset: Iterable[int], order: int) -> bool:
     """The generating-function check term by term: the series of the
     characteristic quasi-polynomial against the descent polynomial over
     the product of (1 - t^mark), both expanded to the given order."""
@@ -228,12 +222,9 @@ def genfunc_by_series(
         raise ValidationError(
             f"order must be at least three Coxeter numbers ({3 * rs.coxeter_number})"
         )
-    check_weyl_cap(rs, cap)
     psi = normalize_subset(rs, subset)
     lhs = series_of_qp(char_quasi_subset(rs, psi), order)
-    rhs = expand_rational_series(
-        eulerian_poly(rs, psi, cap), (1,) + tuple(rs.marks), order
-    )
+    rhs = expand_rational_series(eulerian_poly(rs, psi), (1,) + tuple(rs.marks), order)
     return lhs == rhs
 
 
@@ -286,9 +277,7 @@ def eulerian_delta_complement(rs: RootSystem, delta_index: int) -> RationalPolyn
     return poly
 
 
-def omega_partition(
-    rs: RootSystem, delta_index: int, cap: int = DEFAULT_WEYL_CAP
-) -> Dict[int, Tuple[WeylElement, ...]]:
+def omega_partition(rs: RootSystem, delta_index: int) -> Dict[int, Tuple[WeylElement, ...]]:
     """Group elements sending some extended-base root onto the negative of
     the chosen root, fibered by the extended-base position.
 
@@ -306,7 +295,7 @@ def omega_partition(
         for i, (root, _) in enumerate(extended_base(rs))
         if classify_length(rs, root) == cls
     }
-    for w in enumerate_weyl(rs, cap):
+    for w in enumerate_weyl(rs):
         for i, image in enumerate(w.base_images):
             if image == target:
                 if i not in fibers:
@@ -463,7 +452,7 @@ def char_quasi_face_sum(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomia
 
 
 # ---------------------------------------------------------------------------
-# closed forms of the full system's Shi and Catalan deformations
+# closed forms of the full system's Shi, Catalan and Linial deformations
 
 
 def exponents(rs: RootSystem) -> Tuple[int, ...]:
@@ -494,3 +483,17 @@ def catalan_closed_form(rs: RootSystem, m: int) -> RationalPolynomial:
         (RationalPolynomial((-m * h - e, 1)) for e in exponents(rs)),
         start=RationalPolynomial((1,)),
     )
+
+
+def linial_closed_form(n: int) -> RationalPolynomial:
+    """2^-(n+1) sum over k = 0..n+1 of C(n+1, k) (q - k)^n: the
+    characteristic polynomial of the Linial arrangement of A_n, the offset
+    1 on every positive root (Postnikov and Stanley, J. Combin. Theory
+    Ser. A 2000), in rank-n coordinates: their form for n + 1 coordinates
+    divided by the factor q of the line the arrangement is constant on."""
+    power = RationalPolynomial.monomial(n)
+    total = sum(
+        (math.comb(n + 1, k) * power.shift_arg(-k) for k in range(n + 2)),
+        RationalPolynomial.zero(),
+    )
+    return total * Fraction(1, 2 ** (n + 1))

@@ -19,7 +19,7 @@ from weylq.deform import cqp_type1_formula, cqp_type2_formula
 from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import ValidationError
 from weylq.quasipoly import QuasiPolynomial, RationalPolynomial, qp_equal
-from weylq.rootsys import build_root_system
+from weylq.rootsys import build_root_system, enumerate_ideals
 
 
 @pytest.fixture(scope="module")
@@ -374,12 +374,11 @@ def test_main_shares_one_parser(capsys):
 
 
 def test_lifted_cap_refuses_e8_table(capsys, monkeypatch):
-    """E8's order fits a lifted cap but its image table does not fit the
-    byte bound: exit 3 before the enumeration starts."""
+    """E8's image table does not fit the byte bound: exit 3 before the
+    enumeration starts."""
     monkeypatch.setattr(rootsys, "_weyl_elements", lambda rs: pytest.fail("enumeration started"))
     code, out, err = run_main(
-        capsys, "eulerian", "--type", "E", "--rank", "8", "--subset", "full",
-        "--weyl-cap", "1000000000",
+        capsys, "eulerian", "--type", "E", "--rank", "8", "--subset", "full"
     )
     assert (code, out) == (3, "")
     assert "image table of E8 takes 12541132800 bytes" in err
@@ -497,24 +496,23 @@ def test_exit_code_usage_error():
 
 
 def test_exit_code_resource_cap():
+    """A10's image table (878 MB while built) passes the byte bound."""
+    proc = run_proc("eulerian", "--type", "A", "--rank", "10", "--subset", "empty")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "image table of A10 takes 878169600 bytes" in proc.stderr
+
+
+def test_weyl_cap_option_is_gone():
+    """The table bound is computed from the system, so there is no
+    --weyl-cap to lift it; scripts that pass the option fail."""
     proc = run_proc(
-        "eulerian", "--type", "D", "--rank", "4", "--subset", "empty",
-        "--weyl-cap", "10",
+        "eulerian", "--type", "G", "--rank", "2", "--subset", "full", "--weyl-cap", "10"
     )
-    assert proc.returncode == 3
-    assert "exceeds the cap" in proc.stderr
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "unrecognized arguments: --weyl-cap 10" in proc.stderr
 
 
-def test_resource_cap_after_cached_query(capsys):
-    """In one process, a cap given after the same query ran uncapped still
-    refuses; the cached profiles do not get round it."""
-    argv = ["eulerian", "--type", "D", "--rank", "4", "--subset", "empty"]
-    code, _, _ = run_main(capsys, *argv)
-    assert code == 0
-    code, out, err = run_main(capsys, *argv, "--weyl-cap", "10")
-    assert code == 3
-    assert out == ""
-    assert "exceeds the cap" in err
+E8_TABLE = "error: building the Weyl group image table of E8 takes 12541132800 bytes"
 
 
 @pytest.mark.parametrize(
@@ -526,9 +524,10 @@ def test_resource_cap_after_cached_query(capsys):
         (["compat", "--subset", "ideal-all"], 3),
         (["deform", "--subset", "full", "--variant", "symmetric", "--interval=0:1"], 3),
         (["verify", "--subset", "full", "--variant", "symmetric", "--interval=0:1"], 3),
-        (["genfunc", "--subset", "full"], 3),
-        # these never enumerate the group, so the cap does not touch them
-        (["char-quasi", "--subset", "full"], 0),
+        (["genfunc", "--subset", "full", "--terms", "90"], 3),
+        # these never enumerate the group, so the table bound does not
+        # touch them
+        (["char-quasi", "--subset", "empty"], 0),
         (["ehrhart"], 0),
     ],
     ids=[
@@ -536,39 +535,73 @@ def test_resource_cap_after_cached_query(capsys):
         "verify", "genfunc", "char-quasi", "ehrhart",
     ],
 )
-def test_every_handler_forwards_the_cap(capsys, argv, code):
-    """|W(A2)| = 6 exceeds --weyl-cap 5; a handler that dropped the cap
-    would fall back to the default and answer."""
+def test_every_handler_forwards_the_cap(capsys, monkeypatch, argv, code):
+    """Every handler that enumerates the Weyl group exits 3 on E8 and
+    builds no table: on the table bound, or for the ideal sweep on the
+    sweep bound, which it checks before its first ideal."""
+    monkeypatch.setattr(rootsys, "_weyl_elements", lambda rs: pytest.fail("enumeration started"))
     command, *rest = argv
-    got, out, err = run_main(
-        capsys, command, "--type", "A", "--rank", "2", "--weyl-cap", "5", *rest
-    )
+    got, out, err = run_main(capsys, command, "--type", "E", "--rank", "8", *rest)
     assert got == code
     if code == 3:
         assert out == ""
-        assert "exceeds the cap 5" in err
+        assert err.startswith(
+            "error: the sweep over the 25080 ideals of E8" if "ideal-all" in argv else E8_TABLE
+        )
     else:
         assert out and err == ""
 
 
-@pytest.mark.parametrize(
-    "command, family, rank",
-    [("compat", "D", 5), ("genfunc", "D", 5), ("compat", "B", 5)],
+# Every system whose group a sweep could enumerate under the former default
+# limit of 2,000,000 elements; the next rank of each family is over it.
+OLD_SWEEPS = (
+    [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 8)]
+    + [("C", r) for r in range(2, 8)] + [("D", r) for r in range(3, 8)]
+    + [("E", 6), ("F", 4), ("G", 2)]
 )
-def test_weyl_cap_refuses_before_counting(capsys, monkeypatch, command, family, rank):
-    """The Weyl cap is checked before the characteristic quasi-polynomial
-    is computed, so no period search starts and the refusal names the
-    Weyl cap."""
+
+
+def test_sweep_bound_admits_every_former_sweep():
+    """Without running them: every sweep the former default admitted
+    translates at most MAX_SWEEP_BYTES of descent lanes, the ideals times
+    (rank + 1) times |W|."""
+    for family, rank in OLD_SWEEPS:
+        rs = build_root_system(family, rank)
+        assert rs.weyl_order <= 2_000_000
+        need = len(enumerate_ideals(rs)) * (rank + 1) * rs.weyl_order
+        assert need <= cli.MAX_SWEEP_BYTES, (family, rank, need)
+    for family, rank in [("A", 9), ("B", 8), ("C", 8), ("D", 8), ("E", 7)]:
+        assert build_root_system(family, rank).weyl_order > 2_000_000
+
+
+def test_e7_sweep_is_refused_before_its_first_ideal(capsys, monkeypatch):
+    """E7's 4,160 ideals would translate 9.66e10 bytes of lanes: exit 3
+    before any ideal is decided."""
+    monkeypatch.setattr(cli, "is_compatible", lambda *args: pytest.fail("an ideal was decided"))
+    code, out, err = run_main(capsys, "compat", "--type", "E", "--rank", "7", "--subset", "ideal-all")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: the sweep over the 4160 ideals of E7 translates 96613171200 bytes "
+        f"of descent lanes, above the limit of {cli.MAX_SWEEP_BYTES}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["compat", "genfunc"])
+def test_weyl_cap_refuses_before_counting(capsys, monkeypatch, command):
+    """The table bound is checked before the characteristic
+    quasi-polynomial is computed, so no period search starts and the
+    refusal names the table: on E8 full, whose 120 vectors would meet the
+    period-search cap if the search ran first."""
     searches = []
     search = charquasi.lcm_period
     monkeypatch.setattr(charquasi, "lcm_period", lambda spec: searches.append(spec) or search(spec))
     charquasi.char_quasi.cache_clear()
     code, out, err = run_main(
-        capsys, command, "--type", family, "--rank", str(rank), "--subset", "full",
-        "--weyl-cap", "10",
+        capsys, command, "--type", "E", "--rank", "8", "--subset", "full",
+        *(["--terms", "90"] if command == "genfunc" else []),
     )
     assert (code, out) == (3, "")
-    assert "exceeds the cap 10" in err
+    assert err.startswith(E8_TABLE)
     assert searches == []
 
 
@@ -692,6 +725,19 @@ def test_negative_interval_syntax():
         "--variant", "symmetric", "--interval=-1:1",
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("bound", [" 1:10", "1:1_0", "1 :10", "+1:10", "1:\u0661\u0660", "1:", ":10"])
+def test_interval_bounds_are_ascii_integers(capsys, bound):
+    """Each bound is an optional minus sign and ASCII digits, nothing that
+    int() would also read: spaces, digit underscores, a plus sign or
+    other scripts' digits exit 2 instead of echoing a rewritten interval."""
+    code, out, err = run_main(
+        capsys, "deform", "--type", "A", "--rank", "2", "--subset", "full",
+        "--variant", "positive", f"--interval={bound}", "--json",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: interval {bound!r} has non-integer bounds\n"
 
 
 def test_byte_determinism():
@@ -820,6 +866,11 @@ GOLDEN = [
         "eulerian-E6-e",
         "eulerian --type E --rank 6 --subset full --variant e",
         "a4e600d819ce902fe4a30b2262e232834f1a9a64d5aeca14a3603f2303d7bb19",
+    ),
+    (
+        "eulerian-E7-e",
+        "eulerian --type E --rank 7 --subset full --variant e",
+        "6d977bd3767547aa60699985731f57c3c4987de19115e5659325bd398f417730",
     ),
     (
         "eulerian-E6-m",

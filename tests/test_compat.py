@@ -16,12 +16,7 @@ from weylq.compat import is_compatible, shift_formula_qp, verify_genfunc
 from weylq.errors import ValidationError
 from weylq.eulerian import eulerian_poly
 from weylq.quasipoly import RationalPolynomial, qp_equal
-from weylq.rootsys import (
-    DEFAULT_WEYL_CAP,
-    build_root_system,
-    enumerate_ideals,
-    normalize_subset,
-)
+from weylq.rootsys import build_root_system, enumerate_ideals, normalize_subset
 
 from oracles import defect_qp, genfunc_by_series, is_ideal
 
@@ -231,10 +226,10 @@ def test_defect_vanishes_exactly_for_compatible(g2):
 NUMERATOR_SYSTEMS = [("B", 4), ("C", 4), ("D", 5), ("F", 4), ("G", 2), ("A", 4)]
 
 
-def _numerator_gap(rs, subset, cap=DEFAULT_WEYL_CAP):
+def _numerator_gap(rs, subset):
     """The exponents where the face formula's N and the descent polynomial
     E differ, in increasing order."""
-    gap = _face_numerator(rs, normalize_subset(rs, subset)) - eulerian_poly(rs, subset, cap)
+    gap = _face_numerator(rs, normalize_subset(rs, subset)) - eulerian_poly(rs, subset)
     return [k for k, _ in gap.terms]
 
 
@@ -249,13 +244,13 @@ def test_face_numerator_is_the_eulerian_polynomial_on_ideals(family, rank):
 def test_face_numerator_is_the_eulerian_polynomial_on_e7():
     """N = E on the largest group table, the face orbits against the lanes
     over all 2,903,040 elements: on the empty ideal, the full system and
-    four seeded ideals.  The group is built past the default cap and dropped
-    from the cache afterwards."""
+    four seeded ideals.  The group (46 MB while built) is dropped from the
+    cache afterwards."""
     rs = _system("E", 7)
     full = tuple(range(len(rs.positive_roots)))
     try:
         for ideal in [(), full] + random.Random("E7").sample(enumerate_ideals(rs), 4):
-            assert _numerator_gap(rs, ideal, cap=3_000_000) == [], ideal
+            assert _numerator_gap(rs, ideal) == [], ideal
     finally:
         rootsys._weyl_elements.cache_clear()
 

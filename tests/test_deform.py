@@ -25,7 +25,13 @@ from weylq.quasipoly import (
 )
 from weylq.rootsys import build_root_system, enumerate_ideals, subset_complement
 
-from oracles import catalan_closed_form, exponents, period_one, shi_closed_form
+from oracles import (
+    catalan_closed_form,
+    exponents,
+    linial_closed_form,
+    period_one,
+    shi_closed_form,
+)
 
 INTERVALS = [(0, 0), (0, 1), (-1, 1)]  # intervals containing 0
 POSITIVE = [(1, 1), (1, 2)]  # intervals starting at 1
@@ -158,6 +164,29 @@ def test_shi_closed_form_through_the_cli(capsys):
     assert code == 0
     qp = qp_from_json(json.loads(capsys.readouterr().out)["result"])
     assert set(qp.constituents) == {shi_closed_form(build_root_system("E", 6), 1)}
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_linial_closed_form(rank):
+    """The Linial arrangement, positive [1, 1] on the full A_n: counting
+    and the closed formula both equal Postnikov and Stanley's form."""
+    rs = build_root_system("A", rank)
+    full = tuple(range(len(rs.positive_roots)))
+    closed = period_one(linial_closed_form(rank))
+    assert qp_equal(char_quasi_deformation(rs, type1_spec(rs, full, (1, 1))), closed)
+    assert qp_equal(cqp_type1_formula(rs, full, "positive", (1, 1)), closed)
+
+
+def test_linial_closed_form_through_the_cli(capsys):
+    """On A8, where verify's counting is refused, deform --json prints
+    Postnikov and Stanley's form on every residue."""
+    argv = ["--type", "A", "--rank", "8", "--subset", "full", "--variant", "positive",
+            "--interval=1:1"]
+    assert main(["deform", *argv, "--json"]) == 0
+    qp = qp_from_json(json.loads(capsys.readouterr().out)["result"])
+    assert set(qp.constituents) == {linial_closed_form(8)}
+    assert main(["verify", *argv]) == 3
+    assert "counting cap" in capsys.readouterr().err
 
 
 def test_closed_formula_verdict_grid():

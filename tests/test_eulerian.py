@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from weylq import eulerian, rootsys
 from weylq.cli import parse_subset
-from weylq.compat import is_compatible, verify_genfunc
-from weylq.deform import cqp_type1_formula
-from weylq.errors import InconsistencyError, ResourceCapError
+from weylq.errors import InconsistencyError, ValidationError
 from weylq.eulerian import (
     DescentProfile,
     descent_profile,
@@ -50,6 +48,15 @@ def g2():
 
 def poly(*coeffs):
     return RationalPolynomial(coeffs)
+
+
+@pytest.mark.parametrize("statistic", [eulerian_poly, m_poly, profile_counts])
+def test_statistics_refuse_mixed_subsets(g2, statistic):
+    """A subset mixing root indices with other values is a ValidationError,
+    not the TypeError its sort would raise."""
+    for subset in ([None, 1], [0, "a"], [2, 1.0]):
+        with pytest.raises(ValidationError, match="out of range"):
+            statistic(g2, subset)
 
 
 def test_extended_base(g2):
@@ -392,27 +399,6 @@ def test_word_and_table_profiles_agree():
         assert descent_profile(rs, psi, bare) == descent_profile(rs, psi, w)
 
 
-def test_cap_holds_on_cached_profiles():
-    """A cap passed after a subset's results are cached still refuses, on
-    every entry point that reaches the Weyl enumeration."""
-    rs = build_root_system("B", 3)
-    psi = (0, 1, 2)
-    calls = (
-        eulerian_poly,
-        m_poly,
-        profile_counts,
-        is_compatible,
-        lambda rs, psi, **cap: verify_genfunc(rs, psi, 60, **cap),
-        lambda rs, psi, **cap: cqp_type1_formula(rs, psi, "symmetric", (0, 1), **cap),
-    )
-    for call in calls:
-        call(rs, psi)
-        with pytest.raises(ResourceCapError):
-            call(rs, psi, cap=10)
-    with pytest.raises(ResourceCapError):
-        omega_partition(rs, 0, cap=10)
-
-
 def test_repeated_statistics_are_cache_hits(monkeypatch):
     """A repeated e, or a repeated m, on one subset is a hit in the lane
     cache; e and m from cleared caches together build at most 2(h + 1)
@@ -549,7 +535,7 @@ def test_statistics_do_not_depend_on_the_element_order(monkeypatch, family, rank
         expected = [[statistic(rs, psi) for statistic in statistics] for psi in ideals]
         for cached in caches:
             cached.cache_clear()
-        monkeypatch.setattr(eulerian, "enumerate_weyl", lambda rs, cap: shuffled)
+        monkeypatch.setattr(eulerian, "enumerate_weyl", lambda rs: shuffled)
         assert [[statistic(rs, psi) for statistic in statistics] for psi in ideals] == expected
     finally:
         for cached in caches:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from weylq import rootsys
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
 from weylq.rootsys import (
-    DEFAULT_WEYL_CAP,
+    MAX_WEYL_TABLE_BYTES,
     build_root_system,
     check_weyl_cap,
     enumerate_ideals,
@@ -447,24 +447,23 @@ def test_weyl_from_word_validation(g2):
             weyl_from_word(g2, [2, bad])
 
 
-def test_weyl_cap():
-    d4 = build_root_system("D", 4)
-    with pytest.raises(ResourceCapError, match="192"):
-        enumerate_weyl(d4, cap=10)
-    assert len(enumerate_weyl(d4, cap=192)) == 192
-    with pytest.raises(ValidationError):
-        enumerate_weyl(d4, cap=0)
-    for bad in (True, 2.5, 192.0, "10", None):
-        with pytest.raises(ValidationError, match="positive integer"):
-            check_weyl_cap(d4, bad)
-    # the default cap refuses E7 (order 2,903,040) before enumerating
-    with pytest.raises(ResourceCapError, match=str(DEFAULT_WEYL_CAP)):
-        enumerate_weyl(build_root_system("E", 7))
+def test_weyl_cap(monkeypatch):
+    """The one bound is the image table's bytes while built, 2 (rank + 1)
+    |W|, computed from the system: E7 (46 MB), A9, D8, B8 and C8 (186 MB)
+    pass, A10 (878 MB) and E8 are refused before anything is built."""
+    monkeypatch.setattr(rootsys, "_weyl_elements", lambda rs: pytest.fail("enumeration started"))
+    for family, rank in [("E", 7), ("A", 9), ("D", 8), ("B", 8), ("C", 8)]:
+        rs = build_root_system(family, rank)
+        assert 2 * (rank + 1) * rs.weyl_order <= MAX_WEYL_TABLE_BYTES
+        check_weyl_cap(rs)
+    for family, rank in [("A", 10), ("E", 8)]:
+        with pytest.raises(ResourceCapError, match=f"above the limit of {MAX_WEYL_TABLE_BYTES}"):
+            check_weyl_cap(build_root_system(family, rank))
 
 
 def test_weyl_byte_width_refused(monkeypatch):
     """D12's 264 signed roots do not fit the closure's one-byte tables, so
-    a cap that admits its group is refused before anything is built."""
+    its group is refused before anything is built."""
     d12 = build_root_system("D", 12)
 
     def no_closure(rs):
@@ -472,20 +471,17 @@ def test_weyl_byte_width_refused(monkeypatch):
 
     monkeypatch.setattr(rootsys, "_weyl_elements", no_closure)
     with pytest.raises(ResourceCapError, match="264 signed roots"):
-        enumerate_weyl(d12, cap=d12.weyl_order)
+        enumerate_weyl(d12)
 
 
 def test_weyl_table_bytes_refused(monkeypatch):
-    """A lifted cap admits E8's order, but its table, 9 bytes per element
-    and twice that while the last join is built, passes 1 GiB, so it is
-    refused before anything is built.  Tables under the bound still pass,
-    A10's (837 MiB while built) the largest of them."""
+    """E8's table, 9 bytes per element and twice that while the last join
+    is built, passes the bound, so enumerate_weyl refuses it before
+    anything is built."""
     monkeypatch.setattr(rootsys, "_weyl_elements", lambda rs: pytest.fail("enumeration started"))
     e8 = build_root_system("E", 8)
     with pytest.raises(ResourceCapError, match=f"takes {2 * 9 * e8.weyl_order} bytes"):
-        enumerate_weyl(e8, cap=1_000_000_000)
-    for family, rank in [("E", 7), ("B", 8), ("C", 8), ("D", 8), ("A", 10)]:
-        check_weyl_cap(build_root_system(family, rank), cap=1_000_000_000)
+        enumerate_weyl(e8)
 
 
 def test_weyl_closure_order_check(monkeypatch):
@@ -553,16 +549,16 @@ WEYL_TABLE_DIGESTS = {
 @pytest.mark.parametrize("family, rank", list(WEYL_TABLE_DIGESTS))
 def test_weyl_table_digest(family, rank):
     """The parabolic product builds the same elements as the closures it
-    replaced, row for row; E7 (23 MB) is built past the default cap and
-    dropped from the cache afterwards."""
+    replaced, row for row; E7 (23 MB) is dropped from the cache
+    afterwards."""
     rs = build_root_system(family, rank)
     try:
-        group = enumerate_weyl(rs, cap=3_000_000)
+        group = enumerate_weyl(rs)
         images, width = group.images, group.width
         rows = sorted(images[i : i + width] for i in range(0, len(images), width))
         assert hashlib.sha256(b"".join(rows)).hexdigest() == WEYL_TABLE_DIGESTS[family, rank]
     finally:
-        if rs.weyl_order > DEFAULT_WEYL_CAP:
+        if (family, rank) == ("E", 7):
             rootsys._weyl_elements.cache_clear()
 
 
@@ -649,6 +645,10 @@ def test_normalize_subset(g2):
         normalize_subset(g2, [6])
     with pytest.raises(ValidationError):
         normalize_subset(g2, [-1])
+    # each index is checked before the sort compares it with another
+    for mixed in ([0, "a"], ["a", 0], [None, 1], [1, 2.0], [[1], 0], [0, True]):
+        with pytest.raises(ValidationError, match="out of range"):
+            normalize_subset(g2, mixed)
 
 
 def test_subset_complement(g2):

@@ -586,12 +586,34 @@ def test_e7_sweep_is_refused_before_its_first_ideal(capsys, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("command", ["compat", "genfunc"])
-def test_weyl_cap_refuses_before_counting(capsys, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, family, rank",
+    [("compat", "D", 5), ("genfunc", "D", 5), ("compat", "B", 5)],
+)
+def test_weyl_cap_refuses_before_counting(capsys, monkeypatch, command, family, rank):
     """The table bound is checked before the characteristic
     quasi-polynomial is computed, so no period search starts and the
-    refusal names the table: on E8 full, whose 120 vectors would meet the
-    period-search cap if the search ran first."""
+    refusal names the table: with the limit lowered to 10000 bytes, below
+    D5's 23040 and B5's 46080."""
+    monkeypatch.setattr(rootsys, "MAX_WEYL_TABLE_BYTES", 10_000)
+    searches = []
+    search = charquasi.lcm_period
+    monkeypatch.setattr(charquasi, "lcm_period", lambda spec: searches.append(spec) or search(spec))
+    charquasi.char_quasi.cache_clear()
+    code, out, err = run_main(capsys, command, "--type", family, "--rank", str(rank), "--subset", "full")
+    need = 2 * (rank + 1) * build_root_system(family, rank).weyl_order
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: building the Weyl group image table of {family}{rank} "
+        f"takes {need} bytes, above the limit of 10000\n"
+    )
+    assert searches == []
+
+
+@pytest.mark.parametrize("command", ["compat", "genfunc"])
+def test_e8_table_refused_before_counting(capsys, monkeypatch, command):
+    """At the default limit E8 full is refused on its table before any
+    period search, whose cap its 120 vectors would meet if it ran first."""
     searches = []
     search = charquasi.lcm_period
     monkeypatch.setattr(charquasi, "lcm_period", lambda spec: searches.append(spec) or search(spec))

@@ -4,10 +4,12 @@ An arrangement is a list of integer coefficient vectors, each carrying a
 set of forbidden offsets.  For a modulus q the complement count is the
 number of points of (Z/q)^rank avoiding every congruence; interpolating
 that count over a verified period yields the characteristic
-quasi-polynomial.  Subsets of a positive system mostly need no counting:
-their generating function is N(t)/D(t), N read from Weyl orbits of the
-alcove's faces, so their quasi-polynomial is the closed alcove's shifted
-by N (char_quasi_faces); char_quasi_subset picks that route or counting.
+quasi-polynomial.  Subsets of a positive system need no counting: their
+generating function is N(t)/D(t), N read from Weyl orbits of the alcove's
+faces, so their quasi-polynomial is the closed alcove's shifted by N
+(char_quasi_faces).  char_quasi_subset counts only short subsets whose
+period search gives 1, and refuses systems whose Weyl group passes the
+table bound (rootsys.check_weyl_cap).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from weylq.quasipoly import QuasiPolynomial, RationalPolynomial
 from weylq.quasipoly import apply_shift, fold_period, interpolate_qp
 from weylq.rootsys import (
     RootSystem,
+    check_weyl_cap,
     face_roots,
     face_weyl_order,
     normalize_subset,
@@ -33,25 +36,14 @@ from weylq.rootsys import (
 
 Vector = Tuple[int, ...]
 
-# Refuses large counted root subsets up front: those of systems too large
-# for the face table (E8 full has 120 vectors).  The count-first search
-# (COUNT_FIRST_SHARE) never meets it: it takes at most 15 vectors.
-MAX_PERIOD_VECTORS = 24
-
 # A work bound: at modulus q the counting kernel ORs and popcounts q^rank
 # bits per table of outer coefficients (q^k block bits at each of the
 # q^(rank-k) outer prefixes), though it holds only q masks of q^k bits per
 # distinct coefficient tuple.  Counting is refused up front when q^rank
-# passes 2^33 at the largest sample: root subsets of E8, B8 and C8 from
-# period 2 on (q up to 22), and nonempty ones of rank-10 systems at any
-# period.  The empty arrangement is counted as q^rank without the kernel.
+# passes 2^33 at the largest sample: every arrangement of rank 8 or more
+# from period 2 on (q up to 22), and nonempty ones of rank 10 or more at
+# any period.  The empty arrangement is counted as q^rank without the kernel.
 MAX_COUNT_BITS = 2**33
-
-# The face table keeps every member of every face orbit, and their number
-# grows with |W|: D8 (|W| = 5,160,960) has 156,645 members, built in
-# 1.2-1.5 s, and E7 106,516, while B8 (|W| = 10,321,920) passes 250,000 and E8
-# has about 7.3 million.  Root subsets of larger systems are counted.
-MAX_FACE_WEYL_ORDER = 6_000_000
 
 # Building the face table takes as long as a period search over |W| / 24
 # (E6, 0.06 s) to |W| / 106 sublists (E7, 0.9 s), and a search over n
@@ -190,17 +182,10 @@ def lcm_period(spec: ArrangementSpec) -> int:
     """Least common multiple, over every sublist J of the distinct
     coefficient vectors, of the exponent (largest invariant factor) of the
     torsion of Z^rank / <J>: the lcm period of Kamiya, Takemura and Terao.
-
-    The search needs no vector cap; the cap refuses counted root subsets
-    of more than 24 vectors before counting hangs.
+    char_quasi_subset calls it only on subsets short enough for
+    COUNT_FIRST_SHARE, to find those of period 1.
     """
-    vectors = tuple(vec for vec, _ in spec.items)
-    if len(vectors) > MAX_PERIOD_VECTORS:
-        raise ResourceCapError(
-            f"{len(vectors)} distinct vectors exceed the period-search cap "
-            f"{MAX_PERIOD_VECTORS}"
-        )
-    return _vector_period(spec.rank, vectors)
+    return _vector_period(spec.rank, tuple(vec for vec, _ in spec.items))
 
 
 @functools.lru_cache(maxsize=4)
@@ -237,10 +222,9 @@ def char_quasi(spec: ArrangementSpec) -> QuasiPolynomial:
     """The characteristic quasi-polynomial of an arrangement without
     offsets, counted from q = 1 on over lcm_period.  It answers the root
     subsets that char_quasi_subset counts: those whose count-first period
-    search gives 1, and those of systems the face table does not serve.
-    Raises ResourceCapError before counting when the arrangement is not
-    empty and the largest modulus q to count has q^rank above
-    MAX_COUNT_BITS.
+    search gives 1.  Raises ResourceCapError before counting when the
+    arrangement is not empty and the largest modulus q to count has
+    q^rank above MAX_COUNT_BITS.
     """
     if any(m for _, offs in spec.items for m in offs):
         raise ValidationError("char_quasi counts arrangements without offsets")
@@ -348,18 +332,20 @@ def char_quasi_subset(rs: RootSystem, subset: Iterable[int]) -> QuasiPolynomial:
     """Characteristic quasi-polynomial of a subset of the positive system,
     over its minimal period.
 
-    The face formula (char_quasi_faces) answers, except where counting is
-    cheaper or the only route: subsets small enough for a short period
-    search (COUNT_FIRST_SHARE) whose period is 1, and every subset of a
-    system whose face table would be too large (MAX_FACE_WEYL_ORDER),
-    which meets the counting route's vector cap instead.
+    Subsets small enough for a short period search (COUNT_FIRST_SHARE) are
+    counted when that period is 1, unless counting even at period 1 would
+    pass MAX_COUNT_BITS (nonempty subsets in rank 10 and more), where no
+    search is made.  Every other subset takes the face formula
+    (char_quasi_faces), whose table grows with |W|: a system whose Weyl
+    group passes the table bound is refused first (check_weyl_cap).
     """
     psi = normalize_subset(rs, subset)
-    faces = rs.weyl_order <= MAX_FACE_WEYL_ORDER
-    if not faces or COUNT_FIRST_SHARE << len(psi) <= rs.weyl_order:
+    countable = not psi or (rs.rank + 3) ** rs.rank <= MAX_COUNT_BITS
+    if countable and COUNT_FIRST_SHARE << len(psi) <= rs.weyl_order:
         spec = from_root_subset(rs, psi)
-        if not faces or lcm_period(spec) == 1:
+        if lcm_period(spec) == 1:
             return fold_period(char_quasi(spec))
+    check_weyl_cap(rs)
     return char_quasi_faces(rs, psi)
 
 

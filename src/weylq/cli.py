@@ -17,9 +17,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,6 +44,7 @@ from weylq.rootsys import (
     RootSystem,
     build_root_system,
     enumerate_ideals,
+    height,
     lower_closure,
     subset_from_roots,
 )
@@ -317,18 +320,22 @@ def _cmd_ehrhart(args, rs: RootSystem):
 
 def _cmd_compat(args, rs: RootSystem):
     if args.subset.strip() == "ideal-all":
-        ideals = enumerate_ideals(rs)
-        need = len(ideals) * (rs.rank + 1) * rs.weyl_order
+        # the ideals number Cat(W) = prod (h + e_i + 1) / prod (e_i + 1), the
+        # latter |W|, the exponents e_i dual to the numbers of roots per height
+        per_height = Counter(map(height, rs.positive_roots)).values()
+        exps = [sum(n >= i for n in per_height) for i in range(1, rs.rank + 1)]
+        count = math.prod(rs.coxeter_number + e + 1 for e in exps) // rs.weyl_order
+        need = count * (rs.rank + 1) * rs.weyl_order
         if need > MAX_SWEEP_BYTES:
             raise ResourceCapError(
-                f"the sweep over the {len(ideals)} ideals of {rs.family}{rs.rank} "
+                f"the sweep over the {count} ideals of {rs.family}{rs.rank} "
                 f"translates {need} bytes of descent lanes, above the limit of "
                 f"{MAX_SWEEP_BYTES}"
             )
         rows = []
         lines = []
         all_ok = True
-        for psi in ideals:
+        for psi in enumerate_ideals(rs):
             res = is_compatible(rs, psi)
             all_ok = all_ok and res.compatible
             rows.append(
@@ -338,10 +345,8 @@ def _cmd_compat(args, rs: RootSystem):
                     "witness": _witness_json(res),
                 }
             )
-            tag = (
-                "compatible"
-                if res.compatible
-                else f"incompatible at q={res.witness.q} (residue {res.witness.residue})"
+            tag = "compatible" if res.compatible else (
+                f"incompatible at q={res.witness.q} (residue {res.witness.residue})"
             )
             lines.append(f"{_subset_str(rs, psi)}: {tag}")
         lines.append(f"ideals: {len(rows)}")
@@ -519,15 +524,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         rs = build_root_system(args.type, args.rank)
         lines, result, echo = _HANDLERS[args.command](args, rs)
-    except ValidationError as exc:
+    except (ValidationError, ResourceCapError, InconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InconsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return {ValidationError: 2, ResourceCapError: 3}.get(type(exc), 4)
     if args.json:
         query = {"command": args.command, **echo}
         payload = {"system": _system_block(rs), "query": query, "result": result}

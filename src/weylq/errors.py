@@ -16,7 +16,8 @@ class ValidationError(WeylqError):
 
 
 class ResourceCapError(WeylqError):
-    """A configured enumeration cap would be exceeded."""
+    """A predicted work or memory bound would be passed; raised before the
+    work starts."""
 
 
 class InconsistencyError(WeylqError):

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylq import charquasi
+from weylq import charquasi, rootsys
 from weylq.charquasi import (
-    MAX_PERIOD_VECTORS,
     char_quasi,
     char_quasi_deformation,
     char_quasi_faces,
@@ -228,10 +227,11 @@ def test_lcm_period_matches_definition(spec):
     assert lcm_period(spec) == definition_lcm_period(spec)
 
 
-def test_lcm_period_vector_cap():
-    items = [((k,), (0,)) for k in range(1, MAX_PERIOD_VECTORS + 2)]
-    with pytest.raises(ResourceCapError):
-        lcm_period(make_spec(1, items))
+def test_lcm_period_takes_any_number_of_vectors():
+    """The search has no vector cap: in rank 1 the vector (k) alone has
+    torsion Z/k, so 30 of them give lcm(1..30)."""
+    spec = make_spec(1, [((k,), (0,)) for k in range(1, 31)])
+    assert lcm_period(spec) == math.lcm(*range(1, 31))
 
 
 def test_counting_cap_bounds_the_largest_sample(monkeypatch, g2):
@@ -493,9 +493,10 @@ def test_short_searches_of_period_one_are_counted(data):
 
 
 def test_large_systems_and_short_searches_skip_the_face_table(monkeypatch, g2):
-    """Systems past MAX_FACE_WEYL_ORDER are counted (E8, and G2 with the
-    bound lowered below its |W| = 12), and so is a single E7 root, a short
-    search of period 1.  None of them builds a face table."""
+    """Short searches of period 1 are counted without a face table: E8's
+    empty subset and a single E7 root.  A system whose Weyl group passes
+    the table bound is refused before its face table is built: G2 full,
+    with the bound lowered below its 72 bytes."""
 
     def refuse(rs):
         raise AssertionError(f"face table built for {rs}")
@@ -503,11 +504,10 @@ def test_large_systems_and_short_searches_skip_the_face_table(monkeypatch, g2):
     monkeypatch.setattr(charquasi, "_face_table", refuse)
     e8 = build_root_system("E", 8)
     assert char_quasi_subset(e8, ()) == period_one(RationalPolynomial.monomial(8))
-    monkeypatch.setattr(charquasi, "MAX_FACE_WEYL_ORDER", 11)
-    full = char_quasi_subset(g2, range(6))
-    assert full.period == 6
-    assert full.constituents[0].format("q") == "q^2 - 6q + 5"
     e7 = build_root_system("E", 7)
     one_root = char_quasi_subset(e7, (0,))
     assert one_root.period == 1
     assert one_root.constituents[0] == RationalPolynomial((0,) * 6 + (-1, 1))
+    monkeypatch.setattr(rootsys, "MAX_WEYL_TABLE_BYTES", 71)
+    with pytest.raises(ResourceCapError, match="image table of G2 takes 72 bytes"):
+        char_quasi_subset(g2, range(6))

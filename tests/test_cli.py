@@ -538,8 +538,9 @@ E8_TABLE = "error: building the Weyl group image table of E8 takes 12541132800 b
 def test_every_handler_forwards_the_cap(capsys, monkeypatch, argv, code):
     """Every handler that enumerates the Weyl group exits 3 on E8 and
     builds no table: on the table bound, or for the ideal sweep on the
-    sweep bound, which it checks before its first ideal."""
+    sweep bound, which it checks before it lists the ideals."""
     monkeypatch.setattr(rootsys, "_weyl_elements", lambda rs: pytest.fail("enumeration started"))
+    monkeypatch.setattr(cli, "enumerate_ideals", lambda rs: pytest.fail("ideals listed"))
     command, *rest = argv
     got, out, err = run_main(capsys, command, "--type", "E", "--rank", "8", *rest)
     assert got == code
@@ -561,15 +562,28 @@ OLD_SWEEPS = (
 )
 
 
-def test_sweep_bound_admits_every_former_sweep():
+def test_sweep_bound_admits_every_former_sweep(capsys, monkeypatch):
     """Without running them: every sweep the former default admitted
     translates at most MAX_SWEEP_BYTES of descent lanes, the ideals times
-    (rank + 1) times |W|."""
+    (rank + 1) times |W|.  The sweep predicts its ideals as Cat(W) from
+    the exponents: with the bound at 0, each refusal names the number of
+    ideals that enumerate_ideals lists."""
+    limit = cli.MAX_SWEEP_BYTES
+    monkeypatch.setattr(cli, "MAX_SWEEP_BYTES", 0)
     for family, rank in OLD_SWEEPS:
         rs = build_root_system(family, rank)
         assert rs.weyl_order <= 2_000_000
-        need = len(enumerate_ideals(rs)) * (rank + 1) * rs.weyl_order
-        assert need <= cli.MAX_SWEEP_BYTES, (family, rank, need)
+        ideals = len(enumerate_ideals(rs))
+        need = ideals * (rank + 1) * rs.weyl_order
+        assert need <= limit, (family, rank, need)
+        code, out, err = run_main(
+            capsys, "compat", "--type", family, "--rank", str(rank), "--subset", "ideal-all"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: the sweep over the {ideals} ideals of {family}{rank} translates "
+            f"{need} bytes of descent lanes, above the limit of 0\n"
+        )
     for family, rank in [("A", 9), ("B", 8), ("C", 8), ("D", 8), ("E", 7)]:
         assert build_root_system(family, rank).weyl_order > 2_000_000
 
@@ -613,7 +627,7 @@ def test_weyl_cap_refuses_before_counting(capsys, monkeypatch, command, family, 
 @pytest.mark.parametrize("command", ["compat", "genfunc"])
 def test_e8_table_refused_before_counting(capsys, monkeypatch, command):
     """At the default limit E8 full is refused on its table before any
-    period search, whose cap its 120 vectors would meet if it ran first."""
+    period search."""
     searches = []
     search = charquasi.lcm_period
     monkeypatch.setattr(charquasi, "lcm_period", lambda spec: searches.append(spec) or search(spec))
@@ -627,19 +641,46 @@ def test_e8_table_refused_before_counting(capsys, monkeypatch, command):
     assert searches == []
 
 
-def test_exit_code_period_search_cap(capsys):
-    """The period-search cap refuses counted root subsets of more than 24
-    vectors: E8 full, which the face table does not serve, has 120."""
-    code, out, err = run_main(capsys, "char-quasi", "--type", "E", "--rank", "8", "--subset", "full")
+def _first_roots(family, rank, n):
+    """The subset expression of the first n positive roots."""
+    roots = build_root_system(family, rank).positive_roots[:n]
+    return ",".join("(" + ",".join(map(str, root)) + ")" for root in roots)
+
+
+def test_exit_code_period_search_cap(capsys, monkeypatch):
+    """No period search is made for a root subset too long for the
+    count-first search, so on a system over the Weyl-table bound it is
+    refused at once on the table: E8 full (120 roots) and a 23-root E8
+    subset, one past the count-first bound (100 * 2^22 <= |W| < 100 * 2^23)."""
+    monkeypatch.setattr(charquasi, "lcm_period", lambda spec: pytest.fail("period searched"))
+    for subset in ("full", _first_roots("E", 8, 23)):
+        code, out, err = run_main(
+            capsys, "char-quasi", "--type", "E", "--rank", "8", "--subset", subset
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith(E8_TABLE)
+
+
+def test_count_first_skips_searches_that_counting_would_refuse(capsys, monkeypatch):
+    """In rank 10, counting passes MAX_COUNT_BITS even at period 1 (13^10
+    bits), so a nonempty A10 subset is not searched and is refused on the
+    Weyl table, while the empty one is still counted as q^10."""
+    monkeypatch.setattr(charquasi, "lcm_period", lambda spec: pytest.fail("period searched"))
+    code, out, err = run_main(
+        capsys, "char-quasi", "--type", "A", "--rank", "10", "--subset", _first_roots("A", 10, 3)
+    )
     assert (code, out) == (3, "")
-    assert err == "error: 120 distinct vectors exceed the period-search cap 24\n"
+    assert err.startswith("error: building the Weyl group image table of A10 takes 878169600 bytes")
+    monkeypatch.undo()
+    code, out, err = run_main(capsys, "char-quasi", "--type", "A", "--rank", "10", "--subset", "empty")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["period: 1", "residue 1: q^10"]
 
 
 def test_verify_counts_deformations_without_a_period_search(capsys, monkeypatch):
     """verify counts over lcm(marks) from B*h + 1, so it calls neither the
     period search nor a Smith normal form: on D4 full (the benchmark's
-    queries) and on B5 full symmetric [0, 1], whose 25 vectors the
-    period-search cap refused when verify still searched."""
+    queries) and on B5 full symmetric [0, 1]."""
     calls = []
 
     def counted(name):
@@ -665,19 +706,22 @@ def test_verify_counts_deformations_without_a_period_search(capsys, monkeypatch)
 
 def test_exit_code_counting_cap(capsys):
     """Counting is refused before it starts when its largest sample would
-    pass the counting cap: this 12-root E8 ideal, which the face table does
-    not serve, has period 2 and would count up to q = 22 in rank 8; E6 full
-    symmetric [0, 1] would count from B*h + 1 = 13 over lcm(marks) = 6 up
-    to q = 66 in rank 6."""
-    for argv in (
-        ["char-quasi", "--type", "E", "--rank", "8", "--subset", "ideal:(0,1,1,2,1,0,0,0)"],
-        ["verify", "--type", "E", "--rank", "6", "--subset", "full",
-         "--variant", "symmetric", "--interval=0:1"],
-    ):
-        code, out, err = run_main(capsys, *argv)
-        assert (code, out) == (3, "")
-        assert "counting cap" in err
+    pass the counting cap: E6 full symmetric [0, 1] would count from
+    B*h + 1 = 13 over lcm(marks) = 6 up to q = 66 in rank 6.  This 12-root
+    E8 ideal has period 2, so it is not counted but sent to the face
+    route, which refuses E8's Weyl table."""
+    code, out, err = run_main(
+        capsys, "verify", "--type", "E", "--rank", "6", "--subset", "full",
+        "--variant", "symmetric", "--interval=0:1",
+    )
+    assert (code, out) == (3, "")
+    assert "counting cap" in err
     assert "counting up to q=66 in rank 6" in err
+    code, out, err = run_main(
+        capsys, "char-quasi", "--type", "E", "--rank", "8", "--subset", "ideal:(0,1,1,2,1,0,0,0)"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith(E8_TABLE)
 
 
 def test_exit_code_inconsistency(capsys, monkeypatch):
@@ -796,12 +840,21 @@ def test_e6_full_char_quasi(capsys):
 
 
 @pytest.mark.parametrize(
-    "family, rank, exponents", [("F", 4, (1, 5, 7, 11)), ("E", 7, (1, 5, 7, 9, 11, 13, 17))]
+    "family, rank, exponents",
+    [
+        ("F", 4, (1, 5, 7, 11)),
+        ("E", 7, (1, 5, 7, 9, 11, 13, 17)),
+        ("B", 8, tuple(range(1, 16, 2))),
+        ("C", 8, tuple(range(1, 16, 2))),
+    ],
 )
 def test_largest_face_route_full_char_quasi(capsys, family, rank, exponents):
-    """The same at F4 and at E7, the largest system on the face route; both
-    have period 12."""
-    _assert_full_is_exponent_product(capsys, family, rank, 12, exponents)
+    """The same at F4 and E7 (period 12), and at B8 and C8 (period 2),
+    whose Weyl groups (|W| = 10,321,920) are the largest under the table
+    bound."""
+    period = math.lcm(*build_root_system(family, rank).marks)
+    assert period == (2 if rank == 8 else 12)
+    _assert_full_is_exponent_product(capsys, family, rank, period, exponents)
 
 
 REPO_DIR = os.path.dirname(SRC_DIR)
@@ -830,9 +883,10 @@ def test_benchmark_sweeps_match_pinned_digests(capsys, family):
     ],
 )
 def test_e8_small_subsets_are_counted(capsys, subset, constituent):
-    """E8's face table is too large, so its subsets are counted: the empty
-    set, and the six roots below alpha_1 + alpha_3 + alpha_4, an A3 whose
-    polynomial q(q - 1)(q - 2)(q - 3) gains q^4 from the free coordinates."""
+    """E8 passes the Weyl-table bound, so only short subsets of period 1
+    answer, counted: the empty set, and the six roots below
+    alpha_1 + alpha_3 + alpha_4, an A3 whose polynomial
+    q(q - 1)(q - 2)(q - 3) gains q^4 from the free coordinates."""
     code, out, err = run_main(
         capsys, "char-quasi", "--type", "E", "--rank", "8", "--subset", subset
     )
@@ -942,7 +996,7 @@ GOLDEN = [
     (
         "char-quasi-E8-cap",
         "char-quasi --type E --rank 8 --subset full",
-        "c6c6c8631102b596de3ffc6047b70d16eae87c2fb86e4d26e1d31446eda300a0",
+        "f0a74ac0a5c9f852e0bd1337b646dfe0c98962b4d712442e9a960eb4379b7965",
     ),
     (
         "info-B3-json",

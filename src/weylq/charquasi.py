@@ -26,12 +26,13 @@ from weylq.errors import ResourceCapError, ValidationError
 from weylq.quasipoly import QuasiPolynomial, RationalPolynomial
 from weylq.quasipoly import apply_shift, fold_period, interpolate_qp
 from weylq.rootsys import (
+    RootSubset,
     RootSystem,
+    _order_from_heights,
+    _reflection_permutations,
     check_weyl_cap,
-    face_roots,
-    face_weyl_order,
+    height,
     normalize_subset,
-    root_set_orbit,
 )
 
 Vector = Tuple[int, ...]
@@ -274,6 +275,85 @@ def _char_quasi(spec: ArrangementSpec, period: int, start: int) -> QuasiPolynomi
 # the memo is inspected and reset through char_quasi, like an lru_cache
 char_quasi.cache_info = _char_quasi.cache_info
 char_quasi.cache_clear = _char_quasi.cache_clear
+
+
+def face_roots(rs: RootSystem, face: Iterable[int]) -> RootSubset:
+    """Positive roots that take integer values on the open face of the
+    alcove cut out by the given walls (wall 0 is the affine one): those
+    whose coefficients vanish off the face and, when wall 0 is among the
+    walls, those whose coefficients equal the marks off the face.  They are
+    the roots of the face's stabiliser.  The face must omit some wall.
+    """
+    walls = set(face)
+    if not walls < set(range(rs.rank + 1)):
+        raise ValidationError(f"a face omits some of the walls 0..{rs.rank}")
+    off = [i for i in range(rs.rank) if i + 1 not in walls]
+    return tuple(
+        k
+        for k, root in enumerate(rs.positive_roots)
+        if all(root[i] == 0 for i in off)
+        or (0 in walls and all(root[i] == rs.marks[i] for i in off))
+    )
+
+
+def face_weyl_order(rs: RootSystem, face: Iterable[int]) -> int:
+    """Order of the stabiliser of the open face: the Weyl group of
+    face_roots, from their heights in its base, the walls' roots (minus
+    the highest root for wall 0).
+
+    A root with zero coefficients off the face keeps its height.  One with
+    the marks off the face is minus wall 0 plus the walls where it falls
+    short of the marks, so its height there is h - ht.
+    """
+    walls = set(face)
+    # a face root is nonzero at an off-face coordinate only if it has the marks there
+    off = next((i for i in range(rs.rank) if i + 1 not in walls), None)
+    h = rs.coxeter_number
+    return _order_from_heights(
+        h - height(root) if off is not None and root[off] else height(root)
+        for root in map(rs.positive_roots.__getitem__, face_roots(rs, walls))
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _mask_reflections(rs: RootSystem) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """Each simple reflection acting on sets of roots up to sign, given as
+    bitmasks over the positive-root indices: for every byte of a mask, a
+    table from the byte's value to the image of its bits."""
+    n = len(rs.positive_roots)
+    out = []
+    for perm in _reflection_permutations(rs):
+        image = [1 << (perm[i] % n) for i in range(n)]
+        chunks = []
+        for lo in range(0, n, 8):
+            bits = image[lo:lo + 8]
+            table = [0] * (1 << len(bits))
+            for b in range(1, len(table)):
+                low = b & -b
+                table[b] = table[b ^ low] | bits[low.bit_length() - 1]
+            chunks.append(tuple(table))
+        out.append(tuple(chunks))
+    return tuple(out)
+
+
+def root_set_orbit(rs: RootSystem, mask: int) -> Tuple[int, ...]:
+    """The Weyl orbit of a set of roots taken up to sign, as bitmasks over
+    the positive-root indices (bit i for root i), by breadth-first closure
+    under the simple reflections; the given mask comes first."""
+    gens = _mask_reflections(rs)
+    seen = {mask}
+    order = [mask]
+    for m in order:
+        for chunks in gens:
+            image = 0
+            shift = 0
+            for table in chunks:
+                image |= table[(m >> shift) & 255]
+                shift += 8
+            if image not in seen:
+                seen.add(image)
+                order.append(image)
+    return tuple(order)
 
 
 FaceTable = Tuple[int, Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]], ...]]

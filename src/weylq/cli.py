@@ -321,11 +321,12 @@ def _cmd_ehrhart(args, rs: RootSystem):
 def _cmd_compat(args, rs: RootSystem):
     if args.subset.strip() == "ideal-all":
         # the ideals number Cat(W) = prod (h + e_i + 1) / prod (e_i + 1), the
-        # latter |W|, the exponents e_i dual to the numbers of roots per height
+        # latter |W|, the exponents e_i dual to the numbers of roots per height;
+        # each lane is rank + 1 columns of |W|/f bytes
         per_height = Counter(map(height, rs.positive_roots)).values()
         exps = [sum(n >= i for n in per_height) for i in range(1, rs.rank + 1)]
         count = math.prod(rs.coxeter_number + e + 1 for e in exps) // rs.weyl_order
-        need = count * (rs.rank + 1) * rs.weyl_order
+        need = count * (rs.rank + 1) * rs.weyl_order // rs.index_of_connection
         if need > MAX_SWEEP_BYTES:
             raise ResourceCapError(
                 f"the sweep over the {count} ideals of {rs.family}{rs.rank} "

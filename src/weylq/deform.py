@@ -123,10 +123,10 @@ def _interval_formula(rs: RootSystem, psi, inside, outside) -> QuasiPolynomial:
     and its descents by 1 - lo; inside is the subset's interval, outside
     the complement's.  A Type I deformation puts no hyperplane outside:
     the empty interval [1, 0], weights (1, 0).  The compatibility formula
-    is inside [0, 0] with nothing outside.  The profile counts over the
-    index of connection make one polynomial in t, read with t^k as the
-    shift q -> q - k; its powers are the weighted statistics, never
-    negative, since check_intervals keeps every weight at 0 or above.
+    is inside [0, 0] with nothing outside.  The profile counts, already
+    over W/Omega-bar (profile_counts), make one polynomial in t, read with
+    t^k as the shift q -> q - k; its powers are the weighted statistics,
+    never negative, since check_intervals keeps every weight at 0 or above.
     """
     _require_compatible(rs, psi)
     (lo_in, hi_in), (lo_out, hi_out) = inside, outside
@@ -134,8 +134,7 @@ def _interval_formula(rs: RootSystem, psi, inside, outside) -> QuasiPolynomial:
     weights = (1 - lo_out, 1 - lo_in, hi_out + 1, hi_in + 1)
     shift = RationalPolynomial.from_terms(
         ((sum(w * stat for w, stat in zip(weights, p)), count)
-         for p, count in profile_counts(rs, psi)),
-        rs.index_of_connection,
+         for p, count in profile_counts(rs, psi))
     )
     return apply_shift(shift, ehrhart_closed_qp(rs))
 

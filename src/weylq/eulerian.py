@@ -5,6 +5,10 @@ mark 1) followed by the simple roots (position i, mark c_i).  For a subset
 of the positive roots, a group element sorts each extended-base image into
 one of four classes: negative outside or inside the subset (descents), or
 positive outside or inside it (ascents), each weighted by the mark.
+The group is read as one element per coset u * Omega-bar
+(rootsys.enumerate_weyl): Omega-bar permutes the extended base keeping
+its marks, so every statistic is constant on a coset, and every count
+here is the count over W divided by the index of connection f.
 
 A statistic (one field of a profile) is the sum, over the extended-base
 positions, of the position's mark where its image's class is the field's,
@@ -180,37 +184,25 @@ def _profiles(rs: RootSystem, psi: RootSubset) -> Histogram:
 
 
 def profile_counts(rs: RootSystem, subset: Iterable[int]) -> Histogram:
-    """Histogram of the profiles over the group: each distinct profile with
-    the number of elements that have it, in increasing profile order.  The
-    deformation formulas read it; e and m read one lane each (_lane).
+    """Histogram of the profiles over W/Omega-bar: each distinct profile
+    with the number of cosets that have it, its count over W divided by
+    the index of connection, in increasing profile order.  The deformation
+    formulas read it; e and m read one lane each (_lane).
     """
     return _profiles(rs, normalize_subset(rs, subset))
 
 
-def _fiber_polynomial(rs: RootSystem, fibers: Iterable[Tuple[int, int]]) -> RationalPolynomial:
-    """Sum of c * t^e over the fibers (e, c), divided by the index of
-    connection; refuses when some fiber count is not divisible by it."""
-    counts = RationalPolynomial.from_terms(fibers)
-    f = rs.index_of_connection
-    for e, c in counts.terms:
-        if c % f:
-            raise InconsistencyError(
-                f"fiber at exponent {e} has {c} elements, not divisible by f={f}"
-            )
-    return RationalPolynomial.from_terms(counts.terms, f)
-
-
 def eulerian_poly(rs: RootSystem, subset: Iterable[int]) -> RationalPolynomial:
-    """Generating polynomial of h minus the descent statistic, scaled down
-    by the index of connection; always has integer coefficients."""
+    """Generating polynomial of h minus the descent statistic over W/Omega,
+    the paper's sum over W divided by the index of connection."""
     h = rs.coxeter_number
     fibers = _lane(rs, normalize_subset(rs, subset), "descent")
-    return _fiber_polynomial(rs, ((h - v, c) for v, c in fibers))
+    return RationalPolynomial.from_terms((h - v, c) for v, c in fibers)
 
 
 def m_poly(rs: RootSystem, subset: Iterable[int]) -> RationalPolynomial:
-    """Generating polynomial of h plus the inside-ascent statistic, scaled
-    down by the index of connection."""
+    """Generating polynomial of h plus the inside-ascent statistic over
+    W/Omega, the sum over W divided by the index of connection."""
     h = rs.coxeter_number
     fibers = _lane(rs, normalize_subset(rs, subset), "ascent_bar")
-    return _fiber_polynomial(rs, ((h + v, c) for v, c in fibers))
+    return RationalPolynomial.from_terms((h + v, c) for v, c in fibers)

@@ -29,9 +29,10 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
 _EXACT_RANK = {"F": 4, "G": 2}
 _E_RANKS = (6, 7, 8)
 
-# The Weyl group image table, counted while built (rank + 1 bytes per
-# element, twice that during the last join): E7, A9, D8, B8 and C8 fit,
-# A10 (878 MB) and E8 do not.
+# The Weyl group image table, counted while built as if it held all of W
+# (rank + 1 bytes per element, twice that during the last join), though it
+# holds |W|/f rows: the bound also admits systems to the face route.  E7,
+# A9, D8, B8 and C8 fit, A10 (878 MB) and E8 do not.
 MAX_WEYL_TABLE_BYTES = 1 << 28
 
 
@@ -264,9 +265,9 @@ def _reflection_permutations(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
 
 
 class WeylGroup(Sequence):
-    """The Weyl group, identity first, held as one bytes table.
+    """Weyl group elements, identity first, held as one bytes table.
 
-    images lists every element's extended-base images, width (rank + 1)
+    images lists each element's extended-base images, width (rank + 1)
     bytes per element.  A WeylElement is built only when one is read: by
     index, by slice (a tuple) or while iterating.
     """
@@ -323,25 +324,44 @@ def _coset_representatives(gens, simple, n):
     return found
 
 
+def _omega_bar(rs: RootSystem, gens, simple, n) -> List[bytes]:
+    """The linear parts of Omega, as translate tables: w0^(J_k) * w0 for
+    each special node k (mark 1, the affine node first, giving the
+    identity), J_k the simple reflections but s_k.  Each longest element
+    is walked up by generators that are no right descent until all are."""
+    def longest(js):
+        perm = bytes(range(256))
+        while (j := next((j for j in js if perm[simple[j]] < n), None)) is not None:
+            perm = gens[j].translate(perm)
+        return perm
+
+    w0 = longest(range(rs.rank))
+    special = [k for k, mark in enumerate(rs.marks) if mark == 1]
+    return [w0.translate(longest([j for j in range(rs.rank) if j != k])) for k in [-1] + special]
+
+
 # Two groups: a sweep over two systems (B4, then C4) reuses each group
 # while it runs, and at most two large groups stay resident.
 @functools.lru_cache(maxsize=2)
 def _weyl_elements(rs: RootSystem) -> WeylGroup:
-    """The image table as the parabolic product W = W_J * ^JW, built by
-    bytes.translate alone; no element is hashed.
+    """The image table of one element per coset u * Omega-bar, the identity
+    first, built by bytes.translate alone; no element is hashed.
 
-    J is the first rank - 1 generators and ^JW the elements with no left
-    descent in J (_coset_representatives).  Every w factors uniquely as
-    w = v * u with v in W_J and u in ^JW (Bjorner and Brenti, Combinatorics
-    of Coxeter Groups, 2.4.4).  v * u sends the extended base to P_v of u's
-    images (P_v the permutation of v on the signed roots), so one
-    bytes.translate by P_v (2N <= 256, see check_weyl_cap) moves a whole
-    table of u's, rank + 1 images each.
+    Every w factors uniquely as v * u, v in W_J and u in ^JW, the elements
+    with no left descent in J (Bjorner and Brenti, Combinatorics of Coxeter
+    Groups, 2.4.4), and v * u sends the extended base to P_v of u's images
+    (P_v: v on the signed roots, 2N <= 256, see check_weyl_cap), so one
+    translate moves a whole table of u's.  Down the chain W_m = <s_1..s_m>
+    (_coset_representatives) each w is u_1 * ... * u_r, u_m in ^JW_m for J
+    the first m - 1 generators, joined from the last factor outwards.
 
-    Down the chain W_m = <s_1, ..., s_m>, each element is one product
-    u_1 * ... * u_r with u_m in ^JW_m: one translate per representative,
-    from the last factor outwards, the identity first.  The product of the
-    coset counts is checked against |W| before any table is built.
+    After d factors the products p are ^JW for J the first rank - d
+    generators, one per coset W_J * p, which the coefficients of the
+    p(alpha_i) at the last d coordinates k key: they are the pairings
+    <alpha_i, p^-1(omega_k)>, and the coweights omega_k off J have the
+    stabiliser W_J.  At the first d where every Omega-bar orbit of keys has
+    f members, one p per orbit times W_J is one element per coset of
+    Omega-bar.  The counts are checked before the table is joined.
     """
     n = len(rs.positive_roots)
     gens = [bytes(perm) + bytes(range(2 * n, 256)) for perm in _reflection_permutations(rs)]
@@ -353,8 +373,30 @@ def _weyl_elements(rs: RootSystem) -> WeylGroup:
     found = math.prod(map(len, cosets))
     if found != rs.weyl_order:
         raise InconsistencyError(f"closure found {found} elements, expected {rs.weyl_order}")
-    table = bytes(extended_base_indices(rs))
-    for reps in cosets:
+    f = rs.index_of_connection
+    omega = [simple.translate(w) for w in _omega_bar(rs, gens, simple, n)]
+    products = [bytes(range(256))]
+    for depth, reps in enumerate(cosets, 1):
+        products = [p.translate(v) for v in reps for p in products]
+        codes = {}
+        pack = bytes(codes.setdefault(r[-depth:], len(codes)) for r in signed_roots(rs))
+        pack = pack.ljust(256, b"\0")
+        orbits = [{w.translate(p).translate(pack) for w in omega} for p in products]
+        if all(len(orbit) == f for orbit in orbits):
+            break
+    else:
+        raise InconsistencyError(f"some Omega orbit has fewer than {f} cosets at every depth")
+    seen, kept = set(), []
+    for p, orbit in zip(products, orbits):
+        if orbit.isdisjoint(seen):
+            kept.append(p)
+            seen |= orbit
+    rows = len(kept) * math.prod(map(len, cosets[depth:]))
+    if rows * f != rs.weyl_order:
+        raise InconsistencyError(f"kept {rows} elements, expected |W|/f = {rs.weyl_order // f}")
+    base = bytes(extended_base_indices(rs))
+    table = b"".join(base.translate(p) for p in kept)
+    for reps in cosets[depth:]:
         table = b"".join(table.translate(perm) for perm in reps)
     return WeylGroup(table, rs.rank + 1)
 
@@ -379,92 +421,17 @@ def check_weyl_cap(rs: RootSystem) -> None:
 
 
 def enumerate_weyl(rs: RootSystem) -> WeylGroup:
-    """All Weyl group elements as a read-only sequence over one image table
-    (see WeylGroup): the identity first, each element once, in no other
-    promised order, each given by its extended-base images alone.  Refuses
-    upfront when the table is too large (check_weyl_cap).
+    """Weyl group elements as a read-only sequence over one image table
+    (see WeylGroup): the identity first, one element per coset u * Omega-bar
+    (|W|/f of them), in no other promised order, each given by its
+    extended-base images alone.  Omega-bar, the linear parts of the
+    alcove's stabiliser Omega = P^/Q^, permutes the extended base keeping
+    its marks (Bourbaki, Lie Groups, VI.2.3; Iwahori and Matsumoto 1965),
+    so each descent statistic is constant on a coset.  Refuses upfront
+    when the table is too large (check_weyl_cap).
     """
     check_weyl_cap(rs)
     return _weyl_elements(rs)
-
-
-def face_roots(rs: RootSystem, face: Iterable[int]) -> RootSubset:
-    """Positive roots that take integer values on the open face of the
-    alcove cut out by the given walls (wall 0 is the affine one): those
-    whose coefficients vanish off the face and, when wall 0 is among the
-    walls, those whose coefficients equal the marks off the face.  They are
-    the roots of the face's stabiliser.  The face must omit some wall.
-    """
-    walls = set(face)
-    if not walls < set(range(rs.rank + 1)):
-        raise ValidationError(f"a face omits some of the walls 0..{rs.rank}")
-    off = [i for i in range(rs.rank) if i + 1 not in walls]
-    return tuple(
-        k
-        for k, root in enumerate(rs.positive_roots)
-        if all(root[i] == 0 for i in off)
-        or (0 in walls and all(root[i] == rs.marks[i] for i in off))
-    )
-
-
-def face_weyl_order(rs: RootSystem, face: Iterable[int]) -> int:
-    """Order of the stabiliser of the open face: the Weyl group of
-    face_roots, from their heights in its base, the walls' roots (minus
-    the highest root for wall 0).
-
-    A root with zero coefficients off the face keeps its height.  One with
-    the marks off the face is minus wall 0 plus the walls where it falls
-    short of the marks, so its height there is h - ht.
-    """
-    walls = set(face)
-    # a face root is nonzero at an off-face coordinate only if it has the marks there
-    off = next((i for i in range(rs.rank) if i + 1 not in walls), None)
-    h = rs.coxeter_number
-    return _order_from_heights(
-        h - height(root) if off is not None and root[off] else height(root)
-        for root in map(rs.positive_roots.__getitem__, face_roots(rs, walls))
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def _mask_reflections(rs: RootSystem) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """Each simple reflection acting on sets of roots up to sign, given as
-    bitmasks over the positive-root indices: for every byte of a mask, a
-    table from the byte's value to the image of its bits."""
-    n = len(rs.positive_roots)
-    out = []
-    for perm in _reflection_permutations(rs):
-        image = [1 << (perm[i] % n) for i in range(n)]
-        chunks = []
-        for lo in range(0, n, 8):
-            bits = image[lo:lo + 8]
-            table = [0] * (1 << len(bits))
-            for b in range(1, len(table)):
-                low = b & -b
-                table[b] = table[b ^ low] | bits[low.bit_length() - 1]
-            chunks.append(tuple(table))
-        out.append(tuple(chunks))
-    return tuple(out)
-
-
-def root_set_orbit(rs: RootSystem, mask: int) -> Tuple[int, ...]:
-    """The Weyl orbit of a set of roots taken up to sign, as bitmasks over
-    the positive-root indices (bit i for root i), by breadth-first closure
-    under the simple reflections; the given mask comes first."""
-    gens = _mask_reflections(rs)
-    seen = {mask}
-    order = [mask]
-    for m in order:
-        for chunks in gens:
-            image = 0
-            shift = 0
-            for table in chunks:
-                image |= table[(m >> shift) & 255]
-                shift += 8
-            if image not in seen:
-                seen.add(image)
-                order.append(image)
-    return tuple(order)
 
 
 def poset_leq(a: Vector, b: Vector) -> bool:

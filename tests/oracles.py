@@ -2,7 +2,7 @@
 
 These are identities of the paper and closed forms from its literature
 that no query computes: root lengths, Weyl elements from words, the
-Eulerian polynomial with one root removed and its Omega-fibers, the
+whole Weyl group and the linear parts of Omega in it, the Eulerian polynomial with one root removed and its Omega-fibers, the
 counts of the dilated alcove with walls or bands of walls removed, the
 open-face counts and the face formula summed face by face, the
 compatibility defect, Lagrange interpolation in Fraction arithmetic,
@@ -20,7 +20,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from weylq.charquasi import char_quasi_subset
+from weylq.charquasi import char_quasi_subset, face_roots, face_weyl_order, root_set_orbit
 from weylq.compat import shift_formula_qp
 from weylq.deform import int_pair
 from weylq.ehrhart import _check_q, _exact_counts, _sum_counts, count_closed
@@ -36,16 +36,14 @@ from weylq.rootsys import (
     RootSystem,
     Vector,
     WeylElement,
+    WeylGroup,
+    _coset_representatives,
     _reflection_permutations,
-    enumerate_weyl,
     extended_base_indices,
-    face_roots,
-    face_weyl_order,
     height,
     lower_closure,
     normalize_subset,
     root_index,
-    root_set_orbit,
     signed_roots,
 )
 
@@ -94,6 +92,42 @@ def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     for j in reversed(w):
         images = tuple(map(gens[j - 1].__getitem__, images))
     return WeylElement(images)
+
+
+# Two groups, as in rootsys: E7's full table is 23 MB.
+@functools.lru_cache(maxsize=2)
+def full_weyl(rs: RootSystem) -> WeylGroup:
+    """Every Weyl group element, the identity first: the parabolic chain of
+    minimal coset representatives joined from its last factor outwards,
+    without the one-per-Omega-coset choice that rootsys.enumerate_weyl
+    makes."""
+    n = len(rs.positive_roots)
+    gens = [bytes(perm) + bytes(range(2 * n, 256)) for perm in _reflection_permutations(rs)]
+    simple = bytes(min(gen[n:]) for gen in gens)
+    table = bytes(extended_base_indices(rs))
+    for m in range(rs.rank, 0, -1):
+        reps = _coset_representatives(gens[:m], simple[:m], n)
+        table = b"".join(table.translate(perm) for perm in reps)
+    return WeylGroup(table, rs.rank + 1)
+
+
+def omega_positions(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
+    """The elements of W that permute the extended base, the linear parts
+    of Omega, each as the permutation sigma of base positions with
+    w(beta_i) = beta_sigma(i), read off full_weyl: the rows whose images
+    all lie in the base, found by AND-ing the columns' membership bytes."""
+    group = full_weyl(rs)
+    base = extended_base_indices(rs)
+    inside = bytes(i in base for i in range(256))
+    hits = -1
+    for i in range(group.width):
+        hits &= int.from_bytes(group.images[i :: group.width].translate(inside), "little")
+    rows = hits.to_bytes(len(group), "little")
+    found, k = [], rows.find(1)
+    while k >= 0:
+        found.append(tuple(map(base.index, group[k].base_images)))
+        k = rows.find(1, k + 1)
+    return tuple(found)
 
 
 def is_ideal(rs: RootSystem, indices: Iterable[int]) -> bool:
@@ -282,7 +316,7 @@ def omega_partition(rs: RootSystem, delta_index: int) -> Dict[int, Tuple[WeylEle
     the chosen root, fibered by the extended-base position.
 
     Keys are the positions whose root shares the chosen root's length
-    class; each value is a tuple of the elements read from enumerate_weyl's
+    class; each value is a tuple of the elements read from full_weyl's
     sequence, in its order.
     """
     n = len(rs.positive_roots)
@@ -295,7 +329,7 @@ def omega_partition(rs: RootSystem, delta_index: int) -> Dict[int, Tuple[WeylEle
         for i, (root, _) in enumerate(extended_base(rs))
         if classify_length(rs, root) == cls
     }
-    for w in enumerate_weyl(rs):
+    for w in full_weyl(rs):
         for i, image in enumerate(w.base_images):
             if image == target:
                 if i not in fibers:

@@ -42,7 +42,6 @@ from weylq.quasipoly import (
 from weylq.rootsys import (
     build_root_system,
     enumerate_ideals,
-    enumerate_weyl,
     subset_complement,
 )
 
@@ -54,6 +53,7 @@ from oracles import (
     defect_qp,
     eulerian_delta_complement,
     expand_rational_series,
+    full_weyl,
     omega_partition,
     period_one,
     qp_scale,
@@ -381,7 +381,7 @@ def test_criterion_12_statistics_suite():
             assert e(1) == n_alcoves
     for family, rank in [("G", 2), ("B", 3), ("A", 2)]:
         rs = build_root_system(family, rank)
-        elems = enumerate_weyl(rs)
+        elems = full_weyl(rs)
         for delta in range(len(rs.positive_roots)):
             cls = classify_length(rs, rs.positive_roots[delta])
             class_size = 2 * sum(

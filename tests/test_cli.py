@@ -565,7 +565,7 @@ OLD_SWEEPS = (
 def test_sweep_bound_admits_every_former_sweep(capsys, monkeypatch):
     """Without running them: every sweep the former default admitted
     translates at most MAX_SWEEP_BYTES of descent lanes, the ideals times
-    (rank + 1) times |W|.  The sweep predicts its ideals as Cat(W) from
+    (rank + 1) times |W|/f.  The sweep predicts its ideals as Cat(W) from
     the exponents: with the bound at 0, each refusal names the number of
     ideals that enumerate_ideals lists."""
     limit = cli.MAX_SWEEP_BYTES
@@ -574,7 +574,7 @@ def test_sweep_bound_admits_every_former_sweep(capsys, monkeypatch):
         rs = build_root_system(family, rank)
         assert rs.weyl_order <= 2_000_000
         ideals = len(enumerate_ideals(rs))
-        need = ideals * (rank + 1) * rs.weyl_order
+        need = ideals * (rank + 1) * rs.weyl_order // rs.index_of_connection
         assert need <= limit, (family, rank, need)
         code, out, err = run_main(
             capsys, "compat", "--type", family, "--rank", str(rank), "--subset", "ideal-all"
@@ -589,13 +589,13 @@ def test_sweep_bound_admits_every_former_sweep(capsys, monkeypatch):
 
 
 def test_e7_sweep_is_refused_before_its_first_ideal(capsys, monkeypatch):
-    """E7's 4,160 ideals would translate 9.66e10 bytes of lanes: exit 3
-    before any ideal is decided."""
+    """E7's 4,160 ideals would translate 4.83e10 bytes of lanes, 8 columns
+    of |W|/2 bytes each: exit 3 before any ideal is decided."""
     monkeypatch.setattr(cli, "is_compatible", lambda *args: pytest.fail("an ideal was decided"))
     code, out, err = run_main(capsys, "compat", "--type", "E", "--rank", "7", "--subset", "ideal-all")
     assert (code, out) == (3, "")
     assert err == (
-        "error: the sweep over the 4160 ideals of E7 translates 96613171200 bytes "
+        "error: the sweep over the 4160 ideals of E7 translates 48306585600 bytes "
         f"of descent lanes, above the limit of {cli.MAX_SWEEP_BYTES}\n"
     )
 

@@ -35,6 +35,7 @@ from oracles import (
     classify_length,
     eulerian_delta_complement,
     extended_base,
+    full_weyl,
     omega_partition,
     weyl_from_word,
 )
@@ -78,7 +79,7 @@ def test_identity_profile(g2):
 def test_descent_fibers_without_top_root(g2):
     """Fiber sizes of the weighted descent count over the whole group."""
     psi = (0, 1, 2, 3, 4)
-    values = [descent_profile(g2, psi, w).descent for w in enumerate_weyl(g2)]
+    values = [descent_profile(g2, psi, w).descent for w in full_weyl(g2)]
     assert sorted(values) == [0] * 8 + [1] * 2 + [2] * 2
     # the four elements in the small fibers, by reduced word
     assert descent_profile(g2, psi, weyl_from_word(g2, ())).descent == 1
@@ -232,7 +233,7 @@ def test_omega_partition_counts(family, rank):
         assert all(len(ws) == fiber_size for ws in fibers.values())
         complement = subset_complement(rs, (delta,))
         positive_descent = {
-            w for w in enumerate_weyl(rs)
+            w for w in full_weyl(rs)
             if descent_profile(rs, complement, w).descent > 0
         }
         collected = {w for ws in fibers.values() for w in ws}
@@ -283,11 +284,12 @@ def test_descent_profile_matches_matrix_action(case):
 @settings(max_examples=60, deadline=None)
 @given(case=_element_and_subset())
 def test_profile_counts_match_per_element_profiles(case):
-    """The histogram counts the per-element classification, in a fixed
-    (increasing) order, and its counts add up to the group order."""
+    """The histogram, times f, counts the per-element classification over
+    the whole group, in a fixed (increasing) order, and its counts add up
+    to the group order."""
     rs, _, subset = case
-    hist = profile_counts(rs, subset)
-    assert dict(hist) == Counter(descent_profile(rs, subset, w) for w in enumerate_weyl(rs))
+    hist = _times_f(rs, profile_counts(rs, subset))
+    assert dict(hist) == Counter(descent_profile(rs, subset, w) for w in full_weyl(rs))
     assert list(hist) == sorted(hist)
     assert sum(count for _, count in hist) == rs.weyl_order
 
@@ -302,9 +304,14 @@ def _benchmark_subset(workload, seed):
     return argv[argv.index("--subset") + 1]
 
 
+def _times_f(rs, hist):
+    """A histogram over W/Omega-bar as one over W."""
+    return tuple((p, rs.index_of_connection * count) for p, count in hist)
+
+
 def _assert_per_element_histogram(rs, subset):
-    hist = profile_counts(rs, subset)
-    assert dict(hist) == Counter(descent_profile(rs, subset, w) for w in enumerate_weyl(rs))
+    hist = _times_f(rs, profile_counts(rs, subset))
+    assert dict(hist) == Counter(descent_profile(rs, subset, w) for w in full_weyl(rs))
     assert list(hist) == sorted(hist)
 
 
@@ -441,7 +448,7 @@ def test_lanes_are_the_profile_marginals(family, rank, step):
     rs = build_root_system(family, rank)
     h = rs.coxeter_number
     for psi in enumerate_ideals(rs)[::step]:
-        profiles = [descent_profile(rs, psi, w) for w in enumerate_weyl(rs)]
+        profiles = [descent_profile(rs, psi, w) for w in full_weyl(rs)]
         e = _marginal_polynomial(rs, (h - p.descent for p in profiles))
         m = _marginal_polynomial(rs, (h + p.ascent_bar for p in profiles))
         assert (eulerian_poly(rs, psi), m_poly(rs, psi)) == (e, m)
@@ -481,13 +488,16 @@ def test_each_lane_classifies_at_most_h_plus_one_elements(monkeypatch, family, r
             assert len(calls) == sum(1 for c in poly.coeffs if c) <= rs.coxeter_number + 1
 
 
-def test_lanes_keep_no_copy_of_the_image_table():
+def test_lanes_keep_no_copy_of_the_image_table(monkeypatch):
     """e and m on D5 from cleared caches leave the eulerian caches holding
     far less than the group's image table: the lanes slice its columns per
-    call and keep only their counts."""
+    call and keep only their counts.  They read the whole group's table
+    here, whose 11,520 bytes stand well clear of the caches' own few
+    kilobytes."""
     rs = build_root_system("D", 5)
     psi = enumerate_ideals(rs)[90]
-    images = enumerate_weyl(rs).images
+    monkeypatch.setattr(eulerian, "enumerate_weyl", full_weyl)
+    images = full_weyl(rs).images
     for cached in (eulerian._lane, eulerian._profiles, eulerian._inside):
         cached.cache_clear()
     gc.collect()
@@ -500,6 +510,9 @@ def test_lanes_keep_no_copy_of_the_image_table():
         kept = tracemalloc.take_snapshot().compare_to(before, "filename")
     finally:
         tracemalloc.stop()
+        # the cached counts are the whole group's, not the enumeration's
+        for cached in (eulerian._lane, eulerian._profiles):
+            cached.cache_clear()
     held = sum(stat.size_diff for stat in kept if stat.traceback[0].filename == eulerian.__file__)
     # a kept copy of the table would hold len(images) bytes or more
     assert held < len(images) // 2
@@ -542,12 +555,49 @@ def test_statistics_do_not_depend_on_the_element_order(monkeypatch, family, rank
             cached.cache_clear()
 
 
-def test_fiber_polynomial_sums_fibers_and_divides_by_f():
-    """Fibers at one exponent add up before the division by the index of
-    connection, and a sum it does not divide is refused."""
+def test_lane_counts_are_already_divided_by_f():
+    """The lanes count cosets of Omega-bar, so e and m read their counts
+    with no division: on B2 (f = 2) the descent lane of the empty subset
+    counts |W|/f = 4 cosets, and e is those counts at h minus each value."""
     b2 = rootsys.build_root_system("B", 2)
     assert b2.index_of_connection == 2
-    got = eulerian._fiber_polynomial(b2, [(3, 1), (1, 4), (3, 3), (0, 0)])
-    assert got == RationalPolynomial((0, 2, 0, 2))
-    with pytest.raises(InconsistencyError, match="exponent 3 has 3 elements"):
-        eulerian._fiber_polynomial(b2, [(1, 2), (3, 1), (3, 2)])
+    eulerian._lane.cache_clear()
+    lane = eulerian._lane(b2, (), "descent")
+    assert sum(count for _, count in lane) == 4
+    expected = RationalPolynomial.from_terms((4 - v, c) for v, c in lane)
+    assert eulerian_poly(b2, ()) == expected == poly(0, 1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "family, rank, sample",
+    [("B", 4, None), ("C", 4, None), ("D", 5, None), ("F", 4, None), ("E", 6, 12)],
+)
+def test_quotient_statistics_times_f_are_the_full_ones(monkeypatch, family, rank, sample):
+    """f times each count over W/Omega-bar is the count over the whole
+    group: the joint profile histogram and the e and m lanes, on every
+    ideal of B4, C4, D5 and F4 and on seeded ideals of E6."""
+    rs = build_root_system(family, rank)
+    f = rs.index_of_connection
+    ideals = enumerate_ideals(rs)
+    if sample:
+        ideals = random.Random(f"omega-{family}{rank}").sample(ideals, sample)
+    caches = (eulerian._lane, eulerian._profiles)
+
+    def statistics():
+        for cached in caches:
+            cached.cache_clear()
+        return [
+            (eulerian._profiles(rs, psi),
+             eulerian._lane(rs, psi, "descent"), eulerian._lane(rs, psi, "ascent_bar"))
+            for psi in ideals
+        ]
+
+    try:
+        quotient = statistics()
+        monkeypatch.setattr(eulerian, "enumerate_weyl", full_weyl)
+        full = statistics()
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    scaled = [tuple(tuple((key, f * c) for key, c in counts) for counts in row) for row in quotient]
+    assert scaled == full

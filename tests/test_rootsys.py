@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylq import rootsys
+from weylq import charquasi, rootsys
+from weylq.charquasi import face_roots, face_weyl_order
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
 from weylq.rootsys import (
     MAX_WEYL_TABLE_BYTES,
@@ -17,8 +18,6 @@ from weylq.rootsys import (
     enumerate_ideals,
     enumerate_weyl,
     extended_base_indices,
-    face_roots,
-    face_weyl_order,
     height,
     lower_closure,
     normalize_subset,
@@ -30,7 +29,7 @@ from weylq.rootsys import (
 )
 
 import oracles
-from oracles import classify_length, is_ideal, weyl_from_word
+from oracles import classify_length, full_weyl, is_ideal, omega_positions, weyl_from_word
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
 
@@ -181,10 +180,12 @@ def test_classify_length_norms_once(monkeypatch):
 
 @pytest.mark.parametrize("family, rank", SMALL)
 def test_weyl_enumeration(family, rank):
+    """One element per coset of Omega-bar, each once, the identity first."""
     rs = build_root_system(family, rank)
     elems = enumerate_weyl(rs)
-    assert len(elems) == rs.weyl_order
-    assert len({w.base_images for w in elems}) == rs.weyl_order
+    cosets = rs.weyl_order // rs.index_of_connection
+    assert len(elems) == cosets
+    assert len({w.base_images for w in elems}) == cosets
     assert elems[0].base_images == extended_base_indices(rs)
     assert least_word(rs, elems[0]) == ()
 
@@ -311,7 +312,7 @@ def test_enumeration_matches_matrix_closure(family, rank):
     roots = signed_roots(rs)
     got = [
         (tuple(zip(*(roots[i] for i in w.base_images[1:]))), least_word(rs, w))
-        for w in enumerate_weyl(rs)
+        for w in full_weyl(rs)
     ]
     assert sorted(got) == sorted(_reference_weyl(rs))
 
@@ -373,7 +374,7 @@ def test_lengths_follow_the_poincare_product(family, rank):
         assert poincare[-ht:] == [0] * ht
         del poincare[-ht:]
     counts = [0] * len(poincare)
-    for length in element_lengths(rs, enumerate_weyl(rs)):
+    for length in element_lengths(rs, full_weyl(rs)):
         counts[length] += 1
     assert counts == poincare
 
@@ -553,13 +554,71 @@ def test_weyl_table_digest(family, rank):
     afterwards."""
     rs = build_root_system(family, rank)
     try:
-        group = enumerate_weyl(rs)
-        images, width = group.images, group.width
-        rows = sorted(images[i : i + width] for i in range(0, len(images), width))
-        assert hashlib.sha256(b"".join(rows)).hexdigest() == WEYL_TABLE_DIGESTS[family, rank]
+        group = full_weyl(rs)
+        assert _row_digest(group.images, group.width) == WEYL_TABLE_DIGESTS[family, rank]
     finally:
         if (family, rank) == ("E", 7):
+            full_weyl.cache_clear()
+
+
+def _row_digest(images, width):
+    rows = sorted(images[i : i + width] for i in range(0, len(images), width))
+    return hashlib.sha256(b"".join(rows)).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "family, rank",
+    [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("D", 5), ("F", 4), ("E", 6), ("E", 7)],
+)
+def test_enumeration_is_a_transversal_of_omega(family, rank):
+    """The elements of W that permute the extended base number f, and the
+    enumeration's rows, each permuted by their f position permutations
+    (the rows of u * omega), give every row of the whole group once."""
+    rs = build_root_system(family, rank)
+    try:
+        perms = omega_positions(rs)
+        assert len(perms) == rs.index_of_connection
+        full = full_weyl(rs)
+        expected = WEYL_TABLE_DIGESTS.get((family, rank)) or _row_digest(full.images, full.width)
+        group = enumerate_weyl(rs)
+        width = group.width
+        union = bytearray()
+        for sigma in perms:
+            permuted = bytearray(len(group.images))
+            for i, j in enumerate(sigma):
+                permuted[i::width] = group.images[j::width]
+            union += permuted
+        assert _row_digest(bytes(union), width) == expected
+    finally:
+        if (family, rank) == ("E", 7):
+            full_weyl.cache_clear()
             rootsys._weyl_elements.cache_clear()
+
+
+def test_enumeration_refuses_a_doctored_omega(monkeypatch):
+    """The quotient is refused when Omega-bar is not what it should be:
+    with its identity repeated, no depth of the chain gives every orbit f
+    cosets; with the identity and s1 * s2 (of order 3) in B3, the "orbits"
+    overlap and the kept cosets do not come to |W|/f elements."""
+    rs = build_root_system("B", 3)
+    omega_bar = rootsys._omega_bar
+
+    def repeated(rs, *args):
+        return [omega_bar(rs, *args)[0]] * rs.index_of_connection
+
+    def non_group(rs, gens, simple, n):
+        return [bytes(range(256)), gens[1].translate(gens[0])]
+
+    rootsys._weyl_elements.cache_clear()
+    try:
+        monkeypatch.setattr(rootsys, "_omega_bar", repeated)
+        with pytest.raises(InconsistencyError, match="fewer than 2 cosets at every depth"):
+            enumerate_weyl(rs)
+        monkeypatch.setattr(rootsys, "_omega_bar", non_group)
+        with pytest.raises(InconsistencyError, match=r"kept 16 elements, expected \|W\|/f = 24$"):
+            enumerate_weyl(rs)
+    finally:
+        rootsys._weyl_elements.cache_clear()
 
 
 @pytest.mark.parametrize("family, rank, step", [("B", 4, 1), ("D", 5, 1), ("F", 4, 1), ("E", 6, 37)])
@@ -593,12 +652,12 @@ def test_weyl_element_layout(g2):
 
 @pytest.mark.parametrize("family, rank", SMALL + [("F", 4)])
 def test_weyl_group_view(family, rank):
-    """The enumeration is a slotted view over one image table, rank + 1
-    bytes per element and nothing else, holding the elements that the
-    matrix closure's words multiply out to; an index, a negative index or
+    """A group is a slotted view over one image table, rank + 1 bytes per
+    element and nothing else; the whole group's holds the elements that
+    the matrix closure's words multiply out to; an index, a negative index or
     a slice reads the elements that iteration lists there."""
     rs = build_root_system(family, rank)
-    view = enumerate_weyl(rs)
+    view = full_weyl(rs)
     expected = list(view)
 
     def images(elements):
@@ -621,7 +680,8 @@ def test_weyl_group_view(family, rank):
 
 def test_weyl_group_keeps_only_its_image_table():
     """A freshly built group keeps, by traced memory, little more than its
-    image table: rank + 1 bytes per element, with no per-element objects."""
+    image table: rank + 1 bytes per element, one element per coset of
+    Omega-bar (|W| / 4 on D5), with no per-element objects."""
     rs = build_root_system("D", 5)
     rootsys._reflection_permutations(rs)
     extended_base_indices(rs)
@@ -634,7 +694,7 @@ def test_weyl_group_keeps_only_its_image_table():
     finally:
         tracemalloc.stop()
         rootsys._weyl_elements.cache_clear()
-    assert len(group.images) == 6 * 1920
+    assert len(group.images) == 6 * 1920 // 4
     assert kept < 2 * len(group.images)
 
 
@@ -841,7 +901,7 @@ def test_root_set_orbit_of_one_root(family, rank):
             1 << j for j, other in enumerate(rs.positive_roots)
             if classify_length(rs, other) == length
         }
-        orbit = rootsys.root_set_orbit(rs, 1 << k)
+        orbit = charquasi.root_set_orbit(rs, 1 << k)
         assert orbit[0] == 1 << k
         assert len(orbit) == len(set(orbit))
         assert set(orbit) == same
@@ -856,6 +916,6 @@ def test_root_set_orbit_matches_group_action(g2):
         members = [k for k in range(n) if mask >> k & 1]
         expected = {
             sum(1 << lookup[weyl_act(g2, w, g2.positive_roots[k])] for k in members)
-            for w in enumerate_weyl(g2)
+            for w in full_weyl(g2)
         }
-        assert set(rootsys.root_set_orbit(g2, mask)) == expected
+        assert set(charquasi.root_set_orbit(g2, mask)) == expected

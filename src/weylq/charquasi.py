@@ -94,13 +94,10 @@ def make_spec(rank: int, items: Iterable[Tuple[Sequence[int], Iterable[int]]]) -
     )
 
 
-def from_root_subset(
-    rs: RootSystem, subset: Iterable[int], offsets: Iterable[int] = (0,)
-) -> ArrangementSpec:
+def from_root_subset(rs: RootSystem, subset: Iterable[int]) -> ArrangementSpec:
     """The congruence arrangement of a subset of the positive roots."""
     psi = normalize_subset(rs, subset)
-    offs = tuple(offsets)
-    return make_spec(rs.rank, ((rs.positive_roots[i], offs) for i in psi))
+    return make_spec(rs.rank, ((rs.positive_roots[i], (0,)) for i in psi))
 
 
 def count_complement(spec: ArrangementSpec, q: int) -> int:
@@ -270,11 +267,6 @@ def _char_quasi(spec: ArrangementSpec, period: int, start: int) -> QuasiPolynomi
     return interpolate_qp(
         lambda q: count_complement(spec, q), period, spec.rank, min_q=start
     )
-
-
-# the memo is inspected and reset through char_quasi, like an lru_cache
-char_quasi.cache_info = _char_quasi.cache_info
-char_quasi.cache_clear = _char_quasi.cache_clear
 
 
 def face_roots(rs: RootSystem, face: Iterable[int]) -> RootSubset:

@@ -93,57 +93,6 @@ def qp_to_json(qp: QuasiPolynomial) -> dict:
     }
 
 
-def _json_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _json_rational(text) -> Fraction:
-    if not isinstance(text, str):
-        raise ValidationError(f"coefficient {text!r} is not a string")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"coefficient {text!r} is not an exact rational") from None
-
-
-def qp_from_json(doc: dict) -> QuasiPolynomial:
-    """Inverse of qp_to_json.  The document comes from outside the program,
-    so anything malformed raises ValidationError: a missing key, a period,
-    residue or degree that is not an integer (bools included), a missing or
-    duplicated residue, coefficients that are not a list of rational
-    strings, or a degree other than the constituents'."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"a quasi-polynomial is a JSON object, got {type(doc).__name__}")
-    missing = [key for key in ("period", "degree", "constituents") if key not in doc]
-    if missing:
-        raise ValidationError(f"quasi-polynomial lacks {', '.join(missing)}")
-    period = doc["period"]
-    if not _json_int(period) or period < 1:
-        raise ValidationError("period must be a positive integer")
-    if not isinstance(doc["constituents"], list):
-        raise ValidationError("constituents must be a list")
-    slots = {}
-    for entry in doc["constituents"]:
-        if not isinstance(entry, dict) or not {"residue", "coeffs_ascending"} <= entry.keys():
-            raise ValidationError(f"constituent {entry!r} needs residue and coeffs_ascending")
-        k = entry["residue"]
-        if not _json_int(k) or not 1 <= k <= period:
-            raise ValidationError(f"residue {k!r} out of range 1..{period}")
-        if k in slots:
-            raise ValidationError(f"residue {k} listed twice")
-        coeffs = entry["coeffs_ascending"]
-        if not isinstance(coeffs, list):
-            raise ValidationError(f"coeffs_ascending of residue {k} must be a list")
-        slots[k] = RationalPolynomial(map(_json_rational, coeffs))
-    if len(slots) != period:
-        raise ValidationError("constituent list does not cover every residue")
-    qp = QuasiPolynomial(period, tuple(slots[k] for k in range(1, period + 1)))
-    degree = doc["degree"]
-    if not _json_int(degree) or degree != qp.degree:
-        raise ValidationError(f"degree {degree!r} disagrees with the constituents' {qp.degree}")
-    return qp
-
-
 # ---------------------------------------------------------------------------
 # subset expressions
 
@@ -252,10 +201,10 @@ def _system_block(rs: RootSystem) -> dict:
     }
 
 
-def _qp_lines(qp: QuasiPolynomial, var: str = "q") -> List[str]:
+def _qp_lines(qp: QuasiPolynomial) -> List[str]:
     lines = [f"period: {qp.period}"]
     for k in range(1, qp.period + 1):
-        lines.append(f"residue {k}: {qp.constituents[k - 1].format(var)}")
+        lines.append(f"residue {k}: {qp.constituents[k - 1].format()}")
     return lines
 
 

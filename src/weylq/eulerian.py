@@ -5,17 +5,18 @@ mark 1) followed by the simple roots (position i, mark c_i).  For a subset
 of the positive roots, a group element sorts each extended-base image into
 one of four classes: negative outside or inside the subset (descents), or
 positive outside or inside it (ascents), each weighted by the mark.
-The group is read as one element per coset u * Omega-bar
-(rootsys.enumerate_weyl): Omega-bar permutes the extended base keeping
-its marks, so every statistic is constant on a coset, and every count
-here is the count over W divided by the index of connection f.
+The group is its image table (rootsys.enumerate_weyl): rank + 1 bytes
+per element, one element per coset u * Omega-bar.  Omega-bar permutes the
+extended base keeping its marks, so every statistic is constant on a
+coset, and every count here is the count over W divided by the index of
+connection f.
 
 A statistic (one field of a profile) is the sum, over the extended-base
 positions, of the position's mark where its image's class is the field's,
 so it is added up over all elements at once: each position's images, one
-bytes column sliced from the group's image table, are translated to the
-mark or 0, and the columns, read as integers, add up bytewise without
-carries (every field is at most the Coxeter number, below 256).
+bytes column sliced from the table, are translated to the mark or 0, and
+the columns, read as integers, add up bytewise without carries (every
+field is at most the Coxeter number, below 256).
 eulerian_poly reads the descent lane and m_poly the ascent_bar lane alone
 (_lane): each value's count is read off the summed lane, and one element
 per value is classified by descent_profile, which must agree.  Only deform
@@ -28,15 +29,13 @@ from __future__ import annotations
 import functools
 from array import array
 from collections import Counter
-from typing import FrozenSet, Iterable, NamedTuple, Tuple
+from typing import FrozenSet, Iterable, NamedTuple, Sequence, Tuple
 
 from weylq.errors import InconsistencyError
 from weylq.quasipoly import RationalPolynomial
 from weylq.rootsys import (
     RootSubset,
     RootSystem,
-    WeylElement,
-    WeylGroup,
     enumerate_weyl,
     normalize_subset,
 )
@@ -66,13 +65,15 @@ def _inside(rs: RootSystem, subset: Tuple[int, ...]) -> FrozenSet[int]:
     return frozenset(normalize_subset(rs, subset))
 
 
-def descent_profile(rs: RootSystem, subset: Iterable[int], w: WeylElement) -> DescentProfile:
-    """Classify the extended-base images of one element."""
+def descent_profile(rs: RootSystem, subset: Iterable[int], images: Iterable[int]) -> DescentProfile:
+    """Classify one element from its extended-base images: a row of the
+    image table (rootsys.enumerate_weyl) or any sequence of signed-root
+    indices, one per extended-base position."""
     psi = _inside(rs, tuple(subset))
     n = len(rs.positive_roots)
     descent = descent_bar = ascent = ascent_bar = 0
     # signed index i < n is the positive root i, else the negative of i - n
-    for image, mark in zip(w.base_images, (1,) + rs.marks):
+    for image, mark in zip(images, (1,) + rs.marks):
         if image < n:
             if image in psi:
                 ascent_bar += mark
@@ -107,15 +108,16 @@ _LANES = tuple(
 )
 
 
-def _lane_sum(group: WeylGroup, tables: Iterable[bytes]) -> bytes:
+def _lane_sum(table: bytes, tables: Sequence[bytes]) -> bytes:
     """Per element, the sum over the extended-base positions of its image
     translated by that position's table, one byte per element: each
     position's column is sliced from the image table and the translated
     columns are added as little-endian integers, so no byte may pass 255."""
+    width = len(tables)
     total = 0
-    for i, table in enumerate(tables):
-        total += int.from_bytes(group.images[i :: group.width].translate(table), "little")
-    return total.to_bytes(len(group), "little")
+    for i, marks in enumerate(tables):
+        total += int.from_bytes(table[i::width].translate(marks), "little")
+    return total.to_bytes(len(table) // width, "little")
 
 
 # One entry per statistic of a subset: e and m of one query, or the e of
@@ -125,18 +127,19 @@ def _lane_sum(group: WeylGroup, tables: Iterable[bytes]) -> bytes:
 def _lane(rs: RootSystem, psi: RootSubset, field: str) -> Tuple[Tuple[int, int], ...]:
     """Each value of one profile field (a DescentProfile field name) over
     the group with its number of elements, in increasing order.  The first
-    element of each value (at most h + 1 of them, the only elements
-    built) is classified, and its profile must read that value."""
-    group = enumerate_weyl(rs)
+    row of each value (at most h + 1 of them) is also classified one by
+    one (descent_profile), and its profile must read that value."""
+    table = enumerate_weyl(rs)
+    width = rs.rank + 1
     codes = _class_codes(rs, psi)
     k = DescentProfile._fields.index(field)
-    lane = _lane_sum(group, (codes.translate(_LANES[k][mark]) for mark in (1,) + rs.marks))
+    lane = _lane_sum(table, [codes.translate(_LANES[k][mark]) for mark in (1,) + rs.marks])
     counts = []
     for value in range(rs.coxeter_number + 1):
         count = lane.count(value)
         if count:
             index = lane.index(value)
-            profile = descent_profile(rs, psi, group[index])
+            profile = descent_profile(rs, psi, table[index * width : (index + 1) * width])
             if profile[k] != value:
                 raise InconsistencyError(
                     f"element {index} has profile {tuple(profile)}, but its image "
@@ -152,19 +155,20 @@ def _lane(rs: RootSystem, psi: RootSubset, field: str) -> Tuple[Tuple[int, int],
 # distinct profiles; as with _lane, a hit means the table bound already
 # passed.  The lane sums of descent, descent_bar and ascent (module
 # docstring) are interleaved into one 4-byte key per element and the keys
-# counted; the first element of each distinct key is read from the group
-# (the only elements built) and classified, and its profile must read the
-# key (its ascent_bar, h minus the other three, then agrees too).
+# counted; the first row of each distinct key is also classified one by
+# one (descent_profile), and its profile must read the key (its
+# ascent_bar, h minus the other three, then agrees too).
 @functools.lru_cache(maxsize=4)
 def _profiles(rs: RootSystem, psi: RootSubset) -> Histogram:
-    elements = enumerate_weyl(rs)
-    size = len(elements)
+    table = enumerate_weyl(rs)
+    width = rs.rank + 1
+    size = len(table) // width
     codes = _class_codes(rs, psi)
     marks = (1,) + rs.marks
     packed = bytearray(4 * size)
     for field, lanes in enumerate(_LANES[:3]):
         tables = [codes.translate(lanes[mark]) for mark in marks]
-        packed[field::4] = _lane_sum(elements, tables)
+        packed[field::4] = _lane_sum(table, tables)
     keys = array("I", packed)
     hist = {}
     index = -1
@@ -172,7 +176,7 @@ def _profiles(rs: RootSystem, psi: RootSubset) -> Histogram:
     # each search for a key's first element starts after the previous one
     for key, count in Counter(keys).items():
         index = keys.index(key, index + 1)
-        profile = descent_profile(rs, psi, elements[index])
+        profile = descent_profile(rs, psi, table[index * width : (index + 1) * width])
         summed = tuple(packed[4 * index : 4 * index + 3])
         if profile[:3] != summed:
             raise InconsistencyError(

@@ -79,8 +79,8 @@ class RationalPolynomial:
         return cls(())
 
     @classmethod
-    def monomial(cls, power: int, coeff=1) -> "RationalPolynomial":
-        return cls.from_terms(((power, coeff),))
+    def monomial(cls, power: int) -> "RationalPolynomial":
+        return cls.from_terms(((power, 1),))
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:

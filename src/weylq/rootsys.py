@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
 
@@ -70,18 +69,6 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.family}{self.rank})"
-
-
-@dataclass(frozen=True, slots=True)
-class WeylElement:
-    """A Weyl group element, given by where it sends the extended base.
-
-    base_images holds the signed-root indices (see signed_roots) of the
-    images of the extended base (see extended_base_indices).  They
-    determine the element, so they are all it holds.
-    """
-
-    base_images: Tuple[int, ...]
 
 
 def height(root: Vector) -> int:
@@ -264,34 +251,6 @@ def _reflection_permutations(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-class WeylGroup(Sequence):
-    """Weyl group elements, identity first, held as one bytes table.
-
-    images lists each element's extended-base images, width (rank + 1)
-    bytes per element.  A WeylElement is built only when one is read: by
-    index, by slice (a tuple) or while iterating.
-    """
-
-    __slots__ = ("images", "width")
-
-    def __init__(self, images: bytes, width: int) -> None:
-        self.images = images
-        self.width = width
-
-    def __len__(self) -> int:
-        return len(self.images) // self.width
-
-    def __getitem__(self, index) -> WeylElement | Tuple[WeylElement, ...]:
-        found = range(len(self))[index]
-        if isinstance(found, range):
-            return tuple(map(self.__getitem__, found))
-        start = found * self.width
-        return WeylElement(tuple(self.images[start : start + self.width]))
-
-    def __iter__(self) -> Iterator[WeylElement]:
-        return map(WeylElement, zip(*[iter(self.images)] * self.width))
-
-
 def _coset_representatives(gens, simple, n):
     """The minimal coset representatives ^JW of W_J in W, for W generated by
     gens and J all of them but the last: the elements with no left descent
@@ -343,9 +302,10 @@ def _omega_bar(rs: RootSystem, gens, simple, n) -> List[bytes]:
 # Two groups: a sweep over two systems (B4, then C4) reuses each group
 # while it runs, and at most two large groups stay resident.
 @functools.lru_cache(maxsize=2)
-def _weyl_elements(rs: RootSystem) -> WeylGroup:
-    """The image table of one element per coset u * Omega-bar, the identity
-    first, built by bytes.translate alone; no element is hashed.
+def _weyl_elements(rs: RootSystem) -> bytes:
+    """The image table (enumerate_weyl) of one element per coset
+    u * Omega-bar, the identity first, built by bytes.translate alone; no
+    element is hashed.
 
     Every w factors uniquely as v * u, v in W_J and u in ^JW, the elements
     with no left descent in J (Bjorner and Brenti, Combinatorics of Coxeter
@@ -398,7 +358,7 @@ def _weyl_elements(rs: RootSystem) -> WeylGroup:
     table = b"".join(base.translate(p) for p in kept)
     for reps in cosets[depth:]:
         table = b"".join(table.translate(perm) for perm in reps)
-    return WeylGroup(table, rs.rank + 1)
+    return table
 
 
 def check_weyl_cap(rs: RootSystem) -> None:
@@ -420,11 +380,12 @@ def check_weyl_cap(rs: RootSystem) -> None:
         )
 
 
-def enumerate_weyl(rs: RootSystem) -> WeylGroup:
-    """Weyl group elements as a read-only sequence over one image table
-    (see WeylGroup): the identity first, one element per coset u * Omega-bar
-    (|W|/f of them), in no other promised order, each given by its
-    extended-base images alone.  Omega-bar, the linear parts of the
+def enumerate_weyl(rs: RootSystem) -> bytes:
+    """The Weyl group as its image table: rank + 1 bytes per element, the
+    signed-root indices (signed_roots) of the images of the extended base
+    (extended_base_indices), which determine the element.  The identity
+    comes first, then one element per coset u * Omega-bar (|W|/f rows in
+    all), in no other promised order.  Omega-bar, the linear parts of the
     alcove's stabiliser Omega = P^/Q^, permutes the extended base keeping
     its marks (Bourbaki, Lie Groups, VI.2.3; Iwahori and Matsumoto 1965),
     so each descent statistic is constant on a coset.  Refuses upfront

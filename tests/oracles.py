@@ -2,11 +2,13 @@
 
 These are identities of the paper and closed forms from its literature
 that no query computes: root lengths, Weyl elements from words, the
-whole Weyl group and the linear parts of Omega in it, the Eulerian polynomial with one root removed and its Omega-fibers, the
+whole Weyl group's image table, its rows and the linear parts of Omega in
+it, the Eulerian polynomial with one root removed and its Omega-fibers, the
 counts of the dilated alcove with walls or bands of walls removed, the
 open-face counts and the face formula summed face by face, the
 compatibility defect, Lagrange interpolation in Fraction arithmetic,
-quasi-polynomial arithmetic and equality over a common period, generating
+quasi-polynomial arithmetic and equality over a common period, a reader
+for the --json quasi-polynomials the command line prints, generating
 series expanded term by term, and the Shi, Catalan and Linial closed
 forms that check deformations where counting refuses.
 The tests compare each with what the package computes another way.
@@ -18,7 +20,7 @@ import functools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from weylq.charquasi import char_quasi_subset, face_roots, face_weyl_order, root_set_orbit
 from weylq.compat import shift_formula_qp
@@ -35,8 +37,6 @@ from weylq.quasipoly import (
 from weylq.rootsys import (
     RootSystem,
     Vector,
-    WeylElement,
-    WeylGroup,
     _coset_representatives,
     _reflection_permutations,
     extended_base_indices,
@@ -80,8 +80,9 @@ def classify_length(rs: RootSystem, v: Vector) -> str:
     return "long" if root_norm2(rs, vv) == root_norm2(rs, rs.highest_root) else "short"
 
 
-def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
-    """Product of simple reflections; word entries are 1-based."""
+def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> Tuple[int, ...]:
+    """Product of simple reflections, as its extended-base images (one row
+    of an image table); word entries are 1-based."""
     w = tuple(word)
     for j in w:
         if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= rs.rank:
@@ -91,16 +92,22 @@ def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     # the last letter acts first
     for j in reversed(w):
         images = tuple(map(gens[j - 1].__getitem__, images))
-    return WeylElement(images)
+    return images
+
+
+def weyl_rows(table: bytes, width: int) -> Iterator[Tuple[int, ...]]:
+    """The rows of an image table (rootsys.enumerate_weyl), each element's
+    extended-base images as a tuple, in table order."""
+    return zip(*[iter(table)] * width)
 
 
 # Two groups, as in rootsys: E7's full table is 23 MB.
 @functools.lru_cache(maxsize=2)
-def full_weyl(rs: RootSystem) -> WeylGroup:
-    """Every Weyl group element, the identity first: the parabolic chain of
-    minimal coset representatives joined from its last factor outwards,
-    without the one-per-Omega-coset choice that rootsys.enumerate_weyl
-    makes."""
+def full_weyl(rs: RootSystem) -> bytes:
+    """The image table of every Weyl group element, the identity first:
+    the parabolic chain of minimal coset representatives joined from its
+    last factor outwards, without the one-per-Omega-coset choice that
+    rootsys.enumerate_weyl makes."""
     n = len(rs.positive_roots)
     gens = [bytes(perm) + bytes(range(2 * n, 256)) for perm in _reflection_permutations(rs)]
     simple = bytes(min(gen[n:]) for gen in gens)
@@ -108,7 +115,7 @@ def full_weyl(rs: RootSystem) -> WeylGroup:
     for m in range(rs.rank, 0, -1):
         reps = _coset_representatives(gens[:m], simple[:m], n)
         table = b"".join(table.translate(perm) for perm in reps)
-    return WeylGroup(table, rs.rank + 1)
+    return table
 
 
 def omega_positions(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
@@ -116,16 +123,17 @@ def omega_positions(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     of Omega, each as the permutation sigma of base positions with
     w(beta_i) = beta_sigma(i), read off full_weyl: the rows whose images
     all lie in the base, found by AND-ing the columns' membership bytes."""
-    group = full_weyl(rs)
+    table = full_weyl(rs)
+    width = rs.rank + 1
     base = extended_base_indices(rs)
     inside = bytes(i in base for i in range(256))
     hits = -1
-    for i in range(group.width):
-        hits &= int.from_bytes(group.images[i :: group.width].translate(inside), "little")
-    rows = hits.to_bytes(len(group), "little")
+    for i in range(width):
+        hits &= int.from_bytes(table[i::width].translate(inside), "little")
+    rows = hits.to_bytes(len(table) // width, "little")
     found, k = [], rows.find(1)
     while k >= 0:
-        found.append(tuple(map(base.index, group[k].base_images)))
+        found.append(tuple(map(base.index, table[k * width : (k + 1) * width])))
         k = rows.find(1, k + 1)
     return tuple(found)
 
@@ -176,6 +184,21 @@ def normalize_period(qp: QuasiPolynomial, new_period: int) -> QuasiPolynomial:
         new_period,
         tuple(qp.constituent_for(k) for k in range(1, new_period + 1)),
     )
+
+
+def qp_from_json(doc: Mapping) -> QuasiPolynomial:
+    """The quasi-polynomial of a --json result (cli.qp_to_json): residues
+    1..period in order, exact rational coefficient strings, and a degree
+    that must be the constituents'."""
+    constituents = doc["constituents"]
+    if [c["residue"] for c in constituents] != list(range(1, doc["period"] + 1)):
+        raise ValidationError(f"residues are not 1..{doc['period']} in order")
+    qp = QuasiPolynomial(doc["period"], tuple(
+        RationalPolynomial(map(Fraction, c["coeffs_ascending"])) for c in constituents
+    ))
+    if qp.degree != doc["degree"]:
+        raise ValidationError(f"degree {doc['degree']} is not the constituents' {qp.degree}")
+    return qp
 
 
 def qp_equal_over_common_period(a: QuasiPolynomial, b: QuasiPolynomial) -> bool:
@@ -311,13 +334,13 @@ def eulerian_delta_complement(rs: RootSystem, delta_index: int) -> RationalPolyn
     return poly
 
 
-def omega_partition(rs: RootSystem, delta_index: int) -> Dict[int, Tuple[WeylElement, ...]]:
+def omega_partition(rs: RootSystem, delta_index: int) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
     """Group elements sending some extended-base root onto the negative of
     the chosen root, fibered by the extended-base position.
 
     Keys are the positions whose root shares the chosen root's length
-    class; each value is a tuple of the elements read from full_weyl's
-    sequence, in its order.
+    class; each value is a tuple of the elements' rows (weyl_rows) read
+    from full_weyl's table, in its order.
     """
     n = len(rs.positive_roots)
     if not isinstance(delta_index, int) or isinstance(delta_index, bool) or not 0 <= delta_index < n:
@@ -329,8 +352,8 @@ def omega_partition(rs: RootSystem, delta_index: int) -> Dict[int, Tuple[WeylEle
         for i, (root, _) in enumerate(extended_base(rs))
         if classify_length(rs, root) == cls
     }
-    for w in full_weyl(rs):
-        for i, image in enumerate(w.base_images):
+    for w in weyl_rows(full_weyl(rs), rs.rank + 1):
+        for i, image in enumerate(w):
             if image == target:
                 if i not in fibers:
                     raise InconsistencyError(

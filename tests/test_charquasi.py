@@ -239,7 +239,7 @@ def test_counting_cap_bounds_the_largest_sample(monkeypatch, g2):
     included: G2 full interpolates over its period 6 up to q = 30."""
     spec = from_root_subset(g2, range(6))
     monkeypatch.setattr(charquasi, "MAX_COUNT_BITS", 30**2 - 1)
-    char_quasi.cache_clear()
+    charquasi._char_quasi.cache_clear()
     with pytest.raises(ResourceCapError, match="counting cap"):
         char_quasi(spec)
     monkeypatch.setattr(charquasi, "MAX_COUNT_BITS", 30**2)
@@ -312,7 +312,7 @@ def test_deformations_take_only_positive_roots(g2):
         with pytest.raises(ValidationError, match="positive roots"):
             char_quasi_deformation(g2, make_spec(len(items[0][0]), items))
     with pytest.raises(ValidationError, match="without offsets"):
-        char_quasi(from_root_subset(g2, (0,), offsets=(0, 1)))
+        char_quasi(make_spec(2, [(g2.positive_roots[0], (0, 1))]))
 
 
 RANK_FIVE_AT_MOST = [

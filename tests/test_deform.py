@@ -13,7 +13,7 @@ import pytest
 
 from weylq import charquasi, compat, eulerian, kernels, quasipoly, rootsys
 from weylq.charquasi import char_quasi, char_quasi_deformation, from_root_subset
-from weylq.cli import main, qp_from_json
+from weylq.cli import main
 from weylq.deform import cqp_type1_formula, cqp_type2_formula, type1_spec, type2_spec, verify_deform
 from weylq.ehrhart import ehrhart_closed_qp
 from weylq.errors import ValidationError
@@ -30,6 +30,7 @@ from oracles import (
     exponents,
     linial_closed_form,
     period_one,
+    qp_from_json,
     shi_closed_form,
 )
 
@@ -148,8 +149,10 @@ def test_shi_closed_form(family, rank, m):
     assert set(formula.constituents) == {shi_closed_form(rs, m)}
 
 
+# in reverse, so that the systems Shi ran last, E7 first, are still in the
+# bounded decision and face-table caches (maxsize 4) when Catalan reads them
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("family, rank", SHI_CATALAN_SYSTEMS)
+@pytest.mark.parametrize("family, rank", SHI_CATALAN_SYSTEMS[::-1])
 def test_catalan_closed_form(family, rank, m):
     """Catalan^m, the offsets -m..m: the product of (q - mh - e_i) on the
     residues prime to the period."""
@@ -322,7 +325,7 @@ def test_formulas_share_one_bounded_decision():
     shift-table caches are bounded."""
     for cached in (
         compat._decide,
-        char_quasi,
+        charquasi._char_quasi,
         charquasi._vector_period,
         charquasi._face_table,
         charquasi._mask_reflections,
@@ -348,7 +351,7 @@ def test_offsets_share_one_period_search():
     d4 = build_root_system("D", 4)
     full = range(len(d4.positive_roots))
     charquasi._vector_period.cache_clear()
-    char_quasi.cache_clear()
+    charquasi._char_quasi.cache_clear()
     periods = {
         char_quasi_deformation(d4, spec).period
         for spec in (
@@ -359,7 +362,7 @@ def test_offsets_share_one_period_search():
     }
     assert periods == {math.lcm(*d4.marks)} == {2}
     assert charquasi._vector_period.cache_info().misses == 0
-    info = char_quasi.cache_info()
+    info = charquasi._char_quasi.cache_info()
     assert (info.misses, info.hits) == (2, 1)
 
 
@@ -375,14 +378,14 @@ def test_mirrored_interval_reuses_the_count(monkeypatch):
     monkeypatch.setattr(
         kernels, "complement_count", lambda *args: calls.append(args) or count(*args)
     )
-    char_quasi.cache_clear()
+    charquasi._char_quasi.cache_clear()
     first = char_quasi_deformation(d4, type1_spec(d4, full, (-1, 2)))
     counted = len(calls)
     mirrored = char_quasi_deformation(d4, type1_spec(d4, full, (-2, 1)))
     assert counted > 0 and len(calls) == counted
     assert mirrored == first
     assert min(q for q, *_ in calls) == 2 * d4.coxeter_number + 1
-    char_quasi.cache_clear()
+    charquasi._char_quasi.cache_clear()
     assert charquasi._char_quasi(type1_spec(d4, full, (-2, 1)), 2, 13) == first
     assert len(calls) == 2 * counted
 

@@ -108,7 +108,7 @@ def test_equal_quasi_polynomials_share_one_shift_table():
 
 def test_monomial_and_zero():
     assert RationalPolynomial.monomial(3)(2) == 8
-    assert RationalPolynomial.monomial(0, 7) == poly(7)
+    assert RationalPolynomial.monomial(0) == poly(1)
     assert RationalPolynomial.zero().is_zero
     with pytest.raises(ValidationError):
         RationalPolynomial.monomial(-1)

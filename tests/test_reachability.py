@@ -16,9 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # public names that nothing in src/ or perfbench/ refers to, with the reason
 # each stays
-EXCEPTIONS = {
-    "cli.qp_from_json": "README's JSON contract: qp_to_json and qp_from_json round-trip --json results",
-}
+EXCEPTIONS = {}
 
 
 def _public_definitions(tree):

@@ -17,8 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from weylq import kernels
 from weylq.ehrhart import ehrhart_closed_qp
@@ -55,8 +54,7 @@ MAX_COUNT_BITS = 2**33
 COUNT_FIRST_SHARE = 100
 
 
-@dataclass(frozen=True)
-class ArrangementSpec:
+class ArrangementSpec(NamedTuple):
     """Deduplicated, canonically ordered congruence items.
 
     Each item pairs a nonzero integer vector with the sorted tuple of its

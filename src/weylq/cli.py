@@ -57,6 +57,13 @@ Vector = Tuple[int, ...]
 # minutes, and everything larger.
 MAX_SWEEP_BYTES = 1 << 35
 
+# Listing the ideals walks the root poset once per ideal and root and
+# prints up to N roots per ideal, so the listing is bounded by ideals times
+# positive roots.  The bound admits E8 (25,080 ideals, 3.0e6, 6.9 s) and A10
+# (58,786, 3.2e6, 5.9 s), and refuses A11 (208,012, 1.4e7, 29 s at 1.1 GiB),
+# B10, C10, D10 and everything larger.
+MAX_IDEAL_LISTING = 1 << 22
+
 
 # ---------------------------------------------------------------------------
 # exact-rational JSON encoding
@@ -267,14 +274,19 @@ def _cmd_ehrhart(args, rs: RootSystem):
     return _qp_lines(qp), qp_to_json(qp), {"variant": args.variant}
 
 
+def _ideal_count(rs: RootSystem) -> int:
+    """The number of ideals of the root poset, without listing them:
+    Cat(W) = prod (h + e_i + 1) / prod (e_i + 1), the latter |W|, the
+    exponents e_i dual to the numbers of roots per height."""
+    per_height = Counter(map(height, rs.positive_roots)).values()
+    exps = [sum(n >= i for n in per_height) for i in range(1, rs.rank + 1)]
+    return math.prod(rs.coxeter_number + e + 1 for e in exps) // rs.weyl_order
+
+
 def _cmd_compat(args, rs: RootSystem):
     if args.subset.strip() == "ideal-all":
-        # the ideals number Cat(W) = prod (h + e_i + 1) / prod (e_i + 1), the
-        # latter |W|, the exponents e_i dual to the numbers of roots per height;
-        # each lane is rank + 1 columns of |W|/f bytes
-        per_height = Counter(map(height, rs.positive_roots)).values()
-        exps = [sum(n >= i for n in per_height) for i in range(1, rs.rank + 1)]
-        count = math.prod(rs.coxeter_number + e + 1 for e in exps) // rs.weyl_order
+        # each ideal's lane is rank + 1 columns of |W|/f bytes
+        count = _ideal_count(rs)
         need = count * (rs.rank + 1) * rs.weyl_order // rs.index_of_connection
         if need > MAX_SWEEP_BYTES:
             raise ResourceCapError(
@@ -317,6 +329,13 @@ def _cmd_compat(args, rs: RootSystem):
 
 
 def _cmd_ideals(args, rs: RootSystem):
+    count = _ideal_count(rs)
+    need = count * len(rs.positive_roots)
+    if need > MAX_IDEAL_LISTING:
+        raise ResourceCapError(
+            f"listing the {count} ideals of {rs.family}{rs.rank} takes {need} "
+            f"root steps, above the limit of {MAX_IDEAL_LISTING}"
+        )
     ideals = enumerate_ideals(rs)
     lines = [f"ideals: {len(ideals)}"]
     lines.extend(_subset_str(rs, psi) for psi in ideals)

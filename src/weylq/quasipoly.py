@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Sequence, Tuple
 
@@ -200,22 +199,39 @@ class RationalPolynomial:
         return f"RationalPolynomial({self.format('t')})"
 
 
-@dataclass(frozen=True)
 class QuasiPolynomial:
-    """Period plus one constituent per residue class 1..period.
+    """Immutable period plus one constituent per residue class 1..period.
 
     constituents[k-1] applies to arguments congruent to k, so the class of
     multiples of the period sits at the last index.
     """
 
-    period: int
-    constituents: Tuple[RationalPolynomial, ...]
+    __slots__ = ("period", "constituents")
 
-    def __post_init__(self) -> None:
-        if self.period < 1:
+    def __init__(self, period: int, constituents: Tuple[RationalPolynomial, ...]):
+        if period < 1:
             raise ValidationError("period must be a positive integer")
-        if len(self.constituents) != self.period:
+        if len(constituents) != period:
             raise ValidationError("need exactly one constituent per residue")
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "constituents", constituents)
+
+    # also serves as __delattr__, which passes no value
+    def __setattr__(self, name, *value):
+        raise AttributeError("QuasiPolynomial is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not QuasiPolynomial:
+            return NotImplemented
+        return self.period == other.period and self.constituents == other.constituents
+
+    def __hash__(self) -> int:
+        return hash((self.period, self.constituents))
+
+    def __repr__(self) -> str:
+        return f"QuasiPolynomial(period={self.period!r}, constituents={self.constituents!r})"
 
     def constituent_for(self, q: int) -> RationalPolynomial:
         k = q % self.period

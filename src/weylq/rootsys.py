@@ -11,22 +11,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, Iterable, List, Tuple
 
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
 
 Vector = Tuple[int, ...]
-Matrix = Tuple[Tuple[int, ...], ...]
 RootSubset = Tuple[int, ...]
 
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
-# Admissible ranks; E is the finite list, the others are lower bounds.
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
-_EXACT_RANK = {"F": 4, "G": 2}
-_E_RANKS = (6, 7, 8)
+# Admissible ranks: from _MIN_RANK on, up to _MAX_RANK where it is set.
+_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
+_MAX_RANK = {"E": 8, "F": 4, "G": 2}
+FAMILIES = tuple(_MIN_RANK)
 
 # The Weyl group image table, counted while built as if it held all of W
 # (rank + 1 bytes per element, twice that during the last join), though it
@@ -34,10 +31,16 @@ _E_RANKS = (6, 7, 8)
 # A9, D8, B8 and C8 fit, A10 (878 MB) and E8 do not.
 MAX_WEYL_TABLE_BYTES = 1 << 28
 
+# The root closure (_build) reflects each of its rank * h roots in rank
+# simple roots, a rank-term pairing each: rank^3 * h steps, about 1e7 a
+# second.  B60 (2.6e7 steps, 2.4 s) and B64 (2^25, 3.3 s) build; A76, B65,
+# D65 and larger are refused, A100 (1.0e8) among them.
+MAX_BUILD_STEPS = 1 << 25
 
-@dataclass(frozen=True)
+
 class RootSystem:
-    """An immutable root system with its classical numeric invariants.
+    """An immutable root system with its classical numeric invariants,
+    built by keyword, one per field.
 
     positive_roots is sorted by height then lexicographically; marks are the
     coefficients of the highest root; coxeter_number is 1 plus its height;
@@ -46,29 +49,38 @@ class RootSystem:
     determinant of the Cartan matrix.
     """
 
-    family: str
-    rank: int
-    cartan: Matrix
-    gram: Tuple[Tuple[Fraction, ...], ...]
-    positive_roots: Tuple[Vector, ...]
-    highest_root_index: int
-    marks: Vector
-    coxeter_number: int
-    index_of_connection: int
-    weyl_order: int
+    __slots__ = ("family", "rank", "cartan", "gram", "positive_roots", "highest_root_index",
+                 "marks", "coxeter_number", "index_of_connection", "weyl_order")
+    # the fields in slot order, which __eq__ compares
+    _values = property(attrgetter(*__slots__))
+
+    def __init__(self, **fields):
+        for name in self.__slots__:
+            object.__setattr__(self, name, fields.pop(name))
+        if fields:
+            raise TypeError("unexpected RootSystem fields: " + ", ".join(fields))
+
+    # also serves as __delattr__, which passes no value
+    def __setattr__(self, name, *value):
+        raise AttributeError("RootSystem is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values == other._values if type(other) is RootSystem else NotImplemented
+
+    def __hash__(self):
+        # Equal systems share family and rank, so this agrees with equality
+        # and spares every cache keyed on a system from hashing the Fraction
+        # Gram matrix.
+        return hash((self.family, self.rank))
+
+    def __repr__(self):
+        return f"RootSystem({self.family}{self.rank})"
 
     @property
     def highest_root(self) -> Vector:
         return self.positive_roots[self.highest_root_index]
-
-    def __hash__(self) -> int:
-        # Equal systems share family and rank, so this agrees with the
-        # generated equality and spares every cache keyed on a system from
-        # hashing the Fraction Gram matrix.
-        return hash((self.family, self.rank))
-
-    def __repr__(self) -> str:
-        return f"RootSystem({self.family}{self.rank})"
 
 
 def height(root: Vector) -> int:
@@ -89,19 +101,15 @@ def _dynkin_edges(family: str, rank: int) -> Tuple[Tuple[int, int], ...]:
 
 def _simple_norms(family: str, rank: int) -> Tuple[Fraction, ...]:
     """Squared lengths of the simple roots, long roots normalised to 2."""
-    two = Fraction(2)
-    one = Fraction(1)
-    if family in ("A", "D", "E"):
-        return (two,) * rank
-    if family == "B":
-        return (two,) * (rank - 1) + (one,)
-    if family == "C":
-        return (one,) * (rank - 1) + (two,)
-    if family == "F":
-        return (two, two, one, one)
-    # G2: the first simple root is the short one, so the highest root is
-    # 3*a1 + 2*a2.
-    return (Fraction(2, 3), two)
+    two, one = Fraction(2), Fraction(1)
+    # A, D and E have one root length.  G2: the first simple root is the
+    # short one, so the highest root is 3*a1 + 2*a2.
+    return {
+        "B": (two,) * (rank - 1) + (one,),
+        "C": (one,) * (rank - 1) + (two,),
+        "F": (two, two, one, one),
+        "G": (Fraction(2, 3), two),
+    }.get(family, (two,) * rank)
 
 
 def _order_from_heights(heights: Iterable[int]) -> int:
@@ -118,52 +126,36 @@ def _order_from_heights(heights: Iterable[int]) -> int:
     return order
 
 
+def _reflect(cartan, v, j):
+    """The simple reflection s_j applied to the root with coefficients v."""
+    return v[:j] + (v[j] - sum(row[j] * x for row, x in zip(cartan, v)),) + v[j + 1:]
+
+
 @functools.lru_cache(maxsize=None)
 def _build(family: str, rank: int) -> RootSystem:
     norms = _simple_norms(family, rank)
-    gram = [[Fraction(0)] * rank for _ in range(rank)]
-    for i in range(rank):
-        gram[i][i] = norms[i]
+    gram = [[norms[i] if i == j else Fraction(0) for j in range(rank)] for i in range(rank)]
     for a, b in _dynkin_edges(family, rank):
         # Adjacent simple roots always pair to minus half the longer norm.
-        val = -max(norms[a], norms[b]) / 2
-        gram[a][b] = val
-        gram[b][a] = val
+        gram[a][b] = gram[b][a] = -max(norms[a], norms[b]) / 2
 
-    cartan = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        for j in range(rank):
-            entry = 2 * gram[i][j] / gram[j][j]
-            if entry.denominator != 1:
-                raise InconsistencyError("non-integral Cartan entry")
-            cartan[i][j] = int(entry)
+    cartan = [[2 * x / norms[j] for j, x in enumerate(row)] for row in gram]
+    if any(entry.denominator != 1 for row in cartan for entry in row):
+        raise InconsistencyError("non-integral Cartan entry")
+    cartan = tuple(tuple(map(int, row)) for row in cartan)
 
     # Close the simple roots under simple reflections; positives are the
     # orbit vectors with nonnegative coefficients.
-    simples = [tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)]
-    seen = set(simples)
-    frontier = list(simples)
+    frontier = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    seen = set(frontier)
     while frontier:
-        nxt = []
-        for v in frontier:
-            for j in range(rank):
-                pairing = sum(cartan[i][j] * v[i] for i in range(rank))
-                w = tuple(
-                    v[k] - pairing if k == j else v[k] for k in range(rank)
-                )
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    positives = sorted(
-        (v for v in seen if all(c >= 0 for c in v)),
-        key=lambda v: (height(v), v),
-    )
+        frontier = {_reflect(cartan, v, j) for v in frontier for j in range(rank)} - seen
+        seen |= frontier
+    positives = sorted((v for v in seen if min(v) >= 0), key=lambda v: (height(v), v))
     if 2 * len(positives) != len(seen):
         raise InconsistencyError("root orbit is not symmetric")
 
-    highest_idx = len(positives) - 1
-    highest = positives[highest_idx]
+    highest = positives[-1]
     if any(height(v) == height(highest) for v in positives[:-1]):
         raise InconsistencyError("highest root is not unique")
     h = 1 + height(highest)
@@ -179,10 +171,10 @@ def _build(family: str, rank: int) -> RootSystem:
     return RootSystem(
         family=family,
         rank=rank,
-        cartan=tuple(tuple(r) for r in cartan),
-        gram=tuple(tuple(r) for r in gram),
+        cartan=cartan,
+        gram=tuple(map(tuple, gram)),
         positive_roots=tuple(positives),
-        highest_root_index=highest_idx,
+        highest_root_index=len(positives) - 1,
         marks=highest,
         coxeter_number=h,
         index_of_connection=f,
@@ -199,15 +191,19 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         )
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise ValidationError(f"rank must be an integer, got {rank!r}")
-    if family == "E":
-        if rank not in _E_RANKS:
-            raise ValidationError("family E requires rank 6, 7 or 8")
-    else:
-        lo = _MIN_RANK[family]
-        hi = _EXACT_RANK.get(family)
-        if rank < lo or (hi is not None and rank != hi):
-            bound = f"exactly {hi}" if hi is not None else f"at least {lo}"
-            raise ValidationError(f"family {family} requires rank {bound}")
+    lo, hi = _MIN_RANK[family], _MAX_RANK.get(family, rank)
+    if not lo <= rank <= hi:
+        bound = "6, 7 or 8" if family == "E" else f"exactly {hi}" if lo == hi else f"at least {lo}"
+        raise ValidationError(f"family {family} requires rank {bound}")
+    # h by family, the largest degree of W (Humphreys, Reflection Groups and
+    # Coxeter Groups, table 3.1); E6, E7 and E8 at rank % 3 = 0, 1 and 2
+    h = {"A": rank + 1, "D": 2 * rank - 2, "E": (12, 18, 30)[rank % 3], "F": 12, "G": 6}
+    steps = rank**3 * h.get(family, 2 * rank)
+    if steps > MAX_BUILD_STEPS:
+        raise ResourceCapError(
+            f"building {family}{rank} takes {steps} root closure steps, "
+            f"above the limit of {MAX_BUILD_STEPS}"
+        )
     return _build(family, rank)
 
 
@@ -242,13 +238,7 @@ def _reflection_permutations(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     entry i of the j-th tuple is the index of s_j applied to root i."""
     roots = signed_roots(rs)
     lookup = {v: i for i, v in enumerate(roots)}
-    return tuple(
-        tuple(
-            lookup[v[:j] + (v[j] - sum(row[j] * x for row, x in zip(rs.cartan, v)),) + v[j + 1:]]
-            for v in roots
-        )
-        for j in range(rs.rank)
-    )
+    return tuple(tuple(lookup[_reflect(rs.cartan, v, j)] for v in roots) for j in range(rs.rank))
 
 
 def _coset_representatives(gens, simple, n):
@@ -423,14 +413,13 @@ def subset_complement(rs: RootSystem, indices: Iterable[int]) -> RootSubset:
 def subset_from_roots(rs: RootSystem, roots: Iterable[Vector]) -> RootSubset:
     lookup = root_index(rs)
     out = set()
-    for r in roots:
-        rr = tuple(r)
-        if rr not in lookup:
+    for r in map(tuple, roots):
+        if r not in lookup:
             raise ValidationError(
-                f"{rr} is not a positive root of {rs.family}{rs.rank}; "
+                f"{r} is not a positive root of {rs.family}{rs.rank}; "
                 f"valid roots: {list(lookup)}"
             )
-        out.add(lookup[rr])
+        out.add(lookup[r])
     return tuple(sorted(out))
 
 
@@ -438,12 +427,7 @@ def lower_closure(rs: RootSystem, indices: Iterable[int]) -> RootSubset:
     """Smallest ideal of the root poset containing the given roots."""
     base = normalize_subset(rs, indices)
     roots = rs.positive_roots
-    out = {
-        j
-        for j in range(len(roots))
-        if any(poset_leq(roots[j], roots[i]) for i in base)
-    }
-    return tuple(sorted(out))
+    return tuple(j for j, root in enumerate(roots) if any(poset_leq(root, roots[i]) for i in base))
 
 
 @functools.lru_cache(maxsize=None)

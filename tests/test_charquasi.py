@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from weylq import charquasi, rootsys
 from weylq.charquasi import (
+    ArrangementSpec,
     char_quasi,
     char_quasi_deformation,
     char_quasi_faces,
@@ -50,6 +51,20 @@ def test_make_spec_normalises():
     spec = make_spec(2, [((1, 1), (0,)), ((1, 0), (1, -1)), ((1, 1), (2,))])
     assert spec.rank == 2
     assert spec.items == (((1, 0), (-1, 1)), ((1, 1), (0, 2)))
+
+
+def test_arrangement_spec_is_an_immutable_value():
+    """Specs of equal rank and items are equal and hash alike, a field
+    cannot be set, and the repr shows both fields."""
+    spec = make_spec(2, [((1, 1), (0,)), ((1, 0), (1, -1))])
+    twin = ArrangementSpec(rank=2, items=(((1, 0), (-1, 1)), ((1, 1), (0,))))
+    assert twin == spec and hash(twin) == hash(spec) == hash((2, spec.items))
+    assert {spec: 1}[twin] == 1
+    assert spec != make_spec(2, [((1, 1), (0,))]) and spec != make_spec(3, [((1, 1, 0), (0,))])
+    with pytest.raises(AttributeError):
+        spec.rank = 3
+    assert spec.rank == 2
+    assert repr(make_spec(1, [((2,), (0,))])) == "ArrangementSpec(rank=1, items=(((2,), (0,)),))"
 
 
 @pytest.mark.parametrize(

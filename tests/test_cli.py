@@ -123,6 +123,26 @@ def test_benchmark_trace_bindings_resolve():
                 assert name not in traced, f"{name} recorded spans on {workload}"
 
 
+def test_cli_import_leaves_out_the_dataclasses_machinery():
+    """A bare interpreter that imports weylq.cli and weylq.kernels, as every
+    process does, loads none of dataclasses, inspect, ast or dis."""
+    code = (
+        "import sys; sys.path[:0] = ['src']\n"
+        "heavy = {'dataclasses', 'inspect', 'ast', 'dis'}\n"
+        "assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))\n"
+        "import weylq.cli, weylq.kernels\n"
+        "print(sorted(heavy & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        cwd=os.path.dirname(SRC_DIR),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
+
+
 def test_info_text(capsys):
     code, out, err = run_main(capsys, "info", "--type", "G", "--rank", "2")
     assert code == 0
@@ -213,6 +233,51 @@ def test_ideals_text(capsys):
         "(0,1),(1,0)",
         "(0,1),(1,0),(1,1)",
     ]
+
+
+def test_ideals_listing_refused_before_it_starts(capsys, monkeypatch):
+    """ideals checks Cat(W) times N against MAX_IDEAL_LISTING before it lists
+    anything: with the bound lowered below G2's 8 ideals times 6 roots the
+    listing exits 3 without calling enumerate_ideals, and at the bound it
+    answers."""
+    listed = []
+    monkeypatch.setattr(cli, "enumerate_ideals", lambda rs: listed.append(rs) or enumerate_ideals(rs))
+    monkeypatch.setattr(cli, "MAX_IDEAL_LISTING", 47)
+    code, out, err = run_main(capsys, "ideals", "--type", "G", "--rank", "2")
+    assert (code, out, listed) == (3, "", [])
+    assert err == "error: listing the 8 ideals of G2 takes 48 root steps, above the limit of 47\n"
+    monkeypatch.setattr(cli, "MAX_IDEAL_LISTING", 48)
+    code, out, err = run_main(capsys, "ideals", "--type", "G", "--rank", "2")
+    assert (code, err, len(listed)) == (0, "", 1)
+    assert out.startswith("ideals: 8\n")
+
+
+def test_ideals_listing_bound_admits_e8_and_a10(capsys, monkeypatch):
+    """At the default bound A11 (208,012 ideals) and A20 exit 3 at once,
+    while E8 and A10, whose Cat(W) is counted and not listed here, fit."""
+    monkeypatch.setattr(cli, "enumerate_ideals", None)
+    for family, rank, count in [("A", 11, 208_012), ("A", 20, 24_466_267_020)]:
+        code, out, err = run_main(capsys, "ideals", "--type", family, "--rank", str(rank))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: listing the {count} ideals of {family}{rank} takes ")
+    for family, rank, count in [("E", 8, 25_080), ("A", 10, 58_786), ("B", 4, 70)]:
+        rs = build_root_system(family, rank)
+        assert cli._ideal_count(rs) == count
+        assert count * len(rs.positive_roots) <= cli.MAX_IDEAL_LISTING
+    assert cli._ideal_count(build_root_system("E", 6)) == len(enumerate_ideals(build_root_system("E", 6)))
+
+
+def test_huge_rank_exits_3_before_building(capsys, monkeypatch):
+    def no_build(family, rank):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(rootsys, "_build", no_build)
+    code, out, err = run_main(capsys, "info", "--type", "A", "--rank", "100000")
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: building A100000 takes {100_000**3 * 100_001} root closure steps, "
+        f"above the limit of {rootsys.MAX_BUILD_STEPS}\n"
+    )
 
 
 def test_compat_single(capsys):
@@ -824,6 +889,32 @@ def test_largest_face_route_full_char_quasi(capsys, family, rank, exponents):
     period = math.lcm(*build_root_system(family, rank).marks)
     assert period == (2 if rank == 8 else 12)
     _assert_full_is_exponent_product(capsys, family, rank, period, exponents)
+
+
+def _classical_exponents(family, rank):
+    """The exponents in closed form: 1..l for A; 1, 3, ..., 2l - 1 for B and
+    C; 1, 3, ..., 2l - 3 and l - 1 for D."""
+    if family == "A":
+        return tuple(range(1, rank + 1))
+    if family in "BC":
+        return tuple(range(1, 2 * rank, 2))
+    return tuple(range(1, 2 * rank - 2, 2)) + (rank - 1,)
+
+
+@pytest.mark.parametrize(
+    "family, rank",
+    [("B", 5), ("B", 6), ("B", 7), ("C", 5), ("C", 6), ("C", 7),
+     ("D", 5), ("D", 6), ("D", 7), ("D", 8), ("A", 9)],
+)
+def test_classical_full_char_quasi(capsys, family, rank):
+    """The same on B, C and D of ranks 5 to 7, D8 and A9 (period 2, or 1 on
+    A), with the exponents in closed form (Kamiya, Takemura and Terao,
+    2010: chi on the residues prime to the period is prod (q - e_i))."""
+    period = math.lcm(*build_root_system(family, rank).marks)
+    assert period == (1 if family == "A" else 2)
+    _assert_full_is_exponent_product(
+        capsys, family, rank, period, _classical_exponents(family, rank)
+    )
 
 
 REPO_DIR = os.path.dirname(SRC_DIR)

@@ -211,10 +211,35 @@ def test_quasi_polynomial_residues():
 
 
 def test_quasi_polynomial_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^period must be a positive integer$"):
         QuasiPolynomial(0, ())
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^period must be a positive integer$"):
+        QuasiPolynomial(-1, ())
+    with pytest.raises(ValidationError, match="^need exactly one constituent per residue$"):
         QuasiPolynomial(2, (poly(1),))
+    with pytest.raises(ValidationError, match="^need exactly one constituent per residue$"):
+        QuasiPolynomial(period=1, constituents=(poly(1), poly(2)))
+
+
+def test_quasi_polynomial_is_an_immutable_value():
+    """Equal periods and equal constituents make equal, equally hashed
+    values, whatever the constituents were built from; fields can be
+    neither set nor deleted; the repr shows both fields."""
+    qp = QuasiPolynomial(2, (poly(Fraction(1, 2), 1), poly(0, 3)))
+    twin = QuasiPolynomial(period=2, constituents=(poly(Fraction(2, 4), 1), poly(0, 3, 0)))
+    assert twin == qp and hash(twin) == hash(qp) == hash((2, qp.constituents))
+    assert {qp: 1}[twin] == 1
+    assert qp != QuasiPolynomial(2, (poly(0, 3), poly(Fraction(1, 2), 1)))
+    assert period_one(poly(1)) != QuasiPolynomial(2, (poly(1), poly(1)))
+    assert qp.__eq__((2, qp.constituents)) is NotImplemented and qp != (2, qp.constituents)
+    for attempt in (lambda: setattr(qp, "period", 4), lambda: delattr(qp, "constituents"),
+                    lambda: setattr(qp, "extra", 1)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert qp.period == 2 and qp == twin
+    assert repr(period_one(poly(1, 2))) == (
+        "QuasiPolynomial(period=1, constituents=(RationalPolynomial(2t + 1),))"
+    )
 
 
 def test_period_one():

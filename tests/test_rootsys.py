@@ -1,6 +1,5 @@
 """Root system construction, Weyl group enumeration and subset helpers."""
 
-import dataclasses
 import hashlib
 import tracemalloc
 
@@ -13,6 +12,7 @@ from weylq.charquasi import face_roots, face_weyl_order
 from weylq.errors import InconsistencyError, ResourceCapError, ValidationError
 from weylq.rootsys import (
     MAX_WEYL_TABLE_BYTES,
+    RootSystem,
     build_root_system,
     check_weyl_cap,
     enumerate_ideals,
@@ -405,7 +405,7 @@ def test_signed_roots_order(g2):
 
 def test_root_system_hash_is_cheap_and_consistent():
     rs = build_root_system("F", 4)
-    twin = dataclasses.replace(rs)
+    twin = RootSystem(**{name: getattr(rs, name) for name in RootSystem.__slots__})
     assert twin is not rs and twin == rs
     assert hash(twin) == hash(rs) == hash(("F", 4))
     assert {rs: 1}[twin] == 1
@@ -415,6 +415,84 @@ def test_root_system_hash_is_cheap_and_consistent():
     assert root_index(rs) is lookup
     assert root_index(twin) is lookup
     assert root_index.cache_info().hits == hits + 2
+
+
+def test_root_system_is_an_immutable_value():
+    """Equality reads every field, the hash only (family, rank); fields can
+    be neither set nor deleted; the repr names the system; construction
+    takes exactly the fields, by keyword."""
+    rs = build_root_system("F", 4)
+    fields = {name: getattr(rs, name) for name in RootSystem.__slots__}
+    assert RootSystem(**fields) == rs
+    other = RootSystem(**{**fields, "coxeter_number": 13})
+    assert other != rs and rs != other
+    assert hash(other) == hash(rs)
+    assert rs.__eq__(("F", 4)) is NotImplemented and rs != ("F", 4)
+    for attempt in (lambda: setattr(rs, "rank", 5), lambda: delattr(rs, "rank"),
+                    lambda: setattr(rs, "extra", 1)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert rs.rank == 4 and rs == RootSystem(**fields)
+    assert repr(rs) == "RootSystem(F4)" and repr(build_root_system("E", 6)) == "RootSystem(E6)"
+    with pytest.raises(TypeError, match="unexpected RootSystem fields: height"):
+        RootSystem(**fields, height=12)
+    with pytest.raises(KeyError):
+        RootSystem(**{k: v for k, v in fields.items() if k != "marks"})
+
+
+@pytest.mark.parametrize(
+    "family, rank, message",
+    [
+        ("A", 0, "family A requires rank at least 1"),
+        ("B", 1, "family B requires rank at least 2"),
+        ("C", 1, "family C requires rank at least 2"),
+        ("D", 2, "family D requires rank at least 3"),
+        ("E", 5, "family E requires rank 6, 7 or 8"),
+        ("E", 9, "family E requires rank 6, 7 or 8"),
+        ("F", 5, "family F requires rank exactly 4"),
+        ("G", 1, "family G requires rank exactly 2"),
+        ("H", 3, "unknown family 'H'; expected one of A, B, C, D, E, F, G"),
+        ("A", True, "rank must be an integer, got True"),
+    ],
+)
+def test_build_validation_messages(family, rank, message):
+    with pytest.raises(ValidationError) as info:
+        build_root_system(family, rank)
+    assert str(info.value) == message
+
+
+BUILT = [("A", 1), ("A", 7), ("B", 2), ("B", 6), ("C", 3), ("C", 5), ("D", 4), ("D", 7),
+         ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("family, rank", BUILT)
+def test_build_work_prediction_uses_the_coxeter_number(monkeypatch, family, rank):
+    """The predicted closure work is rank^3 * h with the built system's h,
+    read back from the refusal at a limit just below it."""
+    rs = build_root_system(family, rank)
+    steps = rank**3 * rs.coxeter_number
+    monkeypatch.setattr(rootsys, "MAX_BUILD_STEPS", steps)
+    assert build_root_system(family, rank) is rs
+    monkeypatch.setattr(rootsys, "MAX_BUILD_STEPS", steps - 1)
+    with pytest.raises(ResourceCapError, match=f"building {family}{rank} takes {steps} root closure steps"):
+        build_root_system(family, rank)
+
+
+def test_huge_ranks_are_refused_before_building(monkeypatch):
+    """A76, B65, D65 and A100 pass MAX_BUILD_STEPS, and rank 100000 is
+    refused as fast; A75, B64 and D64 are admitted.  The build is patched
+    to raise, so no heavy closure runs."""
+
+    def no_build(family, rank):
+        raise AssertionError(f"{family}{rank} was built")
+
+    monkeypatch.setattr(rootsys, "_build", no_build)
+    for family, rank in [("A", 76), ("B", 65), ("C", 65), ("D", 65), ("A", 100), ("B", 100_000)]:
+        with pytest.raises(ResourceCapError, match=f"above the limit of {rootsys.MAX_BUILD_STEPS}"):
+            build_root_system(family, rank)
+    for family, rank in [("A", 75), ("B", 64), ("C", 64), ("D", 64)]:
+        with pytest.raises(AssertionError, match=f"{family}{rank} was built"):
+            build_root_system(family, rank)
 
 
 def test_weyl_permutes_roots(g2):
